@@ -58,7 +58,6 @@ from .checks import (
     definetti_suite,
     find_lumped_fixture,
     hierarchy_check,
-    lump_process,
     markov_sequence_check,
     maximal_ps_check,
     partial_spreadability_check,

@@ -1,36 +1,17 @@
 """Hot integer kernels: grouped sums, union-find, canonical relabeling.
 
-Two interchangeable backends compute identical results:
-
-* a numba ``@njit`` backend (default when numba imports cleanly), and
-* a pure-numpy backend, selected by setting ``FINMARKOV_NO_NUMBA=1``.
-
-All kernels operate on int64 arrays.  Callers are responsible for overflow
-guards (see ``fits_int64``); exact big-integer fallbacks live with the
-callers, not here.
+The kernels are plain numpy and operate on int64 arrays.  Callers are
+responsible for overflow guards (see ``fits_int64``); exact big-integer
+fallbacks live with the callers, not here.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("FINMARKOV_NO_NUMBA", "").strip().lower()
-_WANT_NUMBA = _FLAG not in ("1", "true", "yes", "on")
-
-USING_NUMBA = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
 
 
 def backend() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"
 
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -41,83 +22,27 @@ def fits_int64(max_abs_value: int, count: int = 1, margin: int = 4) -> bool:
     return max_abs_value * count * margin < INT64_MAX
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _group_sum_nb(keys, vals, ngroups):
-        out = np.zeros(ngroups, dtype=np.int64)
-        for i in range(keys.shape[0]):
-            out[keys[i]] += vals[i]
-        return out
-
-    @njit(cache=True)
-    def _group_count_nb(keys, ngroups):
-        out = np.zeros(ngroups, dtype=np.int64)
-        for i in range(keys.shape[0]):
-            out[keys[i]] += 1
-        return out
-
-    @njit(cache=True)
-    def _uf_find(parent, x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            nxt = parent[x]
-            parent[x] = root
-            x = nxt
-        return root
-
-    @njit(cache=True)
-    def _union_roots_nb(n, eu, ev):
-        parent = np.arange(n, dtype=np.int64)
-        for i in range(eu.shape[0]):
-            ru = _uf_find(parent, eu[i])
-            rv = _uf_find(parent, ev[i])
-            if ru < rv:
-                parent[rv] = ru
-            elif rv < ru:
-                parent[ru] = rv
-        roots = np.empty(n, dtype=np.int64)
-        for x in range(n):
-            roots[x] = _uf_find(parent, x)
-        return roots
-
-    @njit(cache=True)
-    def _masked_weight_sum_nb(weights, labels, want):
-        total = np.int64(0)
-        for i in range(weights.shape[0]):
-            if labels[i] == want[i]:
-                total += weights[i]
-        return total
-
-else:
-    _group_sum_nb = None
-    _group_count_nb = None
-    _union_roots_nb = None
-    _masked_weight_sum_nb = None
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _group_sum_np(keys, vals, ngroups):
+def group_sum(keys, vals, ngroups: int):
+    """Sum int64 vals grouped by int64 keys in [0, ngroups)."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    vals = np.ascontiguousarray(vals, dtype=np.int64)
     out = np.zeros(ngroups, dtype=np.int64)
     np.add.at(out, keys, vals)
     return out
 
 
-def _group_count_np(keys, ngroups):
+def group_count(keys, ngroups: int):
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
     return np.bincount(keys, minlength=ngroups).astype(np.int64)
 
 
-def _union_roots_np(n, eu, ev):
+def union_components(n: int, eu, ev):
+    """Canonical labels (0..k-1, first-occurrence order) of the components
+    of the graph on n vertices with edges (eu[i], ev[i])."""
+    eu = np.ascontiguousarray(eu, dtype=np.int64)
+    ev = np.ascontiguousarray(ev, dtype=np.int64)
+    if eu.shape[0] == 0:
+        return np.arange(n, dtype=np.int64), n
     # min-label propagation with pointer doubling; labels are non-increasing
     # and every round without change is a fixpoint, so this terminates
     parent = np.arange(n, dtype=np.int64)
@@ -132,56 +57,7 @@ def _union_roots_np(n, eu, ev):
                 break
             parent = nxt
         if np.array_equal(parent, before):
-            return parent
-
-
-def _masked_weight_sum_np(weights, labels, want):
-    return np.int64(weights[labels == want].sum())
-
-
-# ---------------------------------------------------------------------------
-# public API (backend-independent)
-# ---------------------------------------------------------------------------
-
-
-def group_sum(keys, vals, ngroups: int):
-    """Sum int64 vals grouped by int64 keys in [0, ngroups)."""
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    vals = np.ascontiguousarray(vals, dtype=np.int64)
-    if USING_NUMBA:
-        return _group_sum_nb(keys, vals, ngroups)
-    return _group_sum_np(keys, vals, ngroups)
-
-
-def group_count(keys, ngroups: int):
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if USING_NUMBA:
-        return _group_count_nb(keys, ngroups)
-    return _group_count_np(keys, ngroups)
-
-
-def union_components(n: int, eu, ev):
-    """Canonical labels (0..k-1, first-occurrence order) of the components
-    of the graph on n vertices with edges (eu[i], ev[i])."""
-    eu = np.ascontiguousarray(eu, dtype=np.int64)
-    ev = np.ascontiguousarray(ev, dtype=np.int64)
-    if eu.shape[0] == 0:
-        return np.arange(n, dtype=np.int64), n
-    if USING_NUMBA:
-        roots = _union_roots_nb(n, eu, ev)
-    else:
-        roots = _union_roots_np(n, eu, ev)
-    return canonicalize(roots)
-
-
-def masked_weight_sum(weights, labels, want):
-    """Exact int64 sum of weights[i] over i with labels[i] == want[i]."""
-    weights = np.ascontiguousarray(weights, dtype=np.int64)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    want = np.ascontiguousarray(want, dtype=np.int64)
-    if USING_NUMBA:
-        return _masked_weight_sum_nb(weights, labels, want)
-    return _masked_weight_sum_np(weights, labels, want)
+            return canonicalize(parent)
 
 
 def canonicalize(labels):

@@ -22,16 +22,17 @@ from . import _kernels as kern
 from .dilation import (
     ChainSpec,
     ProcessModel,
-    build_first_order_dilation,
     build_markov_dilation,
     dilation_property_check,
+    joint_law,
+    tensor_marginal,
 )
 from .finprob import (
     FinSpace,
     Partition,
     local_filtration_markov_check,
 )
-from .rep import PointRep, intertwining_check, triangular_tower_check
+from .rep import PointRep, TowerReport, intertwining_check, triangular_tower_check
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,22 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    entries: list = field(default_factory=list)
+    """Named verdicts in order.  Each entry is stamped with the wall time
+    since the report's previous entry, or since the report was created."""
 
-    def add(self, check: str, anchor: str, ok: bool, witness=None, micros=None):
-        self.entries.append(CheckResult(check, anchor, bool(ok), witness, micros))
+    entries: list = field(default_factory=list)
+    _clock: int = field(default_factory=time.perf_counter_ns, init=False, repr=False, compare=False)
+
+    def add(self, check: str, anchor: str, ok: bool, witness=None):
+        now = time.perf_counter_ns()
+        self.entries.append(CheckResult(check, anchor, bool(ok), witness, (now - self._clock) // 1000))
+        self._clock = now
         return ok
 
     def extend(self, other: "VerificationReport"):
+        """Append the entries of a sub-report with their own stamps."""
         self.entries.extend(other.entries)
+        self._clock = time.perf_counter_ns()
 
     @property
     def passed(self) -> bool:
@@ -77,15 +86,6 @@ class VerificationReport:
             mark = "PASS" if e.ok else "FAIL"
             extra = f"  [{e.witness}]" if e.witness else ""
             yield f"{mark}  {e.check}  --  {e.anchor}{extra}"
-
-
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc):
-        self.micros = (time.perf_counter_ns() - self.t0) // 1000
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +141,8 @@ class ProcessView:
         return self._parts[key]
 
     def joint_law(self, ks, level=None):
-        g = self.rep.gspace
         level = self.K if level is None else level
-        key = np.zeros(g.level_size(level), dtype=np.int64)
-        for k in ks:
-            key = key * self.base.n + self.x_table(k, level)
-        num = kern.group_sum(key, g.level_weights(level), self.base.n ** len(ks))
-        return num.reshape((self.base.n,) * len(ks)), g.level_denominator(level)
+        return joint_law(self.rep, self.value_map, self.base.n, ks, level)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +331,7 @@ def qregression_check(view: ProcessView, transition, ks, a_elems, b_elems, law=N
     )
     if law is not None:
         brute = Fraction(0)
-        mnum = _tensor_marginal(law.num, ks, law.K)
+        mnum = tensor_marginal(law.num, ks)
         for cell in np.ndindex(*((d,) * len(ks))):
             if int(mnum[cell]) == 0:
                 continue
@@ -358,65 +353,62 @@ def qregression_check(view: ProcessView, transition, ks, a_elems, b_elems, law=N
 # ---------------------------------------------------------------------------
 
 
-def _tensor_marginal(num, ks, K):
-    axes = tuple(t for t in range(K + 1) if t not in set(ks))
-    out = num.sum(axis=axes) if axes else num
-    order = sorted(range(len(ks)), key=lambda t: ks[t])
-    inv = [0] * len(ks)
-    for pos, t in enumerate(order):
-        inv[t] = pos
-    return np.transpose(out, axes=tuple(inv)) if len(ks) > 1 else out
-
-
 @dataclass(frozen=True)
 class HierarchyReport:
     stationary: bool
     spreadable: bool
     exchangeable: bool
-    partially_spreadable: bool | None
+    partially_spreadable: bool
     witnesses: dict
     report: VerificationReport
 
     @property
     def chain_consistent(self) -> bool:
-        """exchangeable => spreadable => (partially spreadable =>) stationary"""
+        """exchangeable => spreadable => partially spreadable => stationary"""
         if self.exchangeable and not self.spreadable:
             return False
-        if self.spreadable and not self.stationary:
+        if self.spreadable and not self.partially_spreadable:
             return False
-        if self.partially_spreadable is not None:
-            if self.spreadable and not self.partially_spreadable:
-                return False
-            if self.partially_spreadable and not self.stationary:
-                return False
+        if self.partially_spreadable and not self.stationary:
+            return False
         return True
 
 
 def hierarchy_check(view: ProcessView, horizon=None) -> HierarchyReport:
     """Decide stationarity, spreadability and exchangeability exactly on the
-    finite-horizon path law, and record the strictness witnesses."""
+    finite-horizon path law, and record the strictness witnesses.  Every
+    decision reads level `horizon` (default view.K) of the model."""
     K = view.K if horizon is None else horizon
     if K > 6:
         raise ValueError("hierarchy enumeration is desk-scale: horizon <= 6")
-    num, den = view.joint_law(range(K + 1))
+    rep = VerificationReport()
+    num, den = view.joint_law(range(K + 1), K)
     witnesses = {}
+
+    # the decisions themselves are answers, not assertions: the check that
+    # can fail is the consistency of the implication chain
+    def verdict(name, holds):
+        w = witnesses.get(name)
+        return ("yes" if holds else "no") + (f" ({w})" if w else "")
 
     stationary = True
     for r in range(K):
-        base = _tensor_marginal(num, tuple(range(r + 1)), K)
+        base = tensor_marginal(num, tuple(range(r + 1)))
         for m in range(1, K - r + 1):
-            win = _tensor_marginal(num, tuple(range(m, m + r + 1)), K)
+            win = tensor_marginal(num, tuple(range(m, m + r + 1)))
             if not np.array_equal(base, win):
                 stationary = False
                 witnesses.setdefault(
                     "stationarity", f"window [{m},{m+r}] differs from [0,{r}]"
                 )
+    rep.add("stationary", "all marginal windows shift-invariant", True,
+            verdict("stationarity", stationary))
 
     spreadable = True
     for r in range(1, K + 1):
-        base = _tensor_marginal(num, tuple(range(r + 1)), K)
+        base = tensor_marginal(num, tuple(range(r + 1)))
         for ks in itertools.combinations(range(K + 1), r + 1):
-            win = _tensor_marginal(num, ks, K)
+            win = tensor_marginal(num, ks)
             if not np.array_equal(base, win):
                 spreadable = False
                 witnesses.setdefault(
@@ -426,6 +418,8 @@ def hierarchy_check(view: ProcessView, horizon=None) -> HierarchyReport:
                 break
         if not spreadable:
             break
+    rep.add("spreadable", "marginals invariant along increasing reindexings",
+            True, verdict("spreadability", spreadable))
 
     exchangeable = True
     for i in range(K):  # adjacent transpositions generate all permutations
@@ -435,31 +429,13 @@ def hierarchy_check(view: ProcessView, horizon=None) -> HierarchyReport:
                 "exchangeability", f"law changes under swapping times {i},{i+1}"
             )
             break
-
-    from .rep import AtomBudgetError
-
-    ps = None
-    try:
-        ps = partial_spreadability_check(view).passed
-    except AtomBudgetError:
-        pass
-
-    # the decisions themselves are answers, not assertions: the check that
-    # can fail is the consistency of the implication chain
-    def verdict(name, holds):
-        w = witnesses.get(name)
-        return ("yes" if holds else "no") + (f" ({w})" if w else "")
-
-    rep = VerificationReport()
-    rep.add("stationary", "all marginal windows shift-invariant", True,
-            verdict("stationarity", stationary))
-    rep.add("spreadable", "marginals invariant along increasing reindexings",
-            True, verdict("spreadability", spreadable))
     rep.add("exchangeable", "path law invariant under time permutations",
             True, verdict("exchangeability", exchangeable))
-    if ps is not None:
-        rep.add("partially-spreadable", "localization and stationarity of iota",
-                True, "yes" if ps else "no")
+
+    # the joint law above already read level K, the deepest level this reads
+    ps = partial_spreadability_check(view, K).passed
+    rep.add("partially-spreadable", "localization and stationarity of iota",
+            True, "yes" if ps else "no")
     hr = HierarchyReport(stationary, spreadable, exchangeable, ps, witnesses, rep)
     rep.add("hierarchy", "exchangeable => spreadable => partially spreadable => stationary",
             hr.chain_consistent)
@@ -469,10 +445,6 @@ def hierarchy_check(view: ProcessView, horizon=None) -> HierarchyReport:
 # ---------------------------------------------------------------------------
 # lumped processes
 # ---------------------------------------------------------------------------
-
-
-def lump_process(view: ProcessView, f) -> ProcessView:
-    return view.lump(f)
 
 
 def find_lumped_fixture(max_den: int = 4, horizon: int = 3):
@@ -521,51 +493,38 @@ def definetti_suite(spec: ChainSpec, horizon: int, budget: int = 2_000_000) -> V
     """End-to-end verification for one chain: dilation, representation
     relations, partial and maximal partial spreadability, Markov property,
     distributional equality with the path law, tower and intertwining."""
-    report = VerificationReport()
-    K = horizon
+    model = build_markov_dilation(spec, horizon, budget=budget)
+    return definetti_checks(model, triangular_tower_check(model.rep))
 
-    with _Timer() as t:
-        _, coupling = build_first_order_dilation(spec, noise="compact", adopt=False)
-        model = build_markov_dilation(spec, K, coupling, budget=budget)
+
+def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationReport:
+    """The de Finetti suite's checks on a built model, reading the tower
+    verdicts from its triangular_tower_check report."""
+    report = VerificationReport()
+    K = model.K
     report.add(
         "construction",
         "first-order coupling compresses to T; model state-preserving",
         model.measure_preservation_check(),
-        micros=t.micros,
     )
 
-    with _Timer() as t:
-        ok = all(
-            model.rep.relation_check(k, l, m)[0]
-            for k in range(K)
-            for l in range(k + 1, K + 1)
-            for m in range(K - 1)
-        )
-    report.add(
-        "monoid-relations",
-        "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l",
-        ok,
-        micros=t.micros,
+    ok = all(
+        model.rep.relation_check(k, l, m)[0]
+        for k in range(K)
+        for l in range(k + 1, K + 1)
+        for m in range(K - 1)
     )
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", ok)
 
     view = ProcessView.from_model(model)
-    with _Timer() as t:
-        sub = maximal_ps_check(view)
-    for e in sub.entries:
-        report.add(e.check, e.anchor, e.ok, e.witness, t.micros)
+    report.extend(maximal_ps_check(view))
+    report.extend(markov_sequence_check(view))
 
-    with _Timer() as t:
-        sub = markov_sequence_check(view)
-    for e in sub.entries:
-        report.add(e.check, e.anchor, e.ok, e.witness, t.micros)
-
-    with _Timer() as t:
-        dil = dilation_property_check(model)
+    dil = dilation_property_check(model)
     report.add(
         "dilation-powers",
         "T^n = iota* alpha^n iota for 0 <= n <= K",
         all(dil.power_ok.values()),
-        micros=t.micros,
     )
     report.add(
         "moments-vs-path-law",
@@ -576,16 +535,13 @@ def definetti_suite(spec: ChainSpec, horizon: int, budget: int = 2_000_000) -> V
     report.add(
         "transition-equality",
         "equal transition operators give equal distributions",
-        model.compressed_power(1) == spec.rows,
+        model.compressed_power(1) == model.spec.rows,
     )
 
-    with _Timer() as t:
-        tower = triangular_tower_check(model.rep)
     report.add(
         "triangular-tower",
         "every shifted fixed-point tower cell is a commuting square",
         tower.passed and tower.cells_agree,
-        micros=t.micros,
     )
     report.add(
         "tower-intersections",
@@ -593,21 +549,14 @@ def definetti_suite(spec: ChainSpec, horizon: int, budget: int = 2_000_000) -> V
         all(tower.intersections.values()),
     )
 
-    with _Timer() as t:
-        ok, wit = True, None
-        for n in range(1, K):
-            for k in range(0, n):
-                good, w = intertwining_check(model.rep, k, n)
-                if not good:
-                    ok, wit = False, f"k={k}, n={n}: {w}"
-                    break
-            if not ok:
+    ok, wit = True, None
+    for n in range(1, K):
+        for k in range(0, n):
+            good, w = intertwining_check(model.rep, k, n)
+            if not good:
+                ok, wit = False, f"k={k}, n={n}: {w}"
                 break
-    report.add(
-        "intertwining",
-        "alpha_k Q_n = Q_{n+1} alpha_k for k < n",
-        ok,
-        wit,
-        micros=t.micros,
-    )
+        if not ok:
+            break
+    report.add("intertwining", "alpha_k Q_n = Q_{n+1} alpha_k for k < n", ok, wit)
     return report

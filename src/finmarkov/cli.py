@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure (the
-witness is printed), 2 on malformed input.  Default output carries no
+witness is printed), 2 on malformed input or a model too large for the atom
+budget (checked before any check runs) or for int64.  Default output carries no
 wall-clock data, so identical inputs produce byte-identical output; timing
 fields appear only behind --timing.
 """
@@ -113,8 +114,8 @@ def cmd_stationary(args) -> int:
 def cmd_dilate(args) -> int:
     spec, _ = _load_chainspec(args.chainspec)
     model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
-    d = dil.dilation_property_check(model)
     report = chk.VerificationReport()
+    d = dil.dilation_property_check(model)
     report.add(
         "dilation-powers",
         "T^n = iota* alpha^n iota for 0 <= n <= K",
@@ -142,6 +143,7 @@ def cmd_rep_check(args) -> int:
     spec, obj = _load_chainspec(args.chainspec)
     rep, _ = _build_rep_from_file(spec, obj, args.depth, args.budget)
     K = args.depth
+    rep.gspace.ensure(K + 1)  # the intertwining checks read level K+1
     report = chk.VerificationReport()
     ok = all(
         rep.relation_check(k, l, m)[0]
@@ -179,6 +181,7 @@ def cmd_lump(args) -> int:
     if len(f) != spec.d or any(not 0 <= x < spec.d for x in f):
         raise InputError("lumping map must assign a class to every state")
     model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
+    model.gspace.ensure(args.depth + 1)  # maximality reads level K+1
     lumped = chk.ProcessView.from_model(model).lump(f)
     report = chk.maximal_ps_check(lumped)
     report.extend(chk.markov_sequence_check(lumped))
@@ -186,13 +189,21 @@ def cmd_lump(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Build one model and at most one tower report, shared by every
+    requested suite; the hierarchy reads its capped horizon off that model."""
     spec, _ = _load_chainspec(args.chainspec)
+    suites = ("definetti", "tower", "hierarchy") if args.suite == "all" else (args.suite,)
+    K = min(args.depth, 5) if suites == ("hierarchy",) else args.depth
+    model = dil.build_markov_dilation(spec, K, budget=args.budget)
+    if "definetti" in suites:
+        model.gspace.ensure(K + 1)  # maximality and the Markov checks read level K+1
     report = chk.VerificationReport()
-    if args.suite in ("definetti", "all"):
-        report.extend(chk.definetti_suite(spec, args.depth, budget=args.budget))
-    if args.suite in ("tower", "all"):
-        model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
+    tower = None
+    if "definetti" in suites or "tower" in suites:
         tower = rp.triangular_tower_check(model.rep)
+    if "definetti" in suites:
+        report.extend(chk.definetti_checks(model, tower))
+    if "tower" in suites:
         report.add("tower-generating", "tower algebras jointly generate", tower.generating)
         for (m, n, k), ok in sorted(tower.cells.items()):
             report.add(
@@ -211,10 +222,9 @@ def cmd_verify(args) -> int:
                 "M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n)",
                 ok,
             )
-    if args.suite in ("hierarchy", "all"):
-        model = dil.build_markov_dilation(spec, min(args.depth, 5), budget=args.budget)
-        h = chk.hierarchy_check(chk.ProcessView.from_model(model))
-        report.extend(h.report)
+    if "hierarchy" in suites:
+        view = chk.ProcessView.from_model(model)
+        report.extend(chk.hierarchy_check(view, min(args.depth, 5)).report)
     return _emit(report, args)
 
 
@@ -290,10 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, mon.DerivationNotFound) as e:
+    except (InputError, ValueError, mon.DerivationNotFound, rp.AtomBudgetError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -420,19 +420,9 @@ class ProcessModel:
         )
 
     def joint_law(self, ks=None):
-        """Exact joint distribution of (X_k)_{k in ks} read off the model.
-
-        Returns (numerator array of shape (d,)*len(ks), denominator).
-        """
-        g = self.gspace
-        if ks is None:
-            ks = tuple(range(self.K + 1))
-        level = self.K
-        key = np.zeros(g.level_size(level), dtype=np.int64)
-        for k in ks:
-            key = key * g.d + self.rep.x_table(k, level)
-        num = kern.group_sum(key, g.level_weights(level), g.d ** len(ks))
-        return num.reshape((g.d,) * len(ks)), g.level_denominator(level)
+        """Exact joint distribution of (X_k)_{k in ks} read off the model."""
+        ks = range(self.K + 1) if ks is None else ks
+        return joint_law(self.rep, np.arange(self.spec.d), self.spec.d, ks, self.K)
 
     def measure_preservation_check(self) -> bool:
         return all(
@@ -446,6 +436,20 @@ class ProcessModel:
         x0 = np.arange(g.level_size(self.K), dtype=np.int64) // g.nc**self.K
         sums = kern.group_sum(x0, g.level_weights(self.K), g.d)
         return bool(np.array_equal(sums, g.base_num * g.noise_den**self.K))
+
+
+def joint_law(rep: PointRep, value_map, nvals: int, ks, level: int):
+    """Exact joint distribution of (f(X_k))_{k in ks} read at a level, where
+    f = value_map takes the base atoms to nvals values.
+
+    Returns (numerator array of shape (nvals,)*len(ks), denominator).
+    """
+    g = rep.gspace
+    key = np.zeros(g.level_size(level), dtype=np.int64)
+    for k in ks:
+        key = key * nvals + value_map[rep.x_table(k, level)]
+    num = kern.group_sum(key, g.level_weights(level), nvals ** len(ks))
+    return num.reshape((nvals,) * len(ks)), g.level_denominator(level)
 
 
 def build_markov_dilation(
@@ -491,15 +495,15 @@ class PathLaw:
 
     def marginal(self, ks):
         """Sum out all coordinates except those in ks (kept in given order)."""
-        axes = tuple(t for t in range(self.K + 1) if t not in set(ks))
-        m = self.num.sum(axis=axes) if axes else self.num
-        return np.transpose(m, axes=_marginal_axes(ks)), self.den
+        return tensor_marginal(self.num, ks), self.den
 
 
-def _marginal_axes(ks):
-    # after summing, the remaining axes sit in sorted(ks) order
-    s = sorted(ks)
-    return tuple(s.index(k) for k in ks)
+def tensor_marginal(num, ks):
+    """Sum out every axis of num not in ks; the kept axes come in ks order."""
+    kept = sorted(ks)
+    out = num.sum(axis=tuple(t for t in range(num.ndim) if t not in kept))
+    # after summing, the kept axes sit in sorted order
+    return np.transpose(out, axes=[kept.index(k) for k in ks])
 
 
 def path_law(spec: ChainSpec, horizon: int) -> PathLaw:
@@ -565,8 +569,8 @@ def dilation_property_check(model: ProcessModel, r_max=3, n_random=50, seed=7) -
         r = rng.randint(min(r_max + 1, K + 1), K + 1)
         tuples.append(tuple(sorted(rng.sample(range(K + 1), r))))
     for ks in tuples:
-        m_num = _axis_marginal(model_num, ks, K)
-        p_num = _axis_marginal(law.num, ks, K)
+        m_num = tensor_marginal(model_num, ks)
+        p_num = tensor_marginal(law.num, ks)
         for cell in np.ndindex(*([d] * len(ks))):
             checked += 1
             if int(m_num[cell]) * law.den != int(p_num[cell]) * model_den:
@@ -586,11 +590,6 @@ def _increasing_tuples(K, r):
     from itertools import combinations
 
     return list(combinations(range(K + 1), r))
-
-
-def _axis_marginal(num, ks, K):
-    axes = tuple(t for t in range(K + 1) if t not in set(ks))
-    return num.sum(axis=axes) if axes else num
 
 
 def _ratio_tensor_equal(a_num, a_den, b_num, b_den) -> bool:

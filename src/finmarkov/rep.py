@@ -220,13 +220,6 @@ class PointRep:
             return True, None
         return False, int(np.argmax(left != right))
 
-    def relation_pair_holds(self, k: int, l: int, m: int) -> bool:
-        """Raw comparison without the k<l / k<=l guard (used to exhibit that
-        the F+ construction genuinely lacks the k = l relation)."""
-        left = self.eta(l, m)[self.eta(k, m + 1)]
-        right = self.eta(k, m)[self.eta(l + 1, m + 1)]
-        return bool(np.array_equal(left, right))
-
     # -- fixed point algebras ------------------------------------------------
 
     def fixed_point_partition(self, n: int, level: int) -> Partition:
@@ -438,56 +431,22 @@ class RepFiltration:
         return self.report.is_markov
 
 
-def filtration_from_rep(rep: PointRep, horizon: int | None = None) -> RepFiltration:
+def filtration_from_rep(rep: PointRep, horizon: int | None = None, m: int = 0, n: int = 0) -> RepFiltration:
+    """The filtration read off the representation; with (m, n) it is the
+    (m,n)-shifted variant, which relabels the generators it reads as
+    g_0 -> g_m and g_k -> g_{n+k}."""
     K = rep.gspace.K if horizon is None else horizon
     rep.gspace.ensure(K + 1)  # fixed points at level K read one level up
-    level = K
-    m_inf = rep.tower_join(level)  # discrete when generating
+    m_inf = rep.tower_join(K)  # discrete when generating
     parts = {}
-    for m in range(K + 1):
-        for n in range(m, K + 1):
-            if n == K:
-                low = rep.tower_join(level - m) if m else m_inf
-            else:
-                low = rep.intersected_fixed_points(n - m, level - m)
-            parts[(m, n)] = rep.shifted_partition(low, m, level) if m else low
-    report = local_filtration_markov_check(
-        lambda m, n: parts[(m, n)], K, rep.gspace.level_weights(level)
-    )
-    return RepFiltration(parts, K, report)
-
-
-def shifted_filtration_from_rep(rep: PointRep, m: int, n: int, horizon: int):
-    """The (m,n)-shifted variant: generators g_0 -> g_m, g_k -> g_{n+k}.
-
-    Realized by relabeling which represented generators the filtration reads;
-    returns the same structure as filtration_from_rep.
-    """
-    K = horizon
-    rep.gspace.ensure(K + 1)
-    level = K
-
-    def tower(t: int, lev: int) -> Partition:
-        top = min(rep.gspace.K, lev)
-        acc = Partition.discrete(rep.gspace.level_size(lev))
-        for kk in range(t + n + 1, top + 1):
-            acc = acc.meet(rep.fixed_point_partition(kk, lev))
-        return acc
-
-    def shift_m(part: Partition, k: int, lev: int) -> Partition:
-        chain = rep.alpha_pullback([m] * k, lev)
-        return Partition(part.labels[chain])
-
-    parts = {}
-    joined_top = rep.tower_join(level)
     for a in range(K + 1):
         for b in range(a, K + 1):
             if b == K:
-                low = rep.tower_join(level - a) if a else joined_top
+                low = rep.tower_join(K - a) if a else m_inf
             else:
-                low = tower(b - a, level - a)
-            parts[(a, b)] = shift_m(low, a, level) if a else low
+                low = rep.intersected_fixed_points(b - a + n, K - a)
+            parts[(a, b)] = Partition(low.labels[rep.alpha_pullback([m] * a, K)]) if a else low
     report = local_filtration_markov_check(
-        lambda u, v: parts[(u, v)], K, rep.gspace.level_weights(level)
+        lambda a, b: parts[(a, b)], K, rep.gspace.level_weights(K)
     )
     return RepFiltration(parts, K, report)

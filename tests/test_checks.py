@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -251,6 +252,15 @@ def test_report_json_shape():
     assert any("micros" in item for item in data_t)
 
 
+def test_timing_stamps_each_entry_once():
+    t0 = time.perf_counter_ns()
+    rep = C.definetti_suite(PAPER, 3)
+    wall_us = (time.perf_counter_ns() - t0) // 1000
+    data = json.loads(rep.to_json(include_timing=True))
+    assert all("micros" in item for item in data)
+    assert sum(item["micros"] for item in data) <= wall_us
+
+
 def test_moment_consistency_hundred_random_tuples():
     # model moments equal path-law moments, r <= 3 exhaustively plus 100
     # random longer tuples
@@ -279,6 +289,6 @@ def test_lumped_filtration_is_coarser():
 
 def test_lump_process_function_form():
     view = paper_view(3)
-    lumped = C.lump_process(view, [0, 0])
+    lumped = view.lump([0, 0])
     assert lumped.base.n == 1
     assert C.markov_sequence_check(lumped).passed

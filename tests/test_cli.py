@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from finmarkov import dilation, rep
 from finmarkov.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +123,64 @@ def test_malformed_input_exit_2(capsys, tmp_path):
 def test_bad_lump_map_exit_2(capsys):
     code, _, err = run(["lump", COIN, "--map", "0,7"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", COIN, "--depth", "4", "--suite", "definetti"],
+        ["lump", COIN, "--map", "0,1", "--depth", "4"],
+        ["rep-check", COIN, "--depth", "4"],
+    ],
+)
+def test_over_budget_refused_before_work_exit_2(argv):
+    # the coin's level 4 holds 162 atoms and level 5 holds 486; these read level 5
+    cmd = [sys.executable, "-m", "finmarkov.cli", "--budget", "200"] + argv
+    r = subprocess.run(cmd, capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("suite", ["tower", "hierarchy"])
+def test_suites_reading_level_k_run_at_that_budget(suite, capsys):
+    code, _, _ = run(["--budget", "200", "verify", COIN, "--depth", "4", "--suite", suite], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "fixture, depth",
+    [(p.name, 3) for p in sorted(FIXTURES.glob("*.json"))] + [("coin_p12_p14.json", 6)],
+)
+def test_verify_all_is_the_suites_concatenated(fixture, depth, capsys, tmp_path):
+    """The shared model gives each suite's own report; at depth 6 the
+    hierarchy reads its capped horizon 5 off the depth-6 model."""
+    reports = {}
+    for suite in ("all", "definetti", "tower", "hierarchy"):
+        dest = tmp_path / f"{suite}.json"
+        argv = ["--json", str(dest), "verify", str(FIXTURES / fixture), "--depth", str(depth)]
+        code, _, _ = run(argv + ["--suite", suite], capsys)
+        assert code == 0
+        reports[suite] = json.loads(dest.read_text())
+    assert reports["all"] == reports["definetti"] + reports["tower"] + reports["hierarchy"]
+
+
+def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys):
+    calls = {}
+    for owner, name in ((dilation, "build_markov_dilation"), (rep, "triangular_tower_check")):
+        orig = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "finmarkov" and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    code, _, _ = run(["verify", COIN, "--depth", "4", "--suite", "all"], capsys)
+    assert code == 0
+    assert calls == {"build_markov_dilation": 1, "triangular_tower_check": 1}
 
 
 def test_output_deterministic():

@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +15,6 @@ def test_group_sum_matches_numpy_reference(items):
     vals = np.array([v for _, v in items], dtype=np.int64)
     n = int(keys.max()) + 1
     got = kern.group_sum(keys, vals, n)
-    want = kern._group_sum_np(keys, vals, n)
-    assert np.array_equal(got, want)
-    # independent reference
     ref = [0] * n
     for k, v in items:
         ref[k] += v
@@ -56,9 +48,6 @@ def test_union_components_matches_reference(edges, extra):
         nref += 1
     assert k == nref
     assert labels.tolist() == ref  # both are first-occurrence canonical
-    if len(eu):
-        want = kern._union_roots_np(n, eu, ev)
-        assert np.array_equal(labels, kern.canonicalize(want)[0])
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=100))
@@ -81,42 +70,6 @@ def test_pair_canon_is_joint_relabel(ps):
     assert labels.tolist() == ref and k == len(seen)
 
 
-def test_masked_weight_sum():
-    w = np.array([5, 7, 11, 13], dtype=np.int64)
-    lab = np.array([0, 1, 2, 3], dtype=np.int64)
-    want = np.array([0, 1, 0, 3], dtype=np.int64)
-    assert kern.masked_weight_sum(w, lab, want) == 5 + 7 + 13
-
-
 def test_fits_int64():
     assert kern.fits_int64(2**40, 2**10)
     assert not kern.fits_int64(2**40, 2**40)
-
-
-def test_numpy_backend_subprocess_agreement():
-    """The pure-numpy path (env flag) must produce identical suite output.
-
-    Comparing the two backends needs numba; without it both runs select numpy.
-    """
-    pytest.importorskip("numba")
-    code = (
-        "from fractions import Fraction as F\n"
-        "import finmarkov._kernels as k\n"
-        "from finmarkov import checks as C\n"
-        "from finmarkov import dilation as D\n"
-        "rep = C.definetti_suite(D.ChainSpec.coin(F(1,2), F(1,4)), 3)\n"
-        "print(k.backend())\n"
-        "print(rep.to_json())\n"
-    )
-    outs = {}
-    for flag in ("", "1"):
-        env = dict(os.environ)
-        env["FINMARKOV_NO_NUMBA"] = flag
-        r = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert r.returncode == 0, r.stderr
-        backend, _, rest = r.stdout.partition("\n")
-        outs[backend] = rest
-    assert set(outs) == {"numba", "numpy"}
-    assert outs["numba"] == outs["numpy"]

@@ -91,7 +91,10 @@ def test_fplus_lacks_equal_index_relation():
     base = FinSpace.uniform(2)
     c_map = np.array([[0, 1, 0], [1, 0, 1]])
     rep = R.build_fplus_rep(base, noise, c_map, delta, 4)
-    assert not all(rep.relation_pair_holds(1, 1, m) for m in range(3))
+    assert not all(
+        np.array_equal(rep.eta(1, m)[rep.eta(1, m + 1)], rep.eta(1, m)[rep.eta(2, m + 1)])
+        for m in range(3)
+    )
     for k in range(3):
         for l in range(k + 1, 4):
             assert rep.relation_check(k, l, 1)[0]
@@ -319,7 +322,7 @@ def test_rep_filtration_is_markov():
 
 def test_rep_filtration_shifted_variant():
     rep = paper_rep(3)
-    filt = R.shifted_filtration_from_rep(rep, 1, 1, 2)
+    filt = R.filtration_from_rep(rep, 2, m=1, n=1)
     assert filt.is_markov
 
 
