@@ -133,11 +133,10 @@ class ProcessView:
         """Canonical filtration algebra generated by X_m .. X_n at a level."""
         key = (m, n, level)
         if key not in self._parts:
-            labels = self.x_table(m, level)
+            labels, nblocks = kern.canonicalize(self.x_table(m, level))
             for k in range(m + 1, n + 1):
-                labels = labels * self.base.n + self.x_table(k, level)
-                labels, _ = kern.canonicalize(labels)
-            self._parts[key] = Partition(labels)
+                labels, nblocks = kern.canonicalize(labels * self.base.n + self.x_table(k, level))
+            self._parts[key] = Partition._from_canonical(labels, nblocks)
         return self._parts[key]
 
     def joint_law(self, ks, level=None):
@@ -499,9 +498,12 @@ def definetti_suite(spec: ChainSpec, horizon: int, budget: int = 2_000_000) -> V
 
 def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationReport:
     """The de Finetti suite's checks on a built model, reading the tower
-    verdicts from its triangular_tower_check report."""
-    report = VerificationReport()
+    verdicts from its triangular_tower_check report.  Below horizon 3 the
+    tower has no cell, so the model is refused."""
     K = model.K
+    if K < 3:
+        raise ValueError(f"the de Finetti suite needs horizon >= 3; got {K}")
+    report = VerificationReport()
     report.add(
         "construction",
         "first-order coupling compresses to T; model state-preserving",

@@ -38,6 +38,13 @@ def _load_chainspec(path):
         raise InputError(f"bad chain spec {path}: {e}") from None
 
 
+def _require_depth(depth: int, least: int, command: str):
+    """Refuse a depth at which some check of the command would loop over
+    nothing and pass without deciding an instance."""
+    if depth < least:
+        raise InputError(f"{command} needs --depth >= {least}; got {depth}")
+
+
 def _emit(report: chk.VerificationReport, args) -> int:
     for line in report.lines():
         print(line)
@@ -140,6 +147,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_rep_check(args) -> int:
+    _require_depth(args.depth, 2, "rep-check")  # intertwining needs 1 <= n < K
     spec, obj = _load_chainspec(args.chainspec)
     rep, _ = _build_rep_from_file(spec, obj, args.depth, args.budget)
     K = args.depth
@@ -173,6 +181,7 @@ def cmd_rep_check(args) -> int:
 
 
 def cmd_lump(args) -> int:
+    _require_depth(args.depth, 2, "lump")  # at depth 1 the only past, [0,0], is the present
     spec, _ = _load_chainspec(args.chainspec)
     try:
         f = [int(t) for t in args.map.split(",")]
@@ -191,8 +200,11 @@ def cmd_lump(args) -> int:
 def cmd_verify(args) -> int:
     """Build one model and at most one tower report, shared by every
     requested suite; the hierarchy reads its capped horizon off that model."""
-    spec, _ = _load_chainspec(args.chainspec)
     suites = ("definetti", "tower", "hierarchy") if args.suite == "all" else (args.suite,)
+    # below depth 3 the tower has no cell; below depth 2 spreadability
+    # compares no two marginals
+    _require_depth(args.depth, 2 if suites == ("hierarchy",) else 3, f"verify --suite {args.suite}")
+    spec, _ = _load_chainspec(args.chainspec)
     K = min(args.depth, 5) if suites == ("hierarchy",) else args.depth
     model = dil.build_markov_dilation(spec, K, budget=args.budget)
     if "definetti" in suites:

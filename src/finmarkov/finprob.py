@@ -15,6 +15,7 @@ intermediate result is ever rounded or overflowed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -130,6 +131,14 @@ class Partition:
         self.labels, self.nblocks = kern.canonicalize(labels)
         self.n = len(self.labels)
 
+    @classmethod
+    def _from_canonical(cls, labels, nblocks: int) -> "Partition":
+        """Wrap labels that are already canonical, such as the kernels
+        return, without sorting them a second time."""
+        part = cls.__new__(cls)
+        part.labels, part.nblocks, part.n = labels, nblocks, len(labels)
+        return part
+
     @staticmethod
     def from_blocks(blocks, n: int) -> "Partition":
         labels = np.full(n, -1, dtype=np.int64)
@@ -159,12 +168,12 @@ class Partition:
 
     def join(self, other: "Partition") -> "Partition":
         """Common refinement: the subalgebra generated by both."""
-        labels, _ = kern.pair_canon(self.labels, other.labels)
-        return Partition(labels)
+        return Partition._from_canonical(*kern.pair_canon(self.labels, other.labels))
 
     def meet(self, other: "Partition") -> "Partition":
         """Finest common coarsening: the intersection subalgebra."""
-        return Partition(meet_labels(self.labels, other.labels))
+        labels = meet_labels(self.labels, other.labels)
+        return Partition._from_canonical(labels, int(labels.max()) + 1)
 
     def coarsens(self, other: "Partition") -> bool:
         """True if self is coarser than other (every other-block fits in one
@@ -190,9 +199,15 @@ class Partition:
 
 
 def _first_occurrence(labels, nblocks):
-    # canonical labels are numbered in first-occurrence order
-    _, first = np.unique(labels, return_index=True)
-    assert len(first) == nblocks
+    """Index of the first atom of each block of canonical labels: block b
+    first appears where the running maximum rises to b."""
+    labels = np.asarray(labels)
+    runmax = np.maximum.accumulate(labels)
+    first = np.flatnonzero(np.diff(runmax, prepend=-1))
+    # canonical iff no label is negative and the maximum climbs from -1 to
+    # nblocks - 1 in nblocks rises, i.e. in steps of one
+    if len(first) != nblocks or runmax[-1] != nblocks - 1 or labels.min() < 0:
+        raise ValueError(f"labels are not canonical for {nblocks} blocks")
     return first
 
 
@@ -629,15 +644,22 @@ def local_filtration_markov_check(family, horizon: int, wnum) -> FiltrationRepor
         if wit:
             witnesses.append(f"(M') n={n}: {wit}")
 
+    # the join is symmetric and A_I ∨ A_I = A_I, so each unordered pair of
+    # distinct intervals is decided once
     minimal = True
-    intervals = list(parts)
-    for m, n in intervals:
-        for m2, n2 in intervals:
-            if m2 > n + 1 or m > n2 + 1:
-                continue  # union is not an interval
-            joined = parts[(m, n)].join(parts[(m2, n2)])
-            if joined != parts[(min(m, m2), max(n, n2))]:
-                minimal = False
+    for i, j in itertools.combinations(parts, 2):
+        (m, n), (m2, n2) = i, j
+        if m2 > n + 1 or m > n2 + 1:
+            continue  # union is not an interval
+        u = (min(m, m2), max(n, n2))
+        if u in (i, j):
+            # nested: A_I ∨ A_U = A_U iff A_U refines A_I
+            minimal = parts[u].refines(parts[j if u == i else i])
+        else:
+            joined, _ = kern.pair_canon(parts[i].labels, parts[j].labels)
+            minimal = bool(np.array_equal(joined, parts[u].labels))
+        if not minimal:
+            break
     return FiltrationReport(isotone, markov_m, markov_mp, minimal, tuple(witnesses))
 
 

@@ -233,8 +233,8 @@ class PointRep:
         if key not in self._fix_cache:
             u = self.eta(n, level)
             v = self.drop_last(level)
-            labels, _ = kern.union_components(self.gspace.level_size(level), u, v)
-            self._fix_cache[key] = Partition(labels)
+            labels, nblocks = kern.union_components(self.gspace.level_size(level), u, v)
+            self._fix_cache[key] = Partition._from_canonical(labels, nblocks)
         return self._fix_cache[key]
 
     def intersected_fixed_points(self, n: int, level: int) -> Partition:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -252,6 +253,13 @@ def test_report_json_shape():
     assert any("micros" in item for item in data_t)
 
 
+def test_suite_refuses_horizon_below_3():
+    # at horizon 2 the tower has no cell and would pass with nothing decided
+    for K in (1, 2):
+        with pytest.raises(ValueError, match="horizon >= 3"):
+            C.definetti_suite(PAPER, K)
+
+
 def test_timing_stamps_each_entry_once():
     t0 = time.perf_counter_ns()
     rep = C.definetti_suite(PAPER, 3)
@@ -262,11 +270,24 @@ def test_timing_stamps_each_entry_once():
 
 
 def test_moment_consistency_hundred_random_tuples():
-    # model moments equal path-law moments, r <= 3 exhaustively plus 100
-    # random longer tuples
+    # the check decides the moments by one joint-law comparison; its verdict
+    # agrees with the model and path-law moments compared tuple by tuple,
+    # r <= 3 exhaustively plus 100 random longer tuples
     model = D.build_markov_dilation(PAPER, 4)
     report = D.dilation_property_check(model, r_max=3, n_random=100)
-    assert report.passed and report.moments_checked > 1000
+    assert report.passed and not report.moment_failures
+    m_num, m_den = model.joint_law()
+    law = D.path_law(PAPER, 4)
+    rng = random.Random(7)
+    tuples = [ks for r in (1, 2, 3) for ks in itertools.combinations(range(5), r)]
+    tuples += [tuple(sorted(rng.sample(range(5), rng.randint(4, 5)))) for _ in range(100)]
+    checked = 0
+    for ks in tuples:
+        lhs = D.tensor_marginal(m_num, ks).astype(object) * law.den
+        rhs = D.tensor_marginal(law.num, ks).astype(object) * m_den
+        assert (lhs == rhs).all(), ks
+        checked += lhs.size
+    assert checked > 1000
 
 
 def test_anchor_strings_are_stable_per_check():

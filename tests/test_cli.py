@@ -12,6 +12,7 @@ from finmarkov.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 PYPROJECT = ROOT / "pyproject.toml"
+GOLDEN = ROOT / "tests" / "golden"
 COIN = str(FIXTURES / "coin_p12_p14.json")
 IID = str(FIXTURES / "iid_third.json")
 LUMPED = str(FIXTURES / "lumped_3to2.json")
@@ -142,6 +143,33 @@ def test_over_budget_refused_before_work_exit_2(argv):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", COIN, "--depth", "2", "--suite", suite], 2)
+        for suite in ("all", "definetti", "tower")
+    ]
+    + [
+        (["verify", COIN, "--depth", "1", "--suite", "hierarchy"], 2),
+        (["lump", LUMPED, "--map", "0,1,0", "--depth", "1"], 2),
+        (["rep-check", COIN, "--depth", "1"], 2),
+        (["verify", COIN, "--depth", "3", "--suite", "all"], 0),
+        (["verify", COIN, "--depth", "2", "--suite", "hierarchy"], 0),
+        (["lump", COIN, "--map", "0,1", "--depth", "2"], 0),
+        (["rep-check", COIN, "--depth", "2"], 0),
+    ],
+)
+def test_depth_deciding_nothing_refused_exit_2(argv, code):
+    # at these depths some check's loop is empty and would pass vacuously;
+    # the least depth each command accepts still runs
+    r = subprocess.run([sys.executable, "-m", "finmarkov.cli"] + argv, capture_output=True, text=True)
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
+    if code == 2:
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("suite", ["tower", "hierarchy"])
 def test_suites_reading_level_k_run_at_that_budget(suite, capsys):
     code, _, _ = run(["--budget", "200", "verify", COIN, "--depth", "4", "--suite", suite], capsys)
@@ -163,6 +191,19 @@ def test_verify_all_is_the_suites_concatenated(fixture, depth, capsys, tmp_path)
         assert code == 0
         reports[suite] = json.loads(dest.read_text())
     assert reports["all"] == reports["definetti"] + reports["tower"] + reports["hierarchy"]
+
+
+@pytest.mark.parametrize(
+    "fixture, depth", [(p.stem, d) for p in sorted(FIXTURES.glob("*.json")) for d in (3, 4)]
+)
+def test_verify_json_matches_golden(fixture, depth, capsys, tmp_path):
+    """The --json report of verify --suite all is byte-identical to the
+    recorded tests/golden/<fixture>-d<depth>.json."""
+    dest = tmp_path / "report.json"
+    argv = ["--json", str(dest), "verify", str(FIXTURES / f"{fixture}.json"), "--depth", str(depth)]
+    code, _, _ = run(argv + ["--suite", "all"], capsys)
+    assert code == 0
+    assert dest.read_bytes() == (GOLDEN / f"{fixture}-d{depth}.json").read_bytes()
 
 
 def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys):

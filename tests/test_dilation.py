@@ -217,6 +217,27 @@ def test_dilation_property_random(seed):
     assert D.dilation_property_check(model, n_random=10).passed
 
 
+def test_dilation_check_points_at_a_moved_cell(monkeypatch):
+    # the joint-law comparison decides; the tuple loop runs only to point
+    # at a failing marginal cell
+    spec = D.ChainSpec.coin(F(1, 2), F(1, 4))
+    model = D.build_markov_dilation(spec, 3)
+    assert D.dilation_property_check(model).moment_failures == ()
+    num, den = model.joint_law()
+    moved = num.copy()
+    moved[0, 0, 0, 0] -= 1
+    moved[0, 0, 0, 1] += 1
+    monkeypatch.setattr(model, "joint_law", lambda ks=None: (moved, den))
+    report = D.dilation_property_check(model)
+    assert not report.passed and report.moment_failures
+    law = D.path_law(spec, 3)
+    for ks, cell in report.moment_failures:
+        assert ks and all(isinstance(k, int) for k in ks) and len(cell) == len(ks)
+        got = D.tensor_marginal(moved, ks)[cell] * law.den
+        want = D.tensor_marginal(law.num, ks)[cell] * den
+        assert got != want
+
+
 def test_path_law_invariant_under_noise_choice():
     # the observable distribution does not depend on how tau was realized
     spec = D.ChainSpec.coin(F(1, 2), F(1, 4))

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmarkov import _kernels as kern
+from finmarkov import dilation as D
+from finmarkov.checks import ProcessView
 from finmarkov.finprob import (
     AlgebraElement,
     FinSpace,
     MarkovKernel,
     Partition,
+    _first_occurrence,
     adjoint_pairing_holds,
     cexp_image_labels,
     cexp_product_equals,
@@ -324,6 +328,101 @@ def test_isotony_violation_reported():
 
     rep = local_filtration_markov_check(family, 1, sp.weight_numerators())
     assert not rep.isotone
+
+
+def all_ordered_pairs_minimal(family, horizon):
+    """Reference for local minimality: join every ordered pair of intervals
+    whose union is an interval, and compare with the union's algebra."""
+    intervals = [(m, n) for m in range(horizon + 1) for n in range(m, horizon + 1)]
+    minimal = True
+    for m, n in intervals:
+        for m2, n2 in intervals:
+            if m2 > n + 1 or m > n2 + 1:
+                continue  # union is not an interval
+            if family(m, n).join(family(m2, n2)) != family(min(m, m2), max(n, n2)):
+                minimal = False
+    return minimal
+
+
+@given(st.integers(0, 1_000))
+@settings(max_examples=15, deadline=None)
+def test_minimality_matches_reference_on_canonical_families(seed):
+    rng = random.Random(seed)
+    K = rng.randint(1, 3)
+    model = D.build_markov_dilation(D.random_irreducible_chain(rng, rng.randint(2, 3)), K)
+    view = ProcessView.from_model(model)
+
+    def family(m, n):
+        return view.interval_partition(m, n, K)
+
+    rep = local_filtration_markov_check(family, K, model.gspace.level_weights(K))
+    assert rep.locally_minimal == all_ordered_pairs_minimal(family, K)
+
+
+@given(st.integers(0, 20_000))
+@settings(max_examples=150, deadline=None)
+def test_minimality_matches_reference_on_random_families(seed):
+    # joins of random coordinate partitions, some intervals replaced by a
+    # random partition: neither isotone nor minimal in general
+    rng = random.Random(seed)
+    n, K = rng.randint(2, 7), rng.randint(1, 3)
+    coords = [rand_partition(rng, n, rng.randint(1, 3)) for _ in range(K + 1)]
+    parts = {}
+    for m in range(K + 1):
+        for t in range(m, K + 1):
+            acc = coords[m]
+            for k in range(m + 1, t + 1):
+                acc = acc.join(coords[k])
+            parts[(m, t)] = acc if rng.random() < 0.7 else rand_partition(rng, n, rng.randint(1, n))
+    wnum = rand_space(rng, n).weight_numerators()
+    rep = local_filtration_markov_check(lambda m, t: parts[(m, t)], K, wnum)
+    assert rep.locally_minimal == all_ordered_pairs_minimal(lambda m, t: parts[(m, t)], K)
+
+
+def test_isotone_family_that_is_not_minimal():
+    # A_[0,1] discrete while A_0 and A_1 are trivial: A_0 ∨ A_1 != A_[0,1]
+    sp = rand_space(random.Random(3), 4)
+    disc, triv = Partition.discrete(4), Partition.trivial(4)
+
+    def family(m, n):
+        return disc if (m, n) == (0, 1) else triv
+
+    rep = local_filtration_markov_check(family, 1, sp.weight_numerators())
+    assert rep.isotone
+    assert rep.locally_minimal is False
+    assert all_ordered_pairs_minimal(family, 1) is False
+
+
+# -- canonical labels ---------------------------------------------------------
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=80))
+def test_first_occurrence_matches_unique(vals):
+    labels, k = kern.canonicalize(vals)
+    assert np.array_equal(_first_occurrence(labels, k), np.unique(labels, return_index=True)[1])
+
+
+@pytest.mark.parametrize(
+    "labels, nblocks",
+    [([1, 0], 2), ([0, 2, 1], 3), ([0, 0, 2], 3), ([0, 2, 1], 2), ([-1, 0], 1), ([0, -1], 1)],
+)
+def test_first_occurrence_rejects_non_canonical(labels, nblocks):
+    with pytest.raises(ValueError, match="not canonical"):
+        _first_occurrence(np.array(labels, dtype=np.int64), nblocks)
+
+
+@given(st.integers(0, 5_000))
+def test_join_meet_wrap_kernel_labels_canonically(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    a, b = (rand_partition(rng, n, rng.randint(1, n)) for _ in range(2))
+    for got, raw in (
+        (a.join(b), kern.pair_canon(a.labels, b.labels)[0]),
+        (a.meet(b), meet_labels(a.labels, b.labels)),
+    ):
+        want = Partition(raw)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.nblocks == want.nblocks and got.n == want.n
 
 
 def test_load_kernel_roundtrip():
