@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every requested check passes, 1 on a check failure (the
 witness is printed), 2 on malformed input or a model too large for the atom
-budget (checked before any check runs) or for int64.  Default output carries no
-wall-clock data, so identical inputs produce byte-identical output; timing
-fields appear only behind --timing.
+budget or for int64 (both checked before any check runs).  Default output
+carries no wall-clock data, so identical inputs produce byte-identical output;
+timing fields appear only behind --timing.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ def _require_depth(depth: int, least: int, command: str):
     nothing and pass without deciding an instance."""
     if depth < least:
         raise InputError(f"{command} needs --depth >= {least}; got {depth}")
+
+
+def _require_levels(gspace, K: int):
+    """Refuse, before any check runs, a model whose level K+1 exceeds the
+    atom budget (fixed points at level K read one level up) or whose level-K
+    weights, the finest any check of the command reads, exceed int64."""
+    gspace.ensure(K + 1)
+    gspace.ensure_weights(K)
 
 
 def _emit(report: chk.VerificationReport, args) -> int:
@@ -151,7 +159,7 @@ def cmd_rep_check(args) -> int:
     spec, obj = _load_chainspec(args.chainspec)
     rep, _ = _build_rep_from_file(spec, obj, args.depth, args.budget)
     K = args.depth
-    rep.gspace.ensure(K + 1)  # the intertwining checks read level K+1
+    _require_levels(rep.gspace, K)
     report = chk.VerificationReport()
     ok = all(
         rep.relation_check(k, l, m)[0]
@@ -190,7 +198,7 @@ def cmd_lump(args) -> int:
     if len(f) != spec.d or any(not 0 <= x < spec.d for x in f):
         raise InputError("lumping map must assign a class to every state")
     model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
-    model.gspace.ensure(args.depth + 1)  # maximality reads level K+1
+    _require_levels(model.gspace, args.depth)
     lumped = chk.ProcessView.from_model(model).lump(f)
     report = chk.maximal_ps_check(lumped)
     report.extend(chk.markov_sequence_check(lumped))
@@ -208,7 +216,7 @@ def cmd_verify(args) -> int:
     K = min(args.depth, 5) if suites == ("hierarchy",) else args.depth
     model = dil.build_markov_dilation(spec, K, budget=args.budget)
     if "definetti" in suites:
-        model.gspace.ensure(K + 1)  # maximality and the Markov checks read level K+1
+        _require_levels(model.gspace, K)
     report = chk.VerificationReport()
     tower = None
     if "definetti" in suites or "tower" in suites:

@@ -9,8 +9,9 @@ exact integer arithmetic.
 The low-level checks work on plain label/weight arrays so the same code
 serves both desk-size spaces and the large graded level spaces built in
 :mod:`finmarkov.rep`.  Weight numerators are int64 over a common denominator;
-comparisons that multiply weights are done on object (big-int) arrays, so no
-intermediate result is ever rounded or overflowed.
+comparisons that multiply weights are done in int64 only when a bound shows
+the products fit, else on object (big-int) arrays, so no intermediate result
+is ever rounded or overflowed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -159,7 +159,9 @@ class Partition:
 
     @staticmethod
     def discrete(n: int) -> "Partition":
-        return Partition(np.arange(n, dtype=np.int64))
+        if n < 1:
+            raise ValueError("empty partition")
+        return Partition._from_canonical(np.arange(n, dtype=np.int64), n)
 
     def blocks(self):
         order = np.argsort(self.labels, kind="stable")
@@ -238,16 +240,24 @@ def join_labels(a, b):
     return labels
 
 
+def _max_abs(x) -> int:
+    return max(abs(int(x.max(initial=0))), abs(int(x.min(initial=0))))
+
+
 def _products_equal(a, b, c, d):
-    """Exact test a[i]*b[i] == c[i]*d[i]; returns index of first failure."""
-    lhs = np.asarray(a).astype(object) * np.asarray(b).astype(object)
-    rhs = np.asarray(c).astype(object) * np.asarray(d).astype(object)
-    eq = lhs == rhs
-    if isinstance(eq, np.ndarray):
-        if eq.all():
-            return None
-        return int(np.argmax(~eq))
-    return None if eq else 0
+    """Exact test a[i]*b[i] == c[i]*d[i]; returns index of first failure.
+
+    The products are formed in int64 when max|a|·max|b| and max|c|·max|d|
+    provably fit, else on object (big-int) arrays."""
+    a, b, c, d = (np.asarray(x) for x in (a, b, c, d))
+    if kern.fits_int64(_max_abs(a) * _max_abs(b)) and kern.fits_int64(_max_abs(c) * _max_abs(d)):
+        dtype = np.int64
+    else:
+        dtype = object
+    lhs = a.astype(dtype) * b.astype(dtype)
+    rhs = c.astype(dtype) * d.astype(dtype)
+    bad = np.flatnonzero(lhs != rhs)
+    return int(bad[0]) if len(bad) else None
 
 
 def block_weight_sums(labels, nblocks, wnum):
@@ -346,28 +356,37 @@ def cexp_image_labels(labels_p, labels_q, wnum):
     """Partition generated by E_P applied to all q-block indicators.
 
     Two p-blocks are identified iff their conditional rows over q-blocks are
-    proportional; canonical rows are gcd-reduced integer vectors.
+    proportional; canonical rows are gcd-reduced integer vectors sorted by
+    q-block.  `labels_p` must be canonical, as every Partition's labels are.
     """
+    n_p = int(labels_p.max()) + 1
+    _first_occurrence(labels_p, n_p)  # raises unless labels_p is canonical
     pq, n_pq = kern.pair_canon(labels_p, labels_q)
     w_pq = block_weight_sums(pq, n_pq, wnum)
     first_pq = _first_occurrence(pq, n_pq)
     p_of_t = labels_p[first_pq]
     q_of_t = labels_q[first_pq]
-    n_p = int(labels_p.max()) + 1
 
-    rows = [[] for _ in range(n_p)]
-    for t in range(n_pq):
-        rows[int(p_of_t[t])].append((int(q_of_t[t]), int(w_pq[t])))
+    # the (q, w) pairs of each p-block, contiguous and sorted by q; every
+    # p-block meets some q-block, so no row is empty
+    order = np.lexsort((q_of_t, p_of_t))
+    counts = kern.group_count(p_of_t, n_p)
+    starts = np.cumsum(counts) - counts
+    w = w_pq[order]
+    g = np.gcd.reduceat(w, starts)
+    rows = np.stack((q_of_t[order], w // np.repeat(g, counts)), axis=1)
+    # a row's key is the bytes of its (q, w/g) slice: rows sharing a prefix
+    # but not a length give keys of different length
+    raw = rows.tobytes()
+    bounds = (np.append(starts, n_pq) * rows.strides[0]).tolist()
     keys = {}
-    block_key = np.empty(n_p, dtype=np.int64)
-    for b, row in enumerate(rows):
-        g = 0
-        for _, w in row:
-            g = gcd(g, w)
-        key = tuple(sorted((c, w // g) for c, w in row))
-        block_key[b] = keys.setdefault(key, len(keys))
-    labels, _ = kern.canonicalize(block_key[labels_p])
-    return labels
+    block_key = np.array(
+        [keys.setdefault(raw[s:e], len(keys)) for s, e in zip(bounds[:-1], bounds[1:])],
+        dtype=np.int64,
+    )
+    # keys are numbered in block order, and the blocks of canonical labels
+    # first occur in that order, so the image labels are canonical as built
+    return block_key[labels_p]
 
 
 def cexps_commute(labels_p, labels_q, wnum):
@@ -462,9 +481,10 @@ def commuting_square_check(
     image = cexp_image_labels(p1.labels, p2.labels, wnum)
     ok_iii = bool(np.array_equal(image, p0.labels))
     wit_iii = None if ok_iii else "image algebra differs from the base"
-    commute, wit_iv = cexps_commute(p1.labels, p2.labels, wnum)
-    meet_is_base = bool(np.array_equal(meet_labels(p1.labels, p2.labels), p0.labels))
-    ok_iv = commute and meet_is_base
+    # (iv) as in cexps_commute, with its one meet also compared to the base
+    meet = meet_labels(p1.labels, p2.labels)
+    commute, wit_iv = cexp_product_equals(p1.labels, p2.labels, meet, wnum)
+    ok_iv = commute and bool(np.array_equal(meet, p0.labels))
     if ok_iv:
         wit_iv = None
     elif wit_iv is None:

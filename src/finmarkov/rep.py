@@ -72,19 +72,24 @@ class GradedSpace:
                 f"level-{m} atom count {self.level_size(m)} exceeds budget {self.budget}"
             )
 
+    def ensure_weights(self, m: int):
+        """Refuse level m unless its atoms fit the budget and its weight
+        numerators fit int64."""
+        self.ensure(m)
+        # numerators sum to the denominator, so the denominator itself is the
+        # only quantity that must stay clear of int64
+        if not kern.fits_int64(self.level_denominator(m)):
+            raise OverflowError(
+                "level weights exceed int64; refine the chain or lower the horizon"
+            )
+
     def level_denominator(self, m: int) -> int:
         return self.base_den * self.noise_den**m
 
     def level_weights(self, m: int) -> np.ndarray:
         """Integer weight numerators over level_denominator(m)."""
         if m not in self._weights:
-            self.ensure(m)
-            # numerators sum to the denominator, so the denominator itself
-            # is the only quantity that must stay clear of int64
-            if not kern.fits_int64(self.level_denominator(m)):
-                raise OverflowError(
-                    "level weights exceed int64; refine the chain or lower the horizon"
-                )
+            self.ensure_weights(m)
             w = self.base_num.astype(np.int64)
             for _ in range(m):
                 w = (w[:, None] * self.noise_num[None, :]).reshape(-1)
@@ -117,6 +122,7 @@ class PointRep:
     delta: np.ndarray | None = None  # (nc, nc) -> noise atom
     _eta_cache: dict = field(default_factory=dict, repr=False)
     _fix_cache: dict = field(default_factory=dict, repr=False)
+    _tower_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         g = self.gspace
@@ -239,12 +245,20 @@ class PointRep:
 
     def intersected_fixed_points(self, n: int, level: int) -> Partition:
         """The tower algebra M_n = ∩_{k>=n+1} M^{alpha_k} at a level; indices
-        beyond the horizon act as the identity and add no constraint."""
+        beyond the horizon act as the identity and add no constraint.
+
+        A level's tower is folded downward once and cached: M_top is
+        discrete, M_{top-1} = fix(top) and M_n = M_{n+1} ∧ fix(n+1).
+        """
         top = min(self.gspace.K, level)
-        acc = Partition.discrete(self.gspace.level_size(level))
-        for k in range(n + 1, top + 1):
-            acc = acc.meet(self.fixed_point_partition(k, level))
-        return acc
+        if level not in self._tower_cache:
+            self._tower_cache[level] = [Partition.discrete(self.gspace.level_size(level))]
+        tower = self._tower_cache[level]  # tower[i] is M_{top-i}
+        while len(tower) <= top - n:
+            k = top + 1 - len(tower)
+            fix = self.fixed_point_partition(k, level)
+            tower.append(fix if k == top else tower[-1].meet(fix))
+        return tower[max(top - n, 0)]
 
     def tower_join(self, level: int) -> Partition:
         acc = Partition.trivial(self.gspace.level_size(level))

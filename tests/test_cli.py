@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from finmarkov import dilation, rep
+from finmarkov import _kernels as kern
+from finmarkov import checks, dilation, finprob, rep
 from finmarkov.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -222,6 +223,67 @@ def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys):
     code, _, _ = run(["verify", COIN, "--depth", "4", "--suite", "all"], capsys)
     assert code == 0
     assert calls == {"build_markov_dilation": 1, "triangular_tower_check": 1}
+
+
+def test_verify_tower_json_matches_golden(capsys, tmp_path):
+    """The --json report of verify --suite tower at depth 7 on the coin (35
+    cells) is byte-identical to the recorded golden file."""
+    dest = tmp_path / "report.json"
+    code, _, _ = run(["--json", str(dest), "verify", COIN, "--depth", "7", "--suite", "tower"], capsys)
+    assert code == 0
+    assert dest.read_bytes() == (GOLDEN / "coin_p12_p14-tower-d7.json").read_bytes()
+
+
+def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
+    """At depth 9 the tower reads level 8: 84 cells, 8 intersection
+    identities and one meet per step of the folds of levels 0..8
+    (0 + 0 + 1 + ... + 7 = 28), 120 meets in all."""
+    calls = 0
+    orig = finprob.meet_labels
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(finprob, "meet_labels", counted)
+    code, _, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
+    assert code == 0
+    assert calls <= 120
+
+
+def test_int64_overflow_refused_before_work_exit_2(monkeypatch, capsys, tmp_path):
+    """Level-3 weights of this chain exceed int64: verify and lump refuse it
+    before their first check, with one error line and exit 2."""
+    spec = tmp_path / "fine.json"
+    spec.write_text(json.dumps({"d": 2, "T": [["1/1000003", "1000002/1000003"], ["1/2", "1/2"]]}))
+    ran = []
+    monkeypatch.setattr(rep, "triangular_tower_check", lambda *a, **k: ran.append("tower"))
+    monkeypatch.setattr(checks, "maximal_ps_check", lambda *a, **k: ran.append("maximality"))
+    for argv in (
+        ["verify", str(spec), "--depth", "3", "--suite", "definetti"],
+        ["lump", str(spec), "--map", "0,1", "--depth", "3"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: level weights exceed int64; refine the chain or lower the horizon\n"
+    assert ran == []
+
+
+def test_weights_read_below_the_overflowing_level_are_not_refused(capsys, tmp_path):
+    """Level-3 weights of this chain fit int64 and level-4 ones do not; no
+    check at depth 3 reads level-4 weights, so every check runs and passes."""
+    obj = {"d": 2, "T": [["1/3001", "3000/3001"], ["1/2", "1/2"]]}
+    g = dilation.build_markov_dilation(dilation.ChainSpec.from_dict(obj), 3).gspace
+    assert kern.fits_int64(g.level_denominator(3)) and not kern.fits_int64(g.level_denominator(4))
+    spec = tmp_path / "edge.json"
+    spec.write_text(json.dumps(obj))
+    for argv in (
+        ["verify", str(spec), "--depth", "3", "--suite", "definetti"],
+        ["lump", str(spec), "--map", "0,1", "--depth", "3"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (0, ""), argv
 
 
 def test_output_deterministic():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmarkov import _kernels as kern
+from finmarkov import cli, finprob
 from finmarkov import dilation as D
 from finmarkov.checks import ProcessView
 from finmarkov.finprob import (
@@ -15,7 +18,9 @@ from finmarkov.finprob import (
     MarkovKernel,
     Partition,
     _first_occurrence,
+    _products_equal,
     adjoint_pairing_holds,
+    block_weight_sums,
     cexp_image_labels,
     cexp_product_equals,
     cexps_commute,
@@ -28,6 +33,8 @@ from finmarkov.finprob import (
     markov_map_adjoint,
     meet_labels,
 )
+
+COIN = str(Path(__file__).resolve().parent.parent / "fixtures" / "coin_p12_p14.json")
 
 
 def rand_space(rng, n):
@@ -232,6 +239,125 @@ def test_cond_exp_onto_meet_is_composite_when_square_commutes():
     cols = Partition([0, 1, 0, 1, 0, 1])
     m = rows.meet(cols)
     assert _dense_product(sp, rows, cols) == cond_exp_matrix(sp, m)
+
+
+# -- conditional-expectation image ------------------------------------------
+
+
+def reference_image_labels(labels_p, labels_q, wnum):
+    """The per-block loop that cexp_image_labels replaced: one Python row of
+    (q-block, weight) pairs per p-block, keyed by its sorted gcd-reduced
+    tuple, and the block keys canonicalized."""
+    pq, n_pq = kern.pair_canon(labels_p, labels_q)
+    w_pq = block_weight_sums(pq, n_pq, wnum)
+    first_pq = _first_occurrence(pq, n_pq)
+    p_of_t = labels_p[first_pq]
+    q_of_t = labels_q[first_pq]
+    n_p = int(labels_p.max()) + 1
+
+    rows = [[] for _ in range(n_p)]
+    for t in range(n_pq):
+        rows[int(p_of_t[t])].append((int(q_of_t[t]), int(w_pq[t])))
+    keys = {}
+    block_key = np.empty(n_p, dtype=np.int64)
+    for b, row in enumerate(rows):
+        g = 0
+        for _, w in row:
+            g = gcd(g, w)
+        key = tuple(sorted((c, w // g) for c, w in row))
+        block_key[b] = keys.setdefault(key, len(keys))
+    labels, _ = kern.canonicalize(block_key[labels_p])
+    return labels
+
+
+@st.composite
+def image_inputs(draw):
+    """Canonical p and q labelings and positive int64 weights; in the scaled
+    mode every p-block's weights are small multiples of one block scale, so
+    proportional rows with different gcds are common."""
+    n = draw(st.integers(1, 40))
+    p = Partition(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))).labels
+    q = Partition(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))).labels
+    if draw(st.booleans()):
+        scale = draw(st.lists(st.sampled_from([1, 2, 3, 6, 7, 2**31 - 1]), min_size=8, max_size=8))
+        w = [draw(st.integers(1, 3)) * scale[b] for b in p]
+    else:
+        w = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+    return p, q, np.array(w, dtype=np.int64)
+
+
+@given(image_inputs())
+@settings(max_examples=300, deadline=None)
+def test_image_labels_match_reference(inputs):
+    p, q, w = inputs
+    assert np.array_equal(cexp_image_labels(p, q, w), reference_image_labels(p, q, w))
+
+
+@pytest.mark.parametrize(
+    "p, q, w, image",
+    [
+        # rows (0,1),(1,1) and (0,1),(1,1),(2,1) share a prefix, not a length
+        ([0, 0, 1, 1, 1], [0, 1, 0, 1, 2], [1, 1, 1, 1, 1], [0, 0, 1, 1, 1]),
+        # (2,4) and (3,6) reduce by gcds 2 and 3 to (1,2); (2,6) to (1,3)
+        ([0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1], [2, 4, 3, 6, 2, 6], [0, 0, 0, 0, 1, 1]),
+        # single-entry rows are identified by their q-block alone
+        ([0, 1, 2, 3], [0, 0, 1, 0], [5, 7, 2, 9], [0, 0, 1, 0]),
+        # rows met in different q orders are compared sorted by q-block
+        ([0, 0, 1, 1], [0, 1, 1, 0], [1, 2, 2, 1], [0, 0, 0, 0]),
+    ],
+)
+def test_image_labels_row_shapes(p, q, w, image):
+    p, q, w = (np.array(x, dtype=np.int64) for x in (p, q, w))
+    assert cexp_image_labels(p, q, w).tolist() == image
+    assert reference_image_labels(p, q, w).tolist() == image
+
+
+def test_image_labels_refuse_non_canonical_labels():
+    with pytest.raises(ValueError, match="not canonical"):
+        cexp_image_labels(np.array([1, 0]), np.array([0, 0]), np.array([1, 1]))
+
+
+def test_image_labels_match_reference_on_every_tower_cell(monkeypatch, capsys):
+    cells = 0
+
+    def checked(labels_p, labels_q, wnum):
+        nonlocal cells
+        cells += 1
+        got = cexp_image_labels(labels_p, labels_q, wnum)
+        assert np.array_equal(got, reference_image_labels(labels_p, labels_q, wnum))
+        return got
+
+    monkeypatch.setattr(finprob, "cexp_image_labels", checked)
+    assert cli.main(["verify", COIN, "--depth", "7", "--suite", "tower"]) == 0
+    assert cells == 35
+
+
+# -- exact products -----------------------------------------------------------
+
+
+def test_products_equal_sends_overflowing_products_to_big_ints():
+    a = b = np.array([1, 3, 2**32], dtype=np.int64)
+    c = np.array([1, 9, 0], dtype=np.int64)
+    d = np.array([1, 1, 1], dtype=np.int64)
+    assert (a * b)[2] == (c * d)[2]  # 2**64 wraps to 0 in int64
+    assert _products_equal(a, b, c, d) == 2
+    assert _products_equal(a[2:], b[2:], c[2:], d[2:]) == 0
+
+
+def test_products_equal_int64_and_big_int_paths_agree(monkeypatch):
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        a, b = rng.integers(-6, 7, n), rng.integers(-6, 7, n)
+        c, d = (b, a) if rng.random() < 0.5 else (rng.integers(-6, 7, n), rng.integers(-6, 7, n))
+        c = c.copy()
+        if rng.random() < 0.5:
+            c[rng.integers(n)] += 1
+        want = next((i for i in range(n) if int(a[i]) * int(b[i]) != int(c[i]) * int(d[i])), None)
+        assert _products_equal(a, b, c, d) == want
+        with monkeypatch.context() as m:
+            m.setattr(kern, "fits_int64", lambda *args, **kwargs: False)
+            assert _products_equal(a, b, c, d) == want
 
 
 # -- adjoints ----------------------------------------------------------------

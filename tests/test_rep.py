@@ -196,6 +196,45 @@ def test_intersected_equals_next_fixed_point():
             ), (n, level)
 
 
+def discrete_start_fold(rep, n, level):
+    """The tower algebra as intersected_fixed_points once computed it: from
+    the discrete partition, one meet per fixed-point algebra k = n+1..top."""
+    top = min(rep.gspace.K, level)
+    acc = Partition.discrete(rep.gspace.level_size(level))
+    for k in range(n + 1, top + 1):
+        acc = acc.meet(rep.fixed_point_partition(k, level))
+    return acc
+
+
+def scrambled_rep(K):
+    """The paper rep with its fixed-point partitions replaced by random
+    coarsenings of the atom index mod 6.  The real fixed-point algebras are
+    nested, so the tower collapses to M_n = fix(n+1) and its meets change
+    nothing; these are not nested, so every meet of the fold counts."""
+    rep = paper_rep(K)
+    rng = random.Random(K)
+    for level in range(K + 1):
+        ids = np.arange(rep.gspace.level_size(level))
+        for k in range(level + 2):
+            groups = np.array([rng.randrange(3) for _ in range(6)])
+            rep._fix_cache[(k, level)] = Partition(groups[ids % 6])
+    return rep
+
+
+@pytest.mark.parametrize("make", [paper_rep, splus_rep, scrambled_rep], ids=["fplus", "splus", "scrambled"])
+@pytest.mark.parametrize("K", [4, 5])
+def test_tower_fold_matches_discrete_start_fold(make, K):
+    rep = make(K)
+    # a shuffled order makes the cached fold both extend and serve hits
+    queries = [(n, level) for level in range(K + 1) for n in range(level + 2)]
+    random.Random(K).shuffle(queries)
+    for n, level in queries:
+        got = rep.intersected_fixed_points(n, level)
+        want = discrete_start_fold(rep, n, level)
+        assert np.array_equal(got.labels, want.labels), (n, level)
+        assert (got.nblocks, got.n) == (want.nblocks, want.n), (n, level)
+
+
 def test_tower_inclusions():
     rep = paper_rep()
     level = 3
