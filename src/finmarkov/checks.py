@@ -21,6 +21,7 @@ import numpy as np
 from . import _kernels as kern
 from .dilation import (
     ChainSpec,
+    DilationReport,
     ProcessModel,
     build_markov_dilation,
     dilation_property_check,
@@ -32,7 +33,13 @@ from .finprob import (
     Partition,
     local_filtration_markov_check,
 )
-from .rep import PointRep, TowerReport, intertwining_check, triangular_tower_check
+from .rep import (
+    PointRep,
+    TowerReport,
+    intertwining_identities_check,
+    monoid_relations_check,
+    triangular_tower_check,
+)
 
 
 @dataclass(frozen=True)
@@ -99,18 +106,16 @@ class ProcessView:
     applications of the time evolution, optionally composed with a function
     of the state space (a lumping)."""
 
-    def __init__(self, rep: PointRep, base: FinSpace, value_map, horizon: int, label="process"):
+    def __init__(self, rep: PointRep, base: FinSpace, value_map, horizon: int):
         self.rep = rep
         self.base = base  # the value space of the variables
         self.value_map = np.asarray(value_map, dtype=np.int64)
         self.K = horizon
-        self.label = label
         self._parts: dict = {}
 
     @staticmethod
     def from_model(model: ProcessModel) -> "ProcessView":
-        d = model.spec.d
-        return ProcessView(model.rep, model.spec.pi, np.arange(d), model.K, "chain")
+        return ProcessView(model.rep, model.spec.pi, np.arange(model.spec.d), model.K)
 
     def lump(self, f) -> "ProcessView":
         """The view of f(X_k): value space atoms are merged along f."""
@@ -122,9 +127,7 @@ class ProcessView:
         for i, w in enumerate(self.base.weights):
             weights[int(f_canon[i])] += w
         lumped = FinSpace(tuple(weights))
-        return ProcessView(
-            self.rep, lumped, f_canon[self.value_map], self.K, f"{self.label}/lumped"
-        )
+        return ProcessView(self.rep, lumped, f_canon[self.value_map], self.K)
 
     def x_table(self, k: int, level: int) -> np.ndarray:
         return self.value_map[self.rep.x_table(k, level)]
@@ -159,26 +162,8 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
     """
     rep, K = view.rep, view.K if horizon is None else horizon
     report = VerificationReport()
-    prem_ok, prem_wit = True, None
-    if rep.kind == "fplus":
-        for k in range(K):
-            for l in range(k + 1, K + 1):
-                for m in range(max(K - 1, 1)):
-                    good, atom = rep.relation_check(k, l, m)
-                    if not good:
-                        prem_ok = False
-                        prem_wit = f"alpha_{k} alpha_{l} != alpha_{l+1} alpha_{k} at level-{m+2} atom {atom}"
-                        break
-                if not prem_ok:
-                    break
-            if not prem_ok:
-                break
-    report.add(
-        "representation-premise",
-        "the maps alpha_n satisfy the monoid relations",
-        prem_ok,
-        prem_wit,
-    )
+    ok, wit = monoid_relations_check(rep, K)
+    report.add("representation-premise", "the maps alpha_n satisfy the monoid relations", ok, wit)
     level = K - 1
     x0 = view.x_table(0, level)
     drop = rep.drop_last(level)
@@ -205,14 +190,12 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
     return report
 
 
-def maximal_ps_check(view: ProcessView, horizon=None) -> VerificationReport:
+def maximal_ps_check(view: ProcessView) -> VerificationReport:
     """Maximality: the range of iota_0 is the whole intersected fixed-point
     algebra M_0 = ∩_{k>=1} fix(alpha_k)."""
-    K = view.K if horizon is None else horizon
-    report = partial_spreadability_check(view, K)
-    level = K
-    range_part = Partition(view.x_table(0, level))
-    m0 = view.rep.intersected_fixed_points(0, level)
+    report = partial_spreadability_check(view)
+    range_part = Partition(view.x_table(0, view.K))
+    m0 = view.rep.intersected_fixed_points(0, view.K)
     ok = range_part == m0
     wit = None
     if not ok:
@@ -227,13 +210,11 @@ def maximal_ps_check(view: ProcessView, horizon=None) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def markov_sequence_check(view: ProcessView, horizon=None) -> VerificationReport:
+def markov_sequence_check(view: ProcessView) -> VerificationReport:
     """E_{A[0,n]} iota_{n+1} = E_{A[n,n]} iota_{n+1} for 0 <= n <= K-1, plus
     the equivalent local-filtration Markov property of the canonical family."""
-    K = view.K if horizon is None else horizon
-    rep = view.rep
-    level = K
-    w = rep.gspace.level_weights(level)
+    K = level = view.K
+    w = view.rep.gspace.level_weights(level)
     report = VerificationReport()
 
     seq_ok, wit = True, None
@@ -510,30 +491,14 @@ def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationRep
         model.measure_preservation_check(),
     )
 
-    ok = all(
-        model.rep.relation_check(k, l, m)[0]
-        for k in range(K)
-        for l in range(k + 1, K + 1)
-        for m in range(K - 1)
-    )
-    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", ok)
+    ok, wit = monoid_relations_check(model.rep, K)
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", ok, wit)
 
     view = ProcessView.from_model(model)
     report.extend(maximal_ps_check(view))
     report.extend(markov_sequence_check(view))
 
-    dil = dilation_property_check(model)
-    report.add(
-        "dilation-powers",
-        "T^n = iota* alpha^n iota for 0 <= n <= K",
-        all(dil.power_ok.values()),
-    )
-    report.add(
-        "moments-vs-path-law",
-        "model moments equal path-law expectations",
-        not dil.moment_failures,
-        str(dil.moment_failures[0]) if dil.moment_failures else None,
-    )
+    add_dilation_entries(report, model)
     report.add(
         "transition-equality",
         "equal transition operators give equal distributions",
@@ -551,14 +516,27 @@ def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationRep
         all(tower.intersections.values()),
     )
 
-    ok, wit = True, None
-    for n in range(1, K):
-        for k in range(0, n):
-            good, w = intertwining_check(model.rep, k, n)
-            if not good:
-                ok, wit = False, f"k={k}, n={n}: {w}"
-                break
-        if not ok:
-            break
+    ok, wit = intertwining_identities_check(model.rep)
     report.add("intertwining", "alpha_k Q_n = Q_{n+1} alpha_k for k < n", ok, wit)
     return report
+
+
+def add_dilation_entries(report: VerificationReport, model: ProcessModel) -> DilationReport:
+    """Decide the model's dilation property and add its dilation-powers and
+    moments-vs-path-law entries, each naming its first failure.  Returns the
+    DilationReport for the entries only some callers add."""
+    dil = dilation_property_check(model)
+    bad_powers = [n for n, ok in sorted(dil.power_ok.items()) if not ok]
+    report.add(
+        "dilation-powers",
+        "T^n = iota* alpha^n iota for 0 <= n <= K",
+        not bad_powers,
+        f"first failing power {bad_powers[0]}" if bad_powers else None,
+    )
+    report.add(
+        "moments-vs-path-law",
+        "model moments equal path-law expectations",
+        not dil.moment_failures,
+        str(dil.moment_failures[0]) if dil.moment_failures else None,
+    )
+    return dil

@@ -63,22 +63,19 @@ def _emit(report: chk.VerificationReport, args) -> int:
     return 0 if report.passed else 1
 
 
-def _build_rep_from_file(spec, obj, depth, budget):
-    if "c_map" in obj or "delta_map" in obj:
-        if "noise" not in obj:
-            raise InputError("explicit c_map/delta_map need a noise weight list")
+def _build_rep(spec, obj, depth, budget):
+    """The representation rep-check reads: the model every command builds,
+    or the one on the spec's explicit c_map/delta_map tables."""
+    if "c_map" not in obj and "delta_map" not in obj:
+        return dil.build_markov_dilation(spec, depth, budget=budget).rep
+    try:
         noise = chk.FinSpace.from_rationals(obj["noise"])
-        coupling = None
-        c_map = np.asarray(obj["c_map"], dtype=np.int64)
-        delta = np.asarray(obj["delta_map"], dtype=np.int64)
-        try:
-            rep = rp.build_fplus_rep(spec.pi, noise, c_map, delta, max(depth, 2), budget)
-        except ValueError as e:
-            raise InputError(str(e)) from None
-        return rep, coupling
-    _, coupling = dil.build_first_order_dilation(spec)
-    model = dil.build_markov_dilation(spec, depth, coupling, budget)
-    return model.rep, coupling
+        c_map, delta = (np.asarray(obj[key], dtype=np.int64) for key in ("c_map", "delta_map"))
+    except KeyError as e:
+        raise InputError(f"explicit c_map/delta_map tables need a {e} field") from None
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise InputError(f"bad noise, c_map or delta_map table: {e}") from None
+    return rp.build_fplus_rep(spec.pi, noise, c_map, delta, depth, budget)
 
 
 def cmd_normalize(args) -> int:
@@ -127,22 +124,12 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_dilate(args) -> int:
+    # at depth 1 the only power and the only moments are T's own
+    _require_depth(args.depth, 2, "dilate")
     spec, _ = _load_chainspec(args.chainspec)
     model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
     report = chk.VerificationReport()
-    d = dil.dilation_property_check(model)
-    report.add(
-        "dilation-powers",
-        "T^n = iota* alpha^n iota for 0 <= n <= K",
-        all(d.power_ok.values()),
-        None if all(d.power_ok.values()) else f"first failing power {min(n for n, v in d.power_ok.items() if not v)}",
-    )
-    report.add(
-        "moments-vs-path-law",
-        "model moments equal path-law expectations",
-        not d.moment_failures,
-        str(d.moment_failures[0]) if d.moment_failures else None,
-    )
+    d = chk.add_dilation_entries(report, model)
     report.add("measure-preservation", "alpha preserves the level states", d.measure_preserving)
     report.add("range-projection", "iota_0 iota_0* projects onto the state coordinate", d.projection_ok)
     report.add(
@@ -157,17 +144,12 @@ def cmd_dilate(args) -> int:
 def cmd_rep_check(args) -> int:
     _require_depth(args.depth, 2, "rep-check")  # intertwining needs 1 <= n < K
     spec, obj = _load_chainspec(args.chainspec)
-    rep, _ = _build_rep_from_file(spec, obj, args.depth, args.budget)
     K = args.depth
+    rep = _build_rep(spec, obj, K, args.budget)
     _require_levels(rep.gspace, K)
     report = chk.VerificationReport()
-    ok = all(
-        rep.relation_check(k, l, m)[0]
-        for k in range(K)
-        for l in range(k + 1, K + 1)
-        for m in range(max(K - 1, 1))
-    )
-    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", ok)
+    ok, wit = rp.monoid_relations_check(rep, K)
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", ok, wit)
     ok = all(
         rep.state_preservation_check(n, m) for n in range(K + 1) for m in range(K)
     )
@@ -177,13 +159,7 @@ def cmd_rep_check(args) -> int:
         "tower algebras jointly generate the level space",
         rep.has_generating_property(K - 1),
     )
-    ok = True
-    wit = None
-    for n in range(1, K):
-        for k in range(n):
-            good, w = rp.intertwining_check(rep, k, n)
-            if not good:
-                ok, wit = False, f"k={k}, n={n}: {w}"
+    ok, wit = rp.intertwining_identities_check(rep)
     report.add("intertwining", "alpha_k Q_n = Q_{n+1} alpha_k for k < n", ok, wit)
     return _emit(report, args)
 

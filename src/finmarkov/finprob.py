@@ -261,8 +261,12 @@ def _products_equal(a, b, c, d):
 
 
 def block_weight_sums(labels, nblocks, wnum):
+    """Block sums of nonnegative weights.  No block sum exceeds the total,
+    so the sums are refused only when the exact total does not fit int64;
+    the bound max * len is tried first because it needs no summing."""
     if not kern.fits_int64(int(wnum.max(initial=0)), len(wnum)):
-        raise OverflowError("weight sums exceed int64")
+        if not kern.fits_int64(int(wnum.sum(dtype=object)), margin=1):
+            raise OverflowError("weight sums exceed int64")
     return kern.group_sum(labels, wnum, nblocks)
 
 

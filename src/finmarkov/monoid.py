@@ -88,10 +88,6 @@ class NormalForm:
                 raise ValueError(f"not a normal form: {self.blocks}")
             prev = idx
 
-    @property
-    def top_index(self):
-        return self.blocks[0][0] if self.blocks else None
-
     def exponents(self) -> tuple[int, ...]:
         """Full vector (a_k, a_{k-1}, ..., a_0), zeros included."""
         if not self.blocks:

@@ -99,9 +99,6 @@ class GradedSpace:
     def base_coord(self, ids, m: int):
         return ids // self.nc**m
 
-    def noise_digit(self, ids, m: int, slot: int):
-        return (ids // self.nc ** (m - 1 - slot)) % self.nc
-
 
 def _pushforward_ok(table, src_num, src_den, dst_num, dst_den):
     """Exact check that the point map pushes the source weights to the target."""
@@ -296,8 +293,8 @@ def build_fplus_rep(
     horizon: int,
     budget: int = 2_000_000,
 ) -> PointRep:
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     return PointRep(GradedSpace(base, noise, horizon, budget), "fplus", c_map, delta)
 
 
@@ -314,17 +311,33 @@ def delta_first_coordinate(noise: FinSpace) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# intertwining and the triangular tower
+# relations, intertwining and the triangular tower
 # ---------------------------------------------------------------------------
 
 
-def intertwining_check(rep: PointRep, k: int, n: int, horizon: int | None = None):
+def monoid_relations_check(rep: PointRep, K: int):
+    """Decide alpha_k alpha_l = alpha_{l+1} alpha_k for 0 <= k < l <= K as
+    point maps level_{m+2} -> level_m for every m < K - 1.  Returns (ok,
+    witness) naming the first failing instance.  Below horizon 2 no level
+    is decided, so the horizon is refused."""
+    if K < 2:
+        raise ValueError(f"the monoid relations need horizon >= 2; got {K}")
+    for k in range(K):
+        for l in range(k + 1, K + 1):
+            for m in range(K - 1):
+                good, atom = rep.relation_check(k, l, m)
+                if not good:
+                    return False, f"alpha_{k} alpha_{l} != alpha_{l+1} alpha_{k} at level-{m+2} atom {atom}"
+    return True, None
+
+
+def intertwining_check(rep: PointRep, k: int, n: int):
     """Check alpha_k Q_n = Q_{n+1} alpha_k on level-(K-1) atom indicators.
 
     Q_n is the conditional expectation onto the fixed-point algebra of the
     n-th represented generator.  Returns (ok, witness_or_None).
     """
-    K = rep.gspace.K if horizon is None else horizon
+    K = rep.gspace.K
     if not 0 <= k < n:
         raise ValueError("the intertwining identity is only claimed for k < n")
     if n > K - 1:
@@ -373,6 +386,21 @@ def intertwining_check(rep: PointRep, k: int, n: int, horizon: int | None = None
     return True, None
 
 
+def intertwining_identities_check(rep: PointRep):
+    """Decide alpha_k Q_n = Q_{n+1} alpha_k for every 0 <= k < n < K, the
+    horizon of rep.  Returns (ok, witness) naming the first failing (k, n).
+    Below horizon 2 there is no such pair, so the horizon is refused."""
+    K = rep.gspace.K
+    if K < 2:
+        raise ValueError(f"the intertwining identities need horizon >= 2; got {K}")
+    for n in range(1, K):
+        for k in range(n):
+            good, w = intertwining_check(rep, k, n)
+            if not good:
+                return False, f"k={k}, n={n}: {w}"
+    return True, None
+
+
 @dataclass(frozen=True)
 class TowerReport:
     generating: bool
@@ -390,12 +418,11 @@ class TowerReport:
         )
 
 
-def triangular_tower_check(rep: PointRep, horizon: int | None = None) -> TowerReport:
+def triangular_tower_check(rep: PointRep) -> TowerReport:
     """Verify that every cell (M_{m+k} ⊃ alpha_0^k(M_m); M_{n+k} ⊃
     alpha_0^k(M_n)) in the shifted tower is a commuting square, plus the
     intersection identities M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n)."""
-    K = rep.gspace.K if horizon is None else horizon
-    level = K - 1
+    level = rep.gspace.K - 1
     wnum = rep.gspace.level_weights(level)
     generating = rep.has_generating_property(level)
     cells = {}

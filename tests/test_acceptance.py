@@ -92,7 +92,7 @@ def test_criterion_03_dilation_property_at_scale():
     ok = True
     for spec in corpus():
         model = D.build_markov_dilation(spec, 4)
-        report = D.dilation_property_check(model, r_max=3, n_random=20)
+        report = D.dilation_property_check(model)
         ok &= report.passed
     elapsed = time.time() - t0
     _line(3, ok and elapsed < 60, f"20 chains, elapsed {elapsed:.1f}s < 60s", t0)

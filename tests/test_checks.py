@@ -274,7 +274,7 @@ def test_moment_consistency_hundred_random_tuples():
     # agrees with the model and path-law moments compared tuple by tuple,
     # r <= 3 exhaustively plus 100 random longer tuples
     model = D.build_markov_dilation(PAPER, 4)
-    report = D.dilation_property_check(model, r_max=3, n_random=100)
+    report = D.dilation_property_check(model)
     assert report.passed and not report.moment_failures
     m_num, m_den = model.joint_law()
     law = D.path_law(PAPER, 4)
@@ -288,6 +288,24 @@ def test_moment_consistency_hundred_random_tuples():
         assert (lhs == rhs).all(), ks
         checked += lhs.size
     assert checked > 1000
+
+
+def test_dilation_entries_name_the_first_failing_power():
+    # a coupling whose compression is not T fails T^1 first; dilate and the
+    # de Finetti suite add these entries through the same builder
+    _, cpl = D.build_first_order_dilation(PAPER)
+    bad_target = cpl.target.copy()
+    bad_target[0, 2], bad_target[1, 0] = bad_target[1, 0], bad_target[0, 2]
+    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target, None, "mutated")
+    model = D.build_markov_dilation(PAPER, 3, bad)
+    report = C.VerificationReport()
+    C.add_dilation_entries(report, model)
+    powers, moments = report.entries
+    assert (powers.check, powers.ok, powers.witness) == ("dilation-powers", False, "first failing power 1")
+    assert moments.check == "moments-vs-path-law" and not moments.ok
+    suite = {e.check: e for e in C.definetti_checks(model, R.triangular_tower_check(model.rep)).entries}
+    assert suite["dilation-powers"].witness == powers.witness
+    assert suite["moments-vs-path-law"].witness == moments.witness
 
 
 def test_anchor_strings_are_stable_per_check():

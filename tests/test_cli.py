@@ -158,6 +158,8 @@ def test_over_budget_refused_before_work_exit_2(argv):
         (["verify", COIN, "--depth", "2", "--suite", "hierarchy"], 0),
         (["lump", COIN, "--map", "0,1", "--depth", "2"], 0),
         (["rep-check", COIN, "--depth", "2"], 0),
+        (["dilate", COIN, "--depth", "1"], 2),
+        (["dilate", COIN, "--depth", "2"], 0),
     ],
 )
 def test_depth_deciding_nothing_refused_exit_2(argv, code):
@@ -205,6 +207,68 @@ def test_verify_json_matches_golden(fixture, depth, capsys, tmp_path):
     code, _, _ = run(argv + ["--suite", "all"], capsys)
     assert code == 0
     assert dest.read_bytes() == (GOLDEN / f"{fixture}-d{depth}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fixture, command, depth",
+    [(p.stem, c, d) for p in sorted(FIXTURES.glob("*.json")) for c, d in (("rep-check", 3), ("dilate", 4))],
+)
+def test_rep_check_and_dilate_json_match_golden(fixture, command, depth, capsys, tmp_path):
+    """The --json reports of rep-check --depth 3 and dilate --depth 4 are
+    byte-identical to the recorded tests/golden/<fixture>-<command>-d<depth>.json."""
+    dest = tmp_path / "report.json"
+    code, _, _ = run(["--json", str(dest), command, str(FIXTURES / f"{fixture}.json"), "--depth", str(depth)], capsys)
+    assert code == 0
+    assert dest.read_bytes() == (GOLDEN / f"{fixture}-{command}-d{depth}.json").read_bytes()
+
+
+def test_rep_check_builds_the_model_verify_builds(monkeypatch, capsys):
+    """rep-check builds one model, on the compact noise every command uses,
+    not on a noise space adopted for an atom-level bijection."""
+    calls, adopt = [], []
+    orig_model, orig_coupling = dilation.build_markov_dilation, dilation.build_first_order_dilation
+
+    def model(*args, **kwargs):
+        calls.append(args)
+        return orig_model(*args, **kwargs)
+
+    def coupling(*args, **kwargs):
+        adopt.append(kwargs.get("adopt", True))
+        return orig_coupling(*args, **kwargs)
+
+    monkeypatch.setattr(dilation, "build_markov_dilation", model)
+    monkeypatch.setattr(dilation, "build_first_order_dilation", coupling)
+    code, _, _ = run(["rep-check", COIN, "--depth", "3"], capsys)
+    assert code == 0
+    assert len(calls) == 1 and adopt == [False]
+
+
+def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys, tmp_path):
+    """With two relation instances and two intertwining pairs made to fail,
+    verify --suite definetti and rep-check fail the same entries with the
+    same witness, naming the first failing instance of each."""
+    orig_relation, orig_intertwining = rep.PointRep.relation_check, rep.intertwining_check
+
+    def relation_check(self, k, l, m):
+        return (False, 5) if (k, l, m) in ((0, 2, 1), (1, 3, 0)) else orig_relation(self, k, l, m)
+
+    def intertwining_check(r, k, n):
+        return (False, "patched") if (k, n) in ((1, 2), (0, 3)) else orig_intertwining(r, k, n)
+
+    monkeypatch.setattr(rep.PointRep, "relation_check", relation_check)
+    monkeypatch.setattr(rep, "intertwining_check", intertwining_check)
+    expected = {
+        "monoid-relations": "alpha_0 alpha_2 != alpha_3 alpha_0 at level-3 atom 5",
+        "intertwining": "k=1, n=2: patched",
+    }
+    dest = tmp_path / "report.json"
+    for argv in (["verify", COIN, "--depth", "4", "--suite", "definetti"], ["rep-check", COIN, "--depth", "4"]):
+        code, _, _ = run(["--json", str(dest)] + argv, capsys)
+        assert code == 1
+        entries = {e["check"]: e for e in json.loads(dest.read_text())}
+        for check, witness in expected.items():
+            assert entries[check]["verdict"] == "fail" and entries[check]["witness"] == witness, argv
+    assert entries.keys() == {"monoid-relations", "state-preservation", "generating", "intertwining"}
 
 
 def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys):
@@ -271,16 +335,25 @@ def test_int64_overflow_refused_before_work_exit_2(monkeypatch, capsys, tmp_path
 
 
 def test_weights_read_below_the_overflowing_level_are_not_refused(capsys, tmp_path):
-    """Level-3 weights of this chain fit int64 and level-4 ones do not; no
-    check at depth 3 reads level-4 weights, so every check runs and passes."""
+    """Level-3 weights of the 1/3001 chain fit int64 and level-4 ones do not;
+    no check at depth 3 reads level-4 weights, so every check runs and
+    passes.  The level-5 weights of the 1/401 chain fit int64 although
+    max * count * 4 does not; their block sums never exceed the total."""
     obj = {"d": 2, "T": [["1/3001", "3000/3001"], ["1/2", "1/2"]]}
     g = dilation.build_markov_dilation(dilation.ChainSpec.from_dict(obj), 3).gspace
     assert kern.fits_int64(g.level_denominator(3)) and not kern.fits_int64(g.level_denominator(4))
     spec = tmp_path / "edge.json"
     spec.write_text(json.dumps(obj))
+    obj = {"d": 2, "T": [["1/401", "400/401"], ["1/2", "1/2"]]}
+    w = dilation.build_markov_dilation(dilation.ChainSpec.from_dict(obj), 5).gspace.level_weights(5)
+    assert not kern.fits_int64(int(w.max()), len(w))
+    spec_401 = tmp_path / "edge_401.json"
+    spec_401.write_text(json.dumps(obj))
     for argv in (
         ["verify", str(spec), "--depth", "3", "--suite", "definetti"],
         ["lump", str(spec), "--map", "0,1", "--depth", "3"],
+        ["rep-check", str(spec), "--depth", "3"],
+        ["verify", str(spec_401), "--depth", "5", "--suite", "definetti"],
     ):
         code, _, err = run(argv, capsys)
         assert (code, err) == (0, ""), argv
@@ -341,3 +414,8 @@ def test_rep_check_rejects_bad_tables(capsys, tmp_path):
     )
     code, _, err = run(["rep-check", str(bad), "--depth", "3"], capsys)
     assert code == 2 and "c_map" in err
+    tables = {"d": 2, "T": [["1/2", "1/2"], ["1/4", "3/4"]], "delta_map": [[0, 1, 2]] * 3}
+    for broken in ({"noise": ["1/4", "1/4", "1/2"]}, {"noise": 5, "c_map": [[0, 0, 1], [0, 1, 1]]}):
+        bad.write_text(json.dumps({**tables, **broken}))
+        code, out, err = run(["rep-check", str(bad), "--depth", "3"], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, broken

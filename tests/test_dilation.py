@@ -214,7 +214,7 @@ def test_dilation_property_random(seed):
     rng = random.Random(seed)
     spec = D.random_irreducible_chain(rng, rng.choice([2, 3, 4]))
     model = D.build_markov_dilation(spec, 3)
-    assert D.dilation_property_check(model, n_random=10).passed
+    assert D.dilation_property_check(model).passed
 
 
 def test_dilation_check_points_at_a_moved_cell(monkeypatch):
@@ -236,6 +236,19 @@ def test_dilation_check_points_at_a_moved_cell(monkeypatch):
         got = D.tensor_marginal(moved, ks)[cell] * law.den
         want = D.tensor_marginal(law.num, ks)[cell] * den
         assert got != want
+
+
+def test_dilation_check_points_at_the_whole_path(monkeypatch):
+    # a +-1 sign pattern over (X_0, ..., X_3) moves the joint law but no
+    # marginal of up to three times: the witness is the whole path
+    spec = D.ChainSpec.coin(F(1, 2), F(1, 4))
+    model = D.build_markov_dilation(spec, 3)
+    num, den = model.joint_law()
+    signs = (-1) ** np.indices(num.shape).sum(axis=0)
+    monkeypatch.setattr(model, "joint_law", lambda ks=None: (num + signs, den))
+    report = D.dilation_property_check(model)
+    assert report.moment_failures[0] == ((0, 1, 2, 3), (0, 0, 0, 0))
+    assert len(report.moment_failures) == 5
 
 
 def test_path_law_invariant_under_noise_choice():

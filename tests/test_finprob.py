@@ -344,6 +344,17 @@ def test_products_equal_sends_overflowing_products_to_big_ints():
     assert _products_equal(a[2:], b[2:], c[2:], d[2:]) == 0
 
 
+def test_block_weight_sums_refuse_only_an_overflowing_total():
+    # max * len * 4 exceeds int64 here, but the total fits: summed exactly
+    w = np.array([2**61, 1, 2, 3], dtype=np.int64)
+    assert not kern.fits_int64(int(w.max()), len(w))
+    sums = block_weight_sums(np.array([0, 1, 0, 1]), 2, w)
+    assert sums.tolist() == [2**61 + 2, 4]
+    # a total beyond int64 would wrap in some block sum, so it is refused
+    with pytest.raises(OverflowError, match="weight sums exceed int64"):
+        block_weight_sums(np.array([0, 0, 1]), 2, np.array([2**62, 2**62, 1], dtype=np.int64))
+
+
 def test_products_equal_int64_and_big_int_paths_agree(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(300):

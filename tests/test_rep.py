@@ -319,6 +319,17 @@ def test_equal_mass_delta_swap_is_another_valid_model():
     assert all(R.intertwining_check(rep, k, n)[0] for n in range(1, 4) for k in range(n))
 
 
+def test_shared_decisions_refuse_a_horizon_deciding_nothing():
+    # at horizon 1 no level carries a relation and no pair k < n < K exists
+    rep = paper_rep(1)
+    with pytest.raises(ValueError, match="horizon >= 2"):
+        R.monoid_relations_check(rep, 1)
+    with pytest.raises(ValueError, match="horizon >= 2"):
+        R.intertwining_identities_check(rep)
+    assert R.monoid_relations_check(paper_rep(2), 2) == (True, None)
+    assert R.intertwining_identities_check(paper_rep(2)) == (True, None)
+
+
 # -- triangular tower ---------------------------------------------------------------
 
 
