@@ -498,11 +498,11 @@ def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationRep
     report.extend(maximal_ps_check(view))
     report.extend(markov_sequence_check(view))
 
-    add_dilation_entries(report, model)
+    dil = add_dilation_entries(report, model)
     report.add(
         "transition-equality",
         "equal transition operators give equal distributions",
-        model.compressed_power(1) == model.spec.rows,
+        dil.power_ok[1],
     )
 
     report.add(
@@ -524,7 +524,7 @@ def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationRep
 def add_dilation_entries(report: VerificationReport, model: ProcessModel) -> DilationReport:
     """Decide the model's dilation property and add its dilation-powers and
     moments-vs-path-law entries, each naming its first failure.  Returns the
-    DilationReport for the entries only some callers add."""
+    DilationReport, whose n = 1 power the de Finetti suite reads again."""
     dil = dilation_property_check(model)
     bad_powers = [n for n, ok in sorted(dil.power_ok.items()) if not ok]
     report.add(

@@ -1,17 +1,17 @@
 """Constructive tensor dilation of a finite-state stationary Markov chain.
 
 The chain's transition matrix is realized as the compression of a coupling
-acting on (state space) x (noise space): the noise interval [0,1] is cut into
-finitely many rational atoms so that every row distribution is a union of
-atoms, and the coupling sends atom (a, c) to the state prescribed by the
-piece containing c.  Amplifying over fresh noise slots gives the graded
-endomorphism whose compressions are exactly the matrix powers, and whose
-random-variable sequence has the chain's path law.
+acting on (state space) x (noise space): the noise interval [0,1] is cut at
+the row cut points only (the compact noise), so that every row distribution
+is a union of atoms, and the coupling sends atom (a, c) to the state
+prescribed by the piece containing c.  Amplifying over fresh noise slots
+gives the graded endomorphism whose compressions are exactly the matrix
+powers, and whose random-variable sequence has the chain's path law.
 
-Where the atom masses allow it, the first-order coupling is realized as a
-genuine measure-preserving bijection of (state x noise) atoms (the map tau,
-fixing the diagonal pieces pointwise); a state-preserving non-invertible
-assignment is always available and is all the downstream theory consumes.
+The state-preserving assignment is all the model consumes.  Where the atom
+masses of the compact noise allow it, the coupling is also realized as a
+measure-preserving bijection of (state x noise) atoms (the map tau, fixing
+the diagonal pieces pointwise); tau is searched on the compact noise only.
 A bijective refinement does not exist for every chain: if some state flows
 entirely into a single state of different stationary mass, every candidate
 atom image must shrink by a fixed ratio, which no finite atom set supports.
@@ -130,15 +130,6 @@ class NoiseSpace:
     cuts: tuple[Fraction, ...]
 
     @staticmethod
-    def from_lengths(lengths) -> "NoiseSpace":
-        lengths = tuple(Fraction(x) for x in lengths)
-        cuts, acc = [], Fraction(0)
-        for x in lengths[:-1]:
-            acc += x
-            cuts.append(acc)
-        return NoiseSpace(FinSpace(lengths), tuple(cuts))
-
-    @staticmethod
     def from_cuts(cuts) -> "NoiseSpace":
         pts = sorted({Fraction(c) for c in cuts if 0 < Fraction(c) < 1})
         bounds = [Fraction(0)] + pts + [Fraction(1)]
@@ -170,7 +161,6 @@ class CouplingMap:
     noise: NoiseSpace
     target: np.ndarray  # (d, nc) -> state
     perm: np.ndarray | None = None  # flat (d * nc) -> flat (d * nc)
-    note: str = ""
 
     @property
     def is_automorphism(self) -> bool:
@@ -216,18 +206,6 @@ def _row_cut_points(rows):
         for x in row[:-1]:
             acc += x
             cuts.add(acc)
-    return cuts
-
-
-def _target_cut_points(rows, pi):
-    d = len(rows)
-    cuts = set()
-    for j in range(d):
-        acc = Fraction(0)
-        for i in range(d):
-            acc += pi[i] * rows[i][j] / pi[j]
-            if i < d - 1:
-                cuts.add(acc)
     return cuts
 
 
@@ -285,99 +263,16 @@ def _try_perm(pi, lam, target) -> np.ndarray | None:
     return perm
 
 
-def _d2_cascade(spec: ChainSpec, depth_cap=64):
-    """Two-state bijective coupling when the heavier state's crossing
-    probability stays below 1: a geometric cascade of atom lengths makes the
-    cross-fiber masses tie out exactly."""
-    pi = spec.pi.weights
+def build_first_order_dilation(spec: ChainSpec) -> tuple[NoiseSpace, CouplingMap]:
+    """Cut the noise interval at the row cut points (the compact noise: the
+    smallest atom count and weight denominators) and assemble the coupling.
+    The bijection tau is searched on this noise only; where the atom masses
+    do not tie out, the coupling is the state-preserving assignment alone."""
     rows = spec.rows
-    if pi[0] == pi[1]:
-        return None  # uniform state is handled by the grid strategy
-    big = 0 if pi[0] > pi[1] else 1
-    small = 1 - big
-    r = pi[small] / pi[big]
-    t_bs = rows[big][small]
-    t_sb = rows[small][big]
-    if t_sb >= 1 or t_bs == 0:
-        return None
-    for K in range(1, depth_cap):
-        total = t_sb * (1 - r ** (K + 1)) / (1 - r**K)
-        if total <= 1:
-            break
-    else:
-        return None
-    ell0 = t_bs * (1 - r) / (r * (1 - r**K))
-    lengths = [ell0 * r**t for t in range(K + 1)]
-    slack = 1 - sum(lengths)
-    if slack > 0:
-        lengths.append(slack)
-    noise = NoiseSpace.from_lengths(lengths)
-    nc = noise.n
-    target = np.empty((2, nc), dtype=np.int64)
-    target[big, :] = big
-    target[small, :] = small
-    target[big, 1 : K + 1] = small
-    target[small, 0:K] = big
-    perm = np.arange(2 * nc, dtype=np.int64)
-    for t in range(1, K + 1):
-        perm[big * nc + t] = small * nc + (t - 1)
-        perm[small * nc + (t - 1)] = big * nc + t
-    return noise, target, perm
-
-
-def build_first_order_dilation(
-    spec: ChainSpec, noise: str = "compact", adopt: bool = True
-) -> tuple[NoiseSpace, CouplingMap]:
-    """Cut the noise interval and assemble the coupling for a chain.
-
-    noise="compact" refines only the row cut points (smallest atom count and
-    smallest weight denominators); noise="refined" also includes the
-    incoming-piece cut points of every fiber, which is what the bijective
-    matching prefers.  With adopt=True the bijection hunt may switch to a
-    finer or rearranged noise space (refined cuts, uniform grid, geometric
-    cascade); those spaces can carry much larger weight denominators or atom
-    counts, so model construction uses adopt=False and keeps the compact
-    noise regardless of whether a bijection exists on it.
-    """
-    rows = spec.rows
-    pi = spec.pi.weights
-    cuts = _row_cut_points(rows)
-    if noise == "refined":
-        cuts |= _target_cut_points(rows, pi)
-    elif noise != "compact":
-        raise ValueError(f"unknown noise strategy {noise!r}")
-    nspace = NoiseSpace.from_cuts(cuts)
+    nspace = NoiseSpace.from_cuts(_row_cut_points(rows))
     target = _piece_assignment(rows, nspace)
-
-    note = ""
-    perm = _try_perm(pi, nspace.space.weights, target)
-    if perm is None and adopt and noise == "compact":
-        refined = NoiseSpace.from_cuts(cuts | _target_cut_points(rows, pi))
-        t2 = _piece_assignment(rows, refined)
-        p2 = _try_perm(pi, refined.space.weights, t2)
-        if p2 is not None:
-            nspace, target, perm = refined, t2, p2
-    if perm is None and adopt and len(set(pi)) == 1:
-        # uniform state: the equal-length grid always ties out
-        den = 1
-        for c in cuts | {Fraction(1)}:
-            den = den * c.denominator // gcd(den, c.denominator)
-        uniform = NoiseSpace.from_lengths([Fraction(1, den)] * den)
-        t2 = _piece_assignment(rows, uniform)
-        p2 = _try_perm(pi, uniform.space.weights, t2)
-        if p2 is not None:
-            nspace, target, perm = uniform, t2, p2
-    if perm is None and adopt and spec.d == 2:
-        cascade = _d2_cascade(spec)
-        if cascade is not None:
-            nspace, target, perm = cascade
-    if perm is None:
-        note = (
-            "no atom-level bijection found on this noise space; coupling "
-            "kept as a state-preserving assignment"
-        )
-
-    coupling = CouplingMap(spec.pi, nspace, target, perm, note)
+    perm = _try_perm(spec.pi.weights, nspace.space.weights, target)
+    coupling = CouplingMap(spec.pi, nspace, target, perm)
     if coupling.compression_rows() != rows:
         raise AssertionError("coupling does not compress to the chain matrix")
     if perm is not None:
@@ -460,9 +355,7 @@ def build_markov_dilation(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if coupling is None:
-        # the compact noise keeps level denominators and atom counts small;
-        # a bijective realization on some finer space is irrelevant here
-        _, coupling = build_first_order_dilation(spec, noise="compact", adopt=False)
+        _, coupling = build_first_order_dilation(spec)
     noise = coupling.noise.space
     rep = build_fplus_rep(
         spec.pi,
@@ -528,17 +421,10 @@ def path_law(spec: ChainSpec, horizon: int) -> PathLaw:
 class DilationReport:
     power_ok: dict
     moment_failures: tuple
-    measure_preserving: bool
-    projection_ok: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            all(self.power_ok.values())
-            and not self.moment_failures
-            and self.measure_preserving
-            and self.projection_ok
-        )
+        return all(self.power_ok.values()) and not self.moment_failures
 
 
 def dilation_property_check(model: ProcessModel) -> DilationReport:
@@ -546,7 +432,8 @@ def dilation_property_check(model: ProcessModel) -> DilationReport:
     indicators equal path-law expectations.  The moments are decided by one
     comparison of the full joint laws; on failure the witnesses are the
     first failing cells of the marginals of up to three times, then of the
-    whole path, which always holds one."""
+    whole path, which always holds one.  Measure preservation and the range
+    projection are decided by the model's own methods."""
     spec, K = model.spec, model.K
     power_ok = {}
     for n in range(K + 1):
@@ -566,12 +453,7 @@ def dilation_property_check(model: ProcessModel) -> DilationReport:
             for cell in np.ndindex(*([spec.d] * len(ks))):
                 if int(m_num[cell]) * law.den != int(p_num[cell]) * model_den:
                     failures.append((ks, cell))
-    return DilationReport(
-        power_ok,
-        tuple(failures[:5]),
-        model.measure_preservation_check(),
-        model.first_coordinate_masses_check(),
-    )
+    return DilationReport(power_ok, tuple(failures[:5]))
 
 
 def _ratio_tensor_equal(a_num, a_den, b_num, b_den) -> bool:

@@ -130,6 +130,9 @@ class PointRep:
                 raise ValueError("c_map must be a (base x noise) atom table")
             if self.delta.shape != (g.nc, g.nc):
                 raise ValueError("delta must be a (noise x noise) atom table")
+            for name, table, size in (("c_map", self.c_map, g.d), ("delta", self.delta, g.nc)):
+                if table.min() < 0 or table.max() >= size:
+                    raise ValueError(f"{name} entries must be atoms in [0, {size})")
             pair_num = g.base_num[:, None] * g.noise_num[None, :]
             if not _pushforward_ok(
                 self.c_map, pair_num, g.base_den * g.noise_den, g.base_num, g.base_den

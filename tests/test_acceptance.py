@@ -227,7 +227,7 @@ def test_criterion_10_mutation_sensitivity():
     _, cpl = D.build_first_order_dilation(PAPER)
     bad_target = cpl.target.copy()
     bad_target[0, 2], bad_target[1, 0] = bad_target[1, 0], bad_target[0, 2]
-    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target, None, "mutated")
+    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target)
     ok &= bad.compression_rows() != PAPER.rows
     model = D.build_markov_dilation(PAPER, 3, bad)
     report = D.dilation_property_check(model)
@@ -247,7 +247,7 @@ def test_criterion_10_mutation_sensitivity():
     # (c) a single-entry change of the bijection tau breaks its invariants
     perm = cpl.perm.copy()
     perm[0] = perm[1]
-    broken = D.CouplingMap(cpl.base, cpl.noise, cpl.target, perm, "mutated")
+    broken = D.CouplingMap(cpl.base, cpl.noise, cpl.target, perm)
     try:
         broken.validate_perm()
         ok = False

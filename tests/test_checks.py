@@ -296,7 +296,7 @@ def test_dilation_entries_name_the_first_failing_power():
     _, cpl = D.build_first_order_dilation(PAPER)
     bad_target = cpl.target.copy()
     bad_target[0, 2], bad_target[1, 0] = bad_target[1, 0], bad_target[0, 2]
-    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target, None, "mutated")
+    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target)
     model = D.build_markov_dilation(PAPER, 3, bad)
     report = C.VerificationReport()
     C.add_dilation_entries(report, model)
@@ -331,3 +331,30 @@ def test_lump_process_function_form():
     lumped = view.lump([0, 0])
     assert lumped.base.n == 1
     assert C.markov_sequence_check(lumped).passed
+
+
+def test_definetti_suite_decides_each_model_identity_once(monkeypatch):
+    # measure preservation and the n = 1 power are decided once each; the
+    # range projection is dilate's entry and the suite does not read it
+    calls = {"measure": 0, "power1": 0, "masses": 0}
+    orig_measure = D.ProcessModel.measure_preservation_check
+    orig_power = D.ProcessModel.compressed_power
+    orig_masses = D.ProcessModel.first_coordinate_masses_check
+
+    def measure(self):
+        calls["measure"] += 1
+        return orig_measure(self)
+
+    def power(self, n):
+        calls["power1"] += n == 1
+        return orig_power(self, n)
+
+    def masses(self):
+        calls["masses"] += 1
+        return orig_masses(self)
+
+    monkeypatch.setattr(D.ProcessModel, "measure_preservation_check", measure)
+    monkeypatch.setattr(D.ProcessModel, "compressed_power", power)
+    monkeypatch.setattr(D.ProcessModel, "first_coordinate_masses_check", masses)
+    assert C.definetti_suite(PAPER, 5).passed
+    assert calls == {"measure": 1, "power1": 1, "masses": 0}

@@ -62,6 +62,65 @@ def test_dilate(capsys):
     assert "dilation-powers" in out
 
 
+DILATE_ENTRIES = ["dilation-powers", "moments-vs-path-law", "measure-preservation", "range-projection"]
+
+
+def _no_bijection_chain(tmp_path):
+    # state 0 flows entirely into state 1, of larger mass: no atom-level
+    # bijection exists on any finite noise
+    path = tmp_path / "no_bijection.json"
+    path.write_text(json.dumps({"d": 2, "T": [["0", "1"], ["1/2", "1/2"]]}))
+    return str(path)
+
+
+def test_dilate_prints_only_decided_entries(capsys, tmp_path):
+    code, out, err = run(["dilate", _no_bijection_chain(tmp_path), "--depth", "3"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split("  ")[1] for line in lines] == DILATE_ENTRIES
+    assert all(line.startswith("PASS  ") for line in lines)
+
+
+def _fail_powers(monkeypatch):
+    orig = dilation.ProcessModel.compressed_power
+    monkeypatch.setattr(dilation.ProcessModel, "compressed_power", lambda self, n: orig(self, 1 if n == 2 else n))
+
+
+def _fail_moments(monkeypatch):
+    orig = dilation.ProcessModel.joint_law
+
+    def moved(self, ks=None):
+        num, den = orig(self, ks)
+        num = num.copy()
+        num.flat[0] += 1
+        num.flat[-1] -= 1
+        return num, den
+
+    monkeypatch.setattr(dilation.ProcessModel, "joint_law", moved)
+
+
+def _fail_measure(monkeypatch):
+    orig = rep.PointRep.state_preservation_check
+    monkeypatch.setattr(rep.PointRep, "state_preservation_check", lambda self, n, m: m != 2 and orig(self, n, m))
+
+
+def _fail_projection(monkeypatch):
+    monkeypatch.setattr(dilation.ProcessModel, "first_coordinate_masses_check", lambda self: False)
+
+
+@pytest.mark.parametrize(
+    "entry, mutate",
+    list(zip(DILATE_ENTRIES, (_fail_powers, _fail_moments, _fail_measure, _fail_projection))),
+)
+def test_dilate_fails_each_decided_entry(entry, mutate, monkeypatch, capsys, tmp_path):
+    """Each of dilate's entries reads its own decision: made to fail, it
+    alone fails, and dilate exits 1."""
+    mutate(monkeypatch)
+    code, out, _ = run(["dilate", _no_bijection_chain(tmp_path), "--depth", "3"], capsys)
+    assert code == 1
+    assert [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")] == [entry]
+
+
 def test_rep_check(capsys):
     code, out, _ = run(["rep-check", COIN, "--depth", "3"], capsys)
     assert code == 0
@@ -223,9 +282,8 @@ def test_rep_check_and_dilate_json_match_golden(fixture, command, depth, capsys,
 
 
 def test_rep_check_builds_the_model_verify_builds(monkeypatch, capsys):
-    """rep-check builds one model, on the compact noise every command uses,
-    not on a noise space adopted for an atom-level bijection."""
-    calls, adopt = [], []
+    """rep-check builds one model, on the one coupling every command uses."""
+    calls, couplings = [], []
     orig_model, orig_coupling = dilation.build_markov_dilation, dilation.build_first_order_dilation
 
     def model(*args, **kwargs):
@@ -233,14 +291,14 @@ def test_rep_check_builds_the_model_verify_builds(monkeypatch, capsys):
         return orig_model(*args, **kwargs)
 
     def coupling(*args, **kwargs):
-        adopt.append(kwargs.get("adopt", True))
+        couplings.append((len(args), kwargs))
         return orig_coupling(*args, **kwargs)
 
     monkeypatch.setattr(dilation, "build_markov_dilation", model)
     monkeypatch.setattr(dilation, "build_first_order_dilation", coupling)
     code, _, _ = run(["rep-check", COIN, "--depth", "3"], capsys)
     assert code == 0
-    assert len(calls) == 1 and adopt == [False]
+    assert len(calls) == 1 and couplings == [(1, {})]
 
 
 def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys, tmp_path):
@@ -415,7 +473,14 @@ def test_rep_check_rejects_bad_tables(capsys, tmp_path):
     code, _, err = run(["rep-check", str(bad), "--depth", "3"], capsys)
     assert code == 2 and "c_map" in err
     tables = {"d": 2, "T": [["1/2", "1/2"], ["1/4", "3/4"]], "delta_map": [[0, 1, 2]] * 3}
-    for broken in ({"noise": ["1/4", "1/4", "1/2"]}, {"noise": 5, "c_map": [[0, 0, 1], [0, 1, 1]]}):
+    out_of_range = json.loads((FIXTURES / "coin_with_tables.json").read_text())
+    for broken in (
+        {"noise": ["1/4", "1/4", "1/2"]},
+        {"noise": 5, "c_map": [[0, 0, 1], [0, 1, 1]]},
+        {**out_of_range, "c_map": [[0, 0, 5], [0, 1, 1]]},
+        {**out_of_range, "c_map": [[0, 0, -1], [0, 1, 1]]},
+        {**out_of_range, "delta_map": [[0, 1, 2], [0, 9, 2], [0, 1, 2]]},
+    ):
         bad.write_text(json.dumps({**tables, **broken}))
         code, out, err = run(["rep-check", str(bad), "--depth", "3"], capsys)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, broken

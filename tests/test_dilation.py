@@ -92,27 +92,18 @@ def test_general_two_state_compression():
             assert cpl.compression().rows == spec.rows
 
 
-def test_two_state_cascade_is_bijective():
-    # p1 + p2 > 1 with non-uniform state: needs the geometric cascade
-    spec = D.ChainSpec.coin(F(3, 4), F(1, 2))
-    _, cpl = D.build_first_order_dilation(spec)
-    assert cpl.is_automorphism
-    cpl.validate_perm()
-    assert cpl.compression().rows == spec.rows
-
-
 def test_bijective_coupling_impossible_case():
     # every fiber-0 atom must shrink by ratio pi0/pi1 < 1 under the flow
     # 0 -> 1 with full mass: no finite atom set supports that descent
     spec = D.ChainSpec.from_rows([[F(0), F(1)], [F(1, 2), F(1, 2)]])
     _, cpl = D.build_first_order_dilation(spec)
     assert not cpl.is_automorphism
-    assert cpl.note
     assert cpl.compression().rows == spec.rows  # assignment still exact
 
 
 def test_uniform_grid_retry():
-    # doubly stochastic 3-state chain: uniform state, bijection always exists
+    # doubly stochastic 3-state chain: uniform state, and the compact noise
+    # already carries the bijection
     rows = [
         [F(0), F(1, 2), F(1, 2)],
         [F(1, 2), F(0), F(1, 2)],
@@ -251,15 +242,38 @@ def test_dilation_check_points_at_the_whole_path(monkeypatch):
     assert len(report.moment_failures) == 5
 
 
+def _target_cut_points(rows, pi):
+    """The incoming-piece cut points of every fiber: with the row cuts they
+    give a refined noise on which the pieces flowing into each state are
+    separate atoms."""
+    d = len(rows)
+    cuts = set()
+    for j in range(d):
+        acc = F(0)
+        for i in range(d):
+            acc += pi[i] * rows[i][j] / pi[j]
+            if i < d - 1:
+                cuts.add(acc)
+    return cuts
+
+
 def test_path_law_invariant_under_noise_choice():
-    # the observable distribution does not depend on how tau was realized
-    spec = D.ChainSpec.coin(F(1, 2), F(1, 4))
-    m1 = D.build_markov_dilation(
-        spec, 3, D.build_first_order_dilation(spec, noise="compact")[1]
+    # the observable distribution does not depend on how the noise is cut:
+    # the compact noise and the refined cuts give the same joint law (on a
+    # two-state chain the refined cuts are the row cuts, since
+    # pi_0 T_01 = pi_1 T_10, so a three-state chain is needed)
+    spec = D.ChainSpec.from_rows(
+        [[F(0), F(1, 2), F(1, 2)], [F(1, 3), F(1, 3), F(1, 3)], [F(1, 4), F(1, 2), F(1, 4)]]
     )
-    m2 = D.build_markov_dilation(
-        spec, 3, D.build_first_order_dilation(spec, noise="refined")[1]
+    refined = D.NoiseSpace.from_cuts(
+        D._row_cut_points(spec.rows) | _target_cut_points(spec.rows, spec.pi.weights)
     )
+    assert refined.n > D.build_first_order_dilation(spec)[0].n
+    target = D._piece_assignment(spec.rows, refined)
+    cpl = D.CouplingMap(spec.pi, refined, target)
+    assert cpl.compression_rows() == spec.rows
+    m1 = D.build_markov_dilation(spec, 3)
+    m2 = D.build_markov_dilation(spec, 3, cpl)
     n1, d1 = m1.joint_law()
     n2, d2 = m2.joint_law()
     assert np.array_equal(n1.astype(object) * d2, n2.astype(object) * d1)
@@ -272,7 +286,7 @@ def test_corrupted_coupling_detected():
     ns, cpl = D.build_first_order_dilation(spec)
     bad_target = cpl.target.copy()
     bad_target[0, 2], bad_target[1, 0] = bad_target[1, 0], bad_target[0, 2]
-    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target, None, "corrupted")
+    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target)
     assert bad.compression_rows() != spec.rows
     model = D.build_markov_dilation(spec, 3, bad)
     report = D.dilation_property_check(model)
@@ -285,7 +299,7 @@ def test_state_breaking_corruption_rejected_at_build():
     ns, cpl = D.build_first_order_dilation(spec)
     bad_target = cpl.target.copy()
     bad_target[0, 0] = 1 - bad_target[0, 0]
-    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target, None, "corrupted")
+    bad = D.CouplingMap(cpl.base, cpl.noise, bad_target)
     with pytest.raises(ValueError, match="push"):
         D.build_markov_dilation(spec, 3, bad)
 
@@ -300,26 +314,21 @@ def test_chainspec_from_dict_and_errors():
 
 
 def test_two_state_bijection_characterization():
-    # exhaustive over entry denominators <= 4: an atom-level bijection exists
-    # exactly when the lighter state keeps some probability at home
-    # (otherwise all of its atoms would have to shrink by a fixed ratio,
-    # which no finite atom set supports)
+    # exhaustive over entry denominators <= 4: when the lighter state flows
+    # entirely into the other state, no atom-level bijection exists (all of
+    # its atoms would have to shrink by a fixed ratio, which no finite atom
+    # set supports); any bijection found on the compact noise is valid
     probs = sorted({F(n, m) for m in range(1, 5) for n in range(1, m + 1)})
     for p1 in probs:
         for p2 in probs:
             spec = D.ChainSpec.coin(p1, p2)
             _, cpl = D.build_first_order_dilation(spec)
             pi = spec.pi.weights
-            if pi[0] == pi[1]:
-                assert cpl.is_automorphism, (p1, p2)
-                continue
             small = 0 if pi[0] < pi[1] else 1
-            crossing = spec.rows[small][1 - small]
-            if crossing < 1:
-                assert cpl.is_automorphism, (p1, p2)
-                cpl.validate_perm()
-            else:
+            if pi[0] != pi[1] and spec.rows[small][1 - small] == 1:
                 assert not cpl.is_automorphism, (p1, p2)
+            elif cpl.is_automorphism:
+                cpl.validate_perm()
 
 
 def test_int64_guard_refuses_rather_than_wrapping():
@@ -363,13 +372,10 @@ def test_iota_projection_is_conditional_expectation():
 
 
 def test_model_default_noise_stays_compact():
-    # a chain whose bijection needs pi-ratio cuts: the hunt may adopt a
-    # finer noise, but the model default must keep the compact one so the
-    # level denominators stay within exact int64 range at depth 4
+    # a chain whose bijection would need pi-ratio cuts: the model keeps the
+    # compact noise so the level denominators stay within exact int64 range
+    # at depth 4
     spec = D.ChainSpec.from_rows([[F(1, 6), F(5, 6)], [F(4, 5), F(1, 5)]])
-    ns_full, cpl_full = D.build_first_order_dilation(spec)
-    assert cpl_full.is_automorphism  # found on the refined cuts
-    assert ns_full.space.denominator > 10**6
     model = D.build_markov_dilation(spec, 4)
     assert model.gspace.noise_den <= 60
     assert D.dilation_property_check(model).passed
