@@ -152,11 +152,6 @@ def cmd_rep_check(args) -> int:
         rep.state_preservation_check(n, m) for n in range(K + 1) for m in range(K)
     )
     report.add("state-preservation", "every represented generator preserves the state", ok)
-    report.add(
-        "generating",
-        "tower algebras jointly generate the level space",
-        rep.has_generating_property(K - 1),
-    )
     ok, wit = rp.intertwining_identities_check(rep)
     report.add("intertwining", "alpha_k Q_n = Q_{n+1} alpha_k for k < n", ok, wit)
     return _emit(report, args)
@@ -198,7 +193,6 @@ def cmd_verify(args) -> int:
     if "definetti" in suites:
         report.extend(chk.definetti_checks(model, tower))
     if "tower" in suites:
-        report.add("tower-generating", "tower algebras jointly generate", tower.generating)
         for (m, n, k), ok in sorted(tower.cells.items()):
             report.add(
                 f"tower-cell-m{m}-n{n}-k{k}",

@@ -301,16 +301,12 @@ class ProcessModel:
 
     def compressed_power(self, n: int) -> tuple:
         """iota* alpha^n iota as an exact d x d matrix."""
-        g = self.gspace
-        x0 = np.arange(g.level_size(n), dtype=np.int64) // g.nc**n
-        xn = self.rep.x_table(n, n)
-        w = g.level_weights(n)
-        num = kern.group_sum(x0 * g.d + xn, w, g.d * g.d).reshape(g.d, g.d)
-        den = g.level_denominator(n)
+        d = self.spec.d
+        num, den = joint_law(self.rep, np.arange(d), d, (0, n), n)
         pi = self.spec.pi.weights
         return tuple(
-            tuple(Fraction(int(num[a, j]), den) / pi[a] for j in range(g.d))
-            for a in range(g.d)
+            tuple(Fraction(int(num[a, j]), den) / pi[a] for j in range(d))
+            for a in range(d)
         )
 
     def joint_law(self, ks=None):

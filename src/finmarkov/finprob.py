@@ -122,10 +122,8 @@ class Partition:
     one-block partition is the scalars.
     """
 
-    def __init__(self, labels, n=None):
+    def __init__(self, labels):
         labels = np.asarray(labels, dtype=np.int64)
-        if n is not None and len(labels) != n:
-            raise ValueError("label vector has wrong length")
         if len(labels) == 0:
             raise ValueError("empty partition")
         self.labels, self.nblocks = kern.canonicalize(labels)

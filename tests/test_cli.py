@@ -326,7 +326,7 @@ def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys
         entries = {e["check"]: e for e in json.loads(dest.read_text())}
         for check, witness in expected.items():
             assert entries[check]["verdict"] == "fail" and entries[check]["witness"] == witness, argv
-    assert entries.keys() == {"monoid-relations", "state-preservation", "generating", "intertwining"}
+    assert entries.keys() == {"monoid-relations", "state-preservation", "intertwining"}
 
 
 def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys):

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmarkov import _kernels as kern
+from finmarkov import checks as C
 from finmarkov import dilation as D
 from finmarkov import rep as R
-from finmarkov.finprob import FinSpace, Partition, commuting_square_check
+from finmarkov.finprob import (
+    FinSpace,
+    Partition,
+    _first_occurrence,
+    _products_equal,
+    commuting_square_check,
+)
 
 
 PAPER = D.ChainSpec.coin(F(1, 2), F(1, 4))
@@ -291,6 +299,111 @@ def test_intertwining_refuses_bad_indices():
         R.intertwining_check(rep, 3, 1)
 
 
+@pytest.mark.parametrize(
+    "swap, witness",
+    [
+        (2, "projection weights differ at atom 0"),
+        (10, "some source atom reaches no mass in target block 0"),
+        (18, "left side is not measurable along the right at atom 1"),
+    ],
+)
+def test_intertwining_fails_on_a_corrupted_eta(swap, witness):
+    # swapping two entries of the cached eta_0 table at level 2 fails one
+    # branch each: the weights, completeness and measurability
+    model = D.build_markov_dilation(PAPER, 3)
+    table = model.rep.eta(0, 2)
+    orig = table.copy()
+    table[0], table[swap] = orig[swap], orig[0]
+    try:
+        assert R.intertwining_check(model.rep, 0, 1) == (False, witness)
+        report = C.definetti_checks(model, R.triangular_tower_check(model.rep))
+        entry = next(e for e in report.entries if e.check == "intertwining")
+        assert not entry.ok and entry.witness == f"k=0, n=1: {witness}"
+    finally:
+        table[:] = orig
+
+
+def _intertwining_reference(rep, k, n):
+    """intertwining_check as it stood with its block-crossing test, which
+    the measurability test implies."""
+    K = rep.gspace.K
+    g = rep.gspace
+    lo, hi = K - 1, K
+    w_lo = g.level_weights(lo)
+    w_hi = g.level_weights(hi)
+    bn = rep.fixed_point_partition(n, lo)
+    bn1 = rep.fixed_point_partition(n + 1, hi)
+    ek = rep.eta(k, lo)
+    beta = bn.labels[ek]
+    first_b = _first_occurrence(bn1.labels, bn1.nblocks)
+    if not np.array_equal(beta, beta[first_b][bn1.labels]):
+        y = int(np.argmax(beta != beta[first_b][bn1.labels]))
+        return False, f"left side is not measurable along the right at atom {y}"
+    beta_of_block = beta[first_b]
+    w_bn = kern.group_sum(bn.labels, w_lo, bn.nblocks)
+    w_bn1 = kern.group_sum(bn1.labels, w_hi, bn1.nblocks)
+    xb, n_xb = kern.pair_canon(ek, bn1.labels)
+    j = kern.group_sum(xb, w_hi, n_xb)
+    first_t = _first_occurrence(xb, n_xb)
+    x_of_t = ek[first_t]
+    b_of_t = bn1.labels[first_t]
+    blk_sizes = kern.group_count(bn.labels, bn.nblocks)
+    seen = kern.group_count(b_of_t, bn1.nblocks)
+    if not np.array_equal(seen, blk_sizes[beta_of_block]):
+        b = int(np.argmax(seen != blk_sizes[beta_of_block]))
+        return False, f"some source atom reaches no mass in target block {b}"
+    if not np.array_equal(bn.labels[x_of_t], beta_of_block[b_of_t]):
+        t = int(np.argmax(bn.labels[x_of_t] != beta_of_block[b_of_t]))
+        return False, f"mass crosses fixed-point blocks at atom {int(first_t[t])}"
+    idx = _products_equal(j, w_bn[bn.labels[x_of_t]], w_lo[x_of_t], w_bn1[b_of_t])
+    if idx is not None:
+        return False, f"projection weights differ at atom {int(first_t[idx])}"
+    return True, None
+
+
+def test_intertwining_matches_reference_on_corruptions():
+    # seeded eta swaps and fixed-point block splits and merges: the check
+    # and the reference with the block-crossing test agree on every verdict
+    # and witness
+    rng = random.Random(8)
+    model = D.build_markov_dilation(PAPER, 4)
+    rep = model.rep
+    K = rep.gspace.K
+    pairs = [(k, n) for n in range(1, K) for k in range(n)]
+    for k, n in pairs:  # fill the caches the corruptions edit
+        R.intertwining_check(rep, k, n)
+    failures = 0
+    for trial in range(300):
+        k, n = rng.choice(pairs)
+        kind = trial % 3
+        if kind == 0:
+            table = rep.eta(k, K - 1)
+            i, j = rng.sample(range(len(table)), 2)
+            saved = table.copy()
+            table[i], table[j] = saved[j], saved[i]
+        else:
+            key = rng.choice([(n, K - 1), (n + 1, K)])
+            saved = rep._fix_cache[key]
+            labels = saved.labels.copy()
+            if kind == 1:  # split one atom off its block
+                labels[rng.randrange(len(labels))] = saved.nblocks
+            else:  # merge two blocks
+                a, b = rng.sample(range(saved.nblocks), 2)
+                labels[labels == b] = a
+            rep._fix_cache[key] = Partition(labels)
+        try:
+            got = R.intertwining_check(rep, k, n)
+            assert got == _intertwining_reference(rep, k, n), (trial, k, n)
+            failures += not got[0]
+        finally:
+            if kind == 0:
+                table[:] = saved
+            else:
+                rep._fix_cache[key] = saved
+    assert failures > 100
+    assert all(R.intertwining_check(rep, k, n) == (True, None) for k, n in pairs)
+
+
 def test_single_entry_delta_corruption_rejected():
     # a single-entry change breaks the measure pushforward and is refused
     # with a concrete witness at construction time
@@ -336,7 +449,6 @@ def test_shared_decisions_refuse_a_horizon_deciding_nothing():
 def test_tower_paper_chain():
     rep = paper_rep(5)
     report = R.triangular_tower_check(rep)
-    assert report.generating
     assert report.passed and report.cells_agree
     assert all(report.intersections.values())
 
