@@ -31,6 +31,8 @@ from .dilation import (
 from .finprob import (
     FinSpace,
     Partition,
+    _first_occurrence,
+    block_weight_sums,
     local_filtration_markov_check,
 )
 from .rep import (
@@ -100,17 +102,35 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Quotient:
+    """Level K of a process view modulo A_[0,K], the algebra generated by
+    X_0 .. X_K.  Its points are the blocks of A_[0,K], numbered in
+    first-atom order and weighted by their level-K mass."""
+
+    labels: np.ndarray  # the block of each level-K atom
+    first: np.ndarray  # the first atom of each block
+    values: np.ndarray  # values[k, b] is X_k on block b
+    weights: np.ndarray  # block weight numerators over the level-K denominator
+
+
 class ProcessView:
     """A stationary sequence of finite-valued random variables read off a
     graded model: the k-th variable is the base coordinate transported by k
     applications of the time evolution, optionally composed with a function
-    of the state space (a lumping)."""
+    of the state space (a lumping).
+
+    Every algebra generated by some of X_0 .. X_K lies inside A_[0,K], so an
+    identity among their conditional expectations holds on all functions iff
+    it holds on the quotient by A_[0,K]; the interval algebras are built
+    there."""
 
     def __init__(self, rep: PointRep, base: FinSpace, value_map, horizon: int):
         self.rep = rep
         self.base = base  # the value space of the variables
         self.value_map = np.asarray(value_map, dtype=np.int64)
         self.K = horizon
+        self._quotient: Quotient | None = None
         self._parts: dict = {}
 
     @staticmethod
@@ -132,15 +152,38 @@ class ProcessView:
     def x_table(self, k: int, level: int) -> np.ndarray:
         return self.value_map[self.rep.x_table(k, level)]
 
-    def interval_partition(self, m: int, n: int, level: int) -> Partition:
-        """Canonical filtration algebra generated by X_m .. X_n at a level."""
-        key = (m, n, level)
+    @property
+    def quotient(self) -> Quotient:
+        """A_[0,K] at level K, built on first use by K + 1 canonicalize calls."""
+        if self._quotient is None:
+            K = self.K
+            xs = [self.x_table(k, K) for k in range(K + 1)]
+            labels = np.zeros(len(xs[0]), dtype=np.int64)
+            for x in xs:
+                labels, nblocks = kern.canonicalize(labels * self.base.n + x)
+            first = _first_occurrence(labels, nblocks)
+            values = np.stack([x[first] for x in xs])
+            weights = block_weight_sums(labels, nblocks, self.rep.gspace.level_weights(K))
+            self._quotient = Quotient(labels, first, values, weights)
+        return self._quotient
+
+    def block_partition(self, m: int, n: int) -> Partition:
+        """A_[m,n] on the points of the quotient, built from A_[m,n-1] by one
+        canonicalize call."""
+        key = (m, n)
         if key not in self._parts:
-            labels, nblocks = kern.canonicalize(self.x_table(m, level))
-            for k in range(m + 1, n + 1):
-                labels, nblocks = kern.canonicalize(labels * self.base.n + self.x_table(k, level))
-            self._parts[key] = Partition._from_canonical(labels, nblocks)
+            labels = self.quotient.values[n]
+            if n > m:
+                labels = self.block_partition(m, n - 1).labels * self.base.n + labels
+            self._parts[key] = Partition._from_canonical(*kern.canonicalize(labels))
         return self._parts[key]
+
+    def interval_partition(self, m: int, n: int) -> Partition:
+        """A_[m,n] on the level-K atoms: the quotient labels lifted through
+        A_[0,K].  Its blocks are numbered in first-atom order, so the lift of
+        canonical labels is canonical."""
+        part = self.block_partition(m, n)
+        return Partition._from_canonical(part.labels[self.quotient.labels], part.nblocks)
 
     def joint_law(self, ks, level=None):
         level = self.K if level is None else level
@@ -202,16 +245,21 @@ def maximal_ps_check(view: ProcessView) -> VerificationReport:
 
 def markov_sequence_check(view: ProcessView) -> VerificationReport:
     """E_{A[0,n]} iota_{n+1} = E_{A[n,n]} iota_{n+1} for 0 <= n <= K-1, plus
-    the equivalent local-filtration Markov property of the canonical family."""
-    K = level = view.K
-    w = view.rep.gspace.level_weights(level)
+    the equivalent local-filtration Markov property of the canonical family.
+
+    Both are decided on the quotient by A_[0,K].  Every tested quantity is
+    constant on its blocks, which are numbered in first-atom order, so the
+    first atom of the first failing block is the first failing atom."""
+    K = view.K
+    q = view.quotient
+    w = q.weights
     report = VerificationReport()
 
     seq_ok, wit = True, None
     for n in range(K):
-        past = view.interval_partition(0, n, level)
-        now = view.interval_partition(n, n, level)
-        nxt = view.x_table(n + 1, level)
+        past = view.block_partition(0, n)
+        now = view.block_partition(n, n)
+        nxt = q.values[n + 1]
         w_past = kern.group_sum(past.labels, w, past.nblocks)
         w_now = kern.group_sum(now.labels, w, now.nblocks)
         for j in range(view.base.n):
@@ -223,7 +271,7 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
             neq = lhs != rhs
             if neq.any():
                 seq_ok = False
-                x = int(np.argmax(neq))
+                x = int(q.first[np.argmax(neq)])
                 wit = f"n={n}, value {j}: prediction from the past differs at atom {x}"
                 break
         if not seq_ok:
@@ -232,9 +280,7 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
         "markov-sequence", "E[0,n] iota_{n+1} = E[n,n] iota_{n+1}", seq_ok, wit
     )
 
-    filt = local_filtration_markov_check(
-        lambda m, n: view.interval_partition(m, n, level), K, w
-    )
+    filt = local_filtration_markov_check(view.block_partition, K, w, atoms=q.first)
     report.add(
         "canonical-filtration-markov",
         "E[0,n] E[n,K] = E[n,n] on the canonical local filtration",
@@ -397,7 +443,7 @@ def hierarchy_check(view: ProcessView, horizon=None) -> HierarchyReport:
 
     # the joint law above already read level K, the deepest level this reads
     ps = partial_spreadability_check(view, K).passed
-    rep.add("partially-spreadable", "localization and stationarity of iota",
+    rep.add("partially-spreadable", "representation premise and localization of iota_0",
             True, "yes" if ps else "no")
     hr = HierarchyReport(stationary, spreadable, exchangeable, ps, witnesses, rep)
     rep.add("hierarchy", "exchangeable => spreadable => partially spreadable => stationary",

@@ -11,7 +11,8 @@ powers, and whose random-variable sequence has the chain's path law.
 The state-preserving assignment is all the model consumes.  Where the atom
 masses of the compact noise allow it, the coupling is also realized as a
 measure-preserving bijection of (state x noise) atoms (the map tau, fixing
-the diagonal pieces pointwise); tau is searched on the compact noise only.
+the diagonal pieces pointwise); tau is searched on the compact noise only,
+and only when it is asked for.
 A bijective refinement does not exist for every chain: if some state flows
 entirely into a single state of different stationary mass, every candidate
 atom image must shrink by a fixed ratio, which no finite atom set supports.
@@ -151,20 +152,23 @@ class CouplingMap:
     """First-order coupling of a chain: for every (state, noise atom) the
     state it flows to, with lambda(flow-to-j pieces of row a) = T[a][j].
 
-    ``perm``, when present, is a mass-preserving bijection of the (state x
-    noise) atoms realizing the flow (an automorphism of the product space);
-    ``target`` alone is the dual of a state-preserving homomorphism and is
-    what every model construction consumes.
+    ``target`` is the dual of a state-preserving homomorphism and is what
+    every model construction consumes.  ``tau()`` searches, on demand, for a
+    mass-preserving bijection of the (state x noise) atoms realizing the
+    flow (an automorphism of the product space).
     """
 
     base: FinSpace
     noise: NoiseSpace
     target: np.ndarray  # (d, nc) -> state
-    perm: np.ndarray | None = None  # flat (d * nc) -> flat (d * nc)
 
-    @property
-    def is_automorphism(self) -> bool:
-        return self.perm is not None
+    def tau(self) -> np.ndarray | None:
+        """The bijection tau, flat (d * nc) -> flat (d * nc), validated, or
+        None where the atom masses do not tie out."""
+        perm = _try_perm(self.base.weights, self.noise.space.weights, self.target)
+        if perm is not None:
+            self.validate_perm(perm)
+        return perm
 
     def compression_rows(self) -> tuple:
         """Raw rows of iota* C iota recovered from the piece masses."""
@@ -181,11 +185,11 @@ class CouplingMap:
     def compression(self) -> MarkovKernel:
         return MarkovKernel(self.compression_rows(), self.base, self.base)
 
-    def validate_perm(self) -> None:
-        if self.perm is None:
-            raise ValueError("coupling carries no bijection")
+    def validate_perm(self, perm) -> None:
+        """Raise unless perm is a mass-preserving bijection of the atoms that
+        sends every atom into its own piece."""
         d, nc = self.target.shape
-        flat = np.asarray(self.perm, dtype=np.int64)
+        flat = np.asarray(perm, dtype=np.int64)
         if sorted(flat.tolist()) != list(range(d * nc)):
             raise ValueError("perm is not a bijection")
         lam = self.noise.space.weights
@@ -266,17 +270,13 @@ def _try_perm(pi, lam, target) -> np.ndarray | None:
 def build_first_order_dilation(spec: ChainSpec) -> tuple[NoiseSpace, CouplingMap]:
     """Cut the noise interval at the row cut points (the compact noise: the
     smallest atom count and weight denominators) and assemble the coupling.
-    The bijection tau is searched on this noise only; where the atom masses
-    do not tie out, the coupling is the state-preserving assignment alone."""
+    The bijection tau is searched only when CouplingMap.tau is called."""
     rows = spec.rows
     nspace = NoiseSpace.from_cuts(_row_cut_points(rows))
     target = _piece_assignment(rows, nspace)
-    perm = _try_perm(spec.pi.weights, nspace.space.weights, target)
-    coupling = CouplingMap(spec.pi, nspace, target, perm)
+    coupling = CouplingMap(spec.pi, nspace, target)
     if coupling.compression_rows() != rows:
         raise AssertionError("coupling does not compress to the chain matrix")
-    if perm is not None:
-        coupling.validate_perm()
     return nspace, coupling
 
 

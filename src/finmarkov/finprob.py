@@ -307,12 +307,13 @@ def cond_independence_given(labels_r, labels_p, labels_q, wnum):
     return True, None
 
 
-def cexp_product_equals(labels_p, labels_q, labels_r, wnum):
+def cexp_product_equals(labels_p, labels_q, labels_r, wnum, atoms=None):
     """Check the operator identity E_P E_Q = E_R on the whole space.
 
     Necessarily r coarsens p and q; then the identity holds iff inside every
     r-block all p-blocks and q-blocks intersect with the product-weight rule
-    W(b∩c)·W(R) = W(b)·W(c).  Returns (ok, witness_or_None).
+    W(b∩c)·W(R) = W(b)·W(c).  Returns (ok, witness_or_None).  When the
+    space is a quotient, atoms[i] is the atom a witness names for point i.
     """
     if not _constant_on_blocks(labels_r, labels_p):
         return False, "target partition does not coarsen the left factor"
@@ -349,7 +350,7 @@ def cexp_product_equals(labels_p, labels_q, labels_r, wnum):
         w_pq, w_r[r_of_t], w_p[labels_p[first_pq]], w_q[labels_q[first_pq]]
     )
     if idx is not None:
-        atom = int(first_pq[idx])
+        atom = int(first_pq[idx] if atoms is None else atoms[first_pq[idx]])
         return False, f"weight identity fails on the pair containing atom {atom}"
     return True, None
 
@@ -625,13 +626,15 @@ class FiltrationReport:
         return True
 
 
-def local_filtration_markov_check(family, horizon: int, wnum) -> FiltrationReport:
+def local_filtration_markov_check(family, horizon: int, wnum, atoms=None) -> FiltrationReport:
     """Exact Markov-property check of an interval-indexed partition family.
 
     `family(m, n)` must return the Partition for the interval [m, n] within
     [0, horizon]; the half-line [n, ∞) is truncated to [n, horizon].  Checks
     isotony, condition (M) for 1 <= n <= horizon-1, condition (M') for
-    0 <= n <= horizon, and local minimality for overlapping unions.
+    0 <= n <= horizon, and local minimality for overlapping unions.  When
+    the family lives on a quotient whose points are numbered in first-atom
+    order, atoms[i] is the first atom of point i, and witnesses name it.
     """
     wnum = np.asarray(wnum, dtype=np.int64)
     K = horizon
@@ -652,7 +655,7 @@ def local_filtration_markov_check(family, horizon: int, wnum) -> FiltrationRepor
     for n in range(1, K):
         left = parts[(0, n - 1)].join(parts[(n, n)])
         right = parts[(n, n)].join(parts[(n + 1, K)])
-        ok, wit = cexp_product_equals(left.labels, right.labels, parts[(n, n)].labels, wnum)
+        ok, wit = cexp_product_equals(left.labels, right.labels, parts[(n, n)].labels, wnum, atoms)
         markov_m[n] = ok
         if wit:
             witnesses.append(f"(M) n={n}: {wit}")
@@ -660,7 +663,7 @@ def local_filtration_markov_check(family, horizon: int, wnum) -> FiltrationRepor
     markov_mp = {}
     for n in range(K + 1):
         ok, wit = cexp_product_equals(
-            parts[(0, n)].labels, parts[(n, K)].labels, parts[(n, n)].labels, wnum
+            parts[(0, n)].labels, parts[(n, K)].labels, parts[(n, n)].labels, wnum, atoms
         )
         markov_mp[n] = ok
         if wit:

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finmarkov import _kernels as kern
 from finmarkov import checks as C
 from finmarkov import dilation as D
 from finmarkov import rep as R
+from finmarkov.finprob import Partition, local_filtration_markov_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -120,6 +124,141 @@ def test_canonical_filtration_minimal():
     rep = C.markov_sequence_check(paper_view())
     entry = [e for e in rep.entries if e.check == "canonical-filtration-minimal"][0]
     assert entry.ok
+
+
+def reference_interval_partition(view, m, n):
+    """The atom-level A_[m,n] at level K, chained from X_m."""
+    labels, nblocks = kern.canonicalize(view.x_table(m, view.K))
+    for k in range(m + 1, n + 1):
+        labels, nblocks = kern.canonicalize(labels * view.base.n + view.x_table(k, view.K))
+    return Partition._from_canonical(labels, nblocks)
+
+
+def reference_markov_sequence_check(view):
+    """Reference for markov_sequence_check: the same identities decided on
+    every level-K atom instead of on the quotient by A_[0,K].  Returns the
+    (check, ok, witness) entries and the FiltrationReport."""
+    K = level = view.K
+    parts = {}
+
+    def part(m, n):
+        if (m, n) not in parts:
+            parts[(m, n)] = reference_interval_partition(view, m, n)
+        return parts[(m, n)]
+
+    w = view.rep.gspace.level_weights(level)
+    report = C.VerificationReport()
+    seq_ok, wit = True, None
+    for n in range(K):
+        past = part(0, n)
+        now = part(n, n)
+        nxt = view.x_table(n + 1, level)
+        w_past = kern.group_sum(past.labels, w, past.nblocks)
+        w_now = kern.group_sum(now.labels, w, now.nblocks)
+        for j in range(view.base.n):
+            hit = np.where(nxt == j, w, 0).astype(np.int64)
+            s_past = kern.group_sum(past.labels, hit, past.nblocks)
+            s_now = kern.group_sum(now.labels, hit, now.nblocks)
+            lhs = s_past[past.labels].astype(object) * w_now[now.labels]
+            rhs = s_now[now.labels].astype(object) * w_past[past.labels]
+            neq = lhs != rhs
+            if neq.any():
+                seq_ok = False
+                x = int(np.argmax(neq))
+                wit = f"n={n}, value {j}: prediction from the past differs at atom {x}"
+                break
+        if not seq_ok:
+            break
+    report.add("markov-sequence", "", seq_ok, wit)
+    filt = local_filtration_markov_check(part, K, w)
+    report.add("canonical-filtration-markov", "", filt.is_markov, "; ".join(filt.witnesses[:2]) or None)
+    report.add("canonical-filtration-minimal", "", filt.locally_minimal)
+    report.add("markov-equivalence", "", seq_ok == filt.is_markov)
+    return [(e.check, e.ok, e.witness) for e in report.entries], filt
+
+
+def two_block_lumps(d):
+    return [(0,) + rest for rest in itertools.product((0, 1), repeat=d - 1) if 1 in rest]
+
+
+def assert_matches_reference(view):
+    expect, filt = reference_markov_sequence_check(view)
+    got = [(e.check, e.ok, e.witness) for e in C.markov_sequence_check(view).entries]
+    assert got == expect
+    q = view.quotient
+    assert local_filtration_markov_check(view.block_partition, view.K, q.weights, atoms=q.first) == filt
+    for m in range(view.K + 1):
+        for n in range(m, view.K + 1):
+            assert view.interval_partition(m, n) == reference_interval_partition(view, m, n)
+    return expect
+
+
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(2, 5))
+@settings(max_examples=30, deadline=None)
+def test_markov_checks_match_atom_level_reference(seed, d, K):
+    spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
+    view = C.ProcessView.from_model(D.build_markov_dilation(spec, K))
+    assert_matches_reference(view)
+    for f in two_block_lumps(d):
+        assert_matches_reference(view.lump(f))
+
+
+@pytest.mark.parametrize("K, atom", [(3, 3), (4, 9), (5, 27)])
+def test_lumped_witness_atoms_are_mapped_back(K, atom):
+    """Under the map 0,1,1 the (M) n=2 witness of lumped_3to2 names an atom
+    other than the first of the level, so it must be mapped back from the
+    quotient."""
+    spec, _ = lumped_fixture()
+    view = C.ProcessView.from_model(D.build_markov_dilation(spec, K)).lump([0, 1, 1])
+    entries = dict((check, wit) for check, _, wit in assert_matches_reference(view))
+    assert f"(M) n=2: weight identity fails on the pair containing atom {atom}" in entries["canonical-filtration-markov"]
+
+
+def test_markov_sequence_witness_atom_is_mapped_back():
+    spec = D.ChainSpec.from_rows([[0, 0, 1], [0, F(2, 3), F(1, 3)], [F(1, 4), F(1, 2), F(1, 4)]])
+    view = C.ProcessView.from_model(D.build_markov_dilation(spec, 3)).lump([0, 0, 1])
+    first, *_ = assert_matches_reference(view)
+    assert first == ("markov-sequence", False, "n=1, value 0: prediction from the past differs at atom 64")
+
+
+def quotient_law(view):
+    """The quotient's block weights, reindexed by each block's value tuple."""
+    q = view.quotient
+    cells = tuple(q.values)
+    assert len(set(zip(*cells))) == len(q.first)  # one value tuple per block
+    law = np.zeros((view.base.n,) * (view.K + 1), dtype=np.int64)
+    law[cells] = q.weights
+    return law
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_quotient_weights_are_the_joint_law(fixture):
+    spec = D.ChainSpec.from_dict(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    K = 4
+    view = C.ProcessView.from_model(D.build_markov_dilation(spec, K))
+    for v in [view] + [view.lump(f) for f in two_block_lumps(spec.d)]:
+        num, den = D.joint_law(v.rep, v.value_map, v.base.n, range(K + 1), K)
+        assert den == v.rep.gspace.level_denominator(K)
+        assert np.array_equal(quotient_law(v), num)
+
+
+def test_markov_checks_canonicalize_level_k_at_most_k_plus_1_times(monkeypatch):
+    """On the coin at K = 8 only the K + 1 steps that build A_[0,K] read
+    level-K arrays; every other partition is built on the quotient."""
+    K = 8
+    view = paper_view(K)
+    size = view.rep.gspace.level_size(K)
+    calls = 0
+    orig = kern.canonicalize
+
+    def counting(labels):
+        nonlocal calls
+        calls += len(labels) == size
+        return orig(labels)
+
+    monkeypatch.setattr(kern, "canonicalize", counting)
+    assert C.markov_sequence_check(view).passed
+    assert calls <= K + 1
 
 
 # -- pyramidal correlations -------------------------------------------------------
@@ -235,11 +374,10 @@ def test_ps_implies_stationary_and_adapted():
     view = paper_view(3)
     assert C.partial_spreadability_check(view).passed
     filt = R.filtration_from_rep(view.rep, 3)
-    level = 3
     for m in range(4):
         for n in range(m, 4):
             # A_[m,n] ⊂ M^rho_[m,n]: the canonical algebra is the smaller one
-            a_part = view.interval_partition(m, n, level)
+            a_part = view.interval_partition(m, n)
             assert a_part.coarsens(filt.partitions[(m, n)]), (m, n)
     h = C.hierarchy_check(view)
     assert h.stationary
@@ -321,8 +459,8 @@ def test_lumped_filtration_is_coarser():
     lumped = view.lump([0, 0])
     for m in range(4):
         for n in range(m, 4):
-            a = lumped.interval_partition(m, n, 3)
-            b = view.interval_partition(m, n, 3)
+            a = lumped.interval_partition(m, n)
+            b = view.interval_partition(m, n)
             assert a.coarsens(b), (m, n)
 
 

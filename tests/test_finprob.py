@@ -490,7 +490,7 @@ def test_minimality_matches_reference_on_canonical_families(seed):
     view = ProcessView.from_model(model)
 
     def family(m, n):
-        return view.interval_partition(m, n, K)
+        return view.interval_partition(m, n)
 
     rep = local_filtration_markov_check(family, K, model.gspace.level_weights(K))
     assert rep.locally_minimal == all_ordered_pairs_minimal(family, K)
