@@ -195,18 +195,20 @@ class ProcessView:
 # ---------------------------------------------------------------------------
 
 
-def partial_spreadability_check(view: ProcessView, horizon=None) -> VerificationReport:
+def partial_spreadability_check(view: ProcessView, horizon=None, relations=None) -> VerificationReport:
     """Localization (L): alpha_n iota_0 = iota_0 for n >= 1, as an exact
     pullback identity.  Stationarity (S), iota_n = alpha_0^n iota_0, is how
     ProcessView.x_table defines iota_n, so it holds by construction.
 
     The definition quantifies over genuine monoid representations, so the
     represented relations are re-verified as a premise; a corrupted noise
-    map fails here even when it still preserves the state.
+    map fails here even when it still preserves the state.  A caller that
+    has already decided them at this horizon passes their (ok, witness) as
+    `relations`.
     """
     rep, K = view.rep, view.K if horizon is None else horizon
     report = VerificationReport()
-    ok, wit = monoid_relations_check(rep, K)
+    ok, wit = monoid_relations_check(rep, K) if relations is None else relations
     report.add("representation-premise", "the maps alpha_n satisfy the monoid relations", ok, wit)
     level = K - 1
     x0 = view.x_table(0, level)
@@ -223,10 +225,11 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
     return report
 
 
-def maximal_ps_check(view: ProcessView) -> VerificationReport:
+def maximal_ps_check(view: ProcessView, relations=None) -> VerificationReport:
     """Maximality: the range of iota_0 is the whole intersected fixed-point
-    algebra M_0 = ∩_{k>=1} fix(alpha_k)."""
-    report = partial_spreadability_check(view)
+    algebra M_0 = ∩_{k>=1} fix(alpha_k).  `relations` is passed on to
+    partial_spreadability_check."""
+    report = partial_spreadability_check(view, relations=relations)
     range_part = Partition(view.x_table(0, view.K))
     m0 = view.rep.intersected_fixed_points(0, view.K)
     ok = range_part == m0
@@ -520,11 +523,11 @@ def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationRep
         model.measure_preservation_check(),
     )
 
-    ok, wit = monoid_relations_check(model.rep, K)
-    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", ok, wit)
+    relations = monoid_relations_check(model.rep, K)
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *relations)
 
     view = ProcessView.from_model(model)
-    report.extend(maximal_ps_check(view))
+    report.extend(maximal_ps_check(view, relations))
     report.extend(markov_sequence_check(view))
 
     dil = add_dilation_entries(report, model)

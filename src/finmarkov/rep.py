@@ -410,7 +410,14 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
     """Verify that every cell (M_{m+k} ⊃ alpha_0^k(M_m); M_{n+k} ⊃
     alpha_0^k(M_n)) in the shifted tower is a commuting square, plus the
     intersection identities M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).
-    Generation by the M_n holds by construction (M_L is discrete at level L)."""
+    Generation by the M_n holds by construction (M_L is discrete at level L).
+
+    The three algebras of cell (m, n, k) lie inside Q = M_{n+k}, so the four
+    commuting-square conditions hold on all functions iff they hold on the
+    quotient whose points are the blocks of Q, weighted by block mass; each
+    cell is decided there.  The containment is tested on every cell with a
+    Q that is not discrete, and a cell where it fails is decided on the
+    atoms.  The intersections keep their atom-level meets."""
     level = rep.gspace.K - 1
     wnum = rep.gspace.level_weights(level)
     cells = {}
@@ -418,6 +425,13 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
     intersections = {}
     towers = {t: rep.intersected_fixed_points(t, level) for t in range(level + 1)}
     shifted: dict[tuple[int, int], Partition] = {}
+    # the first atom and the weight of each block of every M_s that is not
+    # discrete; a discrete M_s is the atoms themselves
+    quotients = {
+        s: (_first_occurrence(q.labels, q.nblocks), kern.group_sum(q.labels, wnum, q.nblocks))
+        for s, q in towers.items()
+        if q.nblocks < q.n
+    }
 
     def alpha_shift(t: int, k: int) -> Partition:
         if (t, k) not in shifted:
@@ -425,15 +439,30 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
             shifted[(t, k)] = rep.shifted_partition(low, k, level)
         return shifted[(t, k)]
 
+    def on_blocks(parts, s: int):
+        """The weights and partitions a cell inside M_s is decided on: the
+        blocks of M_s when every part is constant on them, else the atoms.
+        M_s's blocks are numbered in first-atom order, so canonical labels
+        constant on them stay canonical when read at the first atoms."""
+        if s not in quotients:
+            return wnum, parts
+        first, weights = quotients[s]
+        restricted = []
+        for part in parts:
+            labels = part.labels[first]
+            if not np.array_equal(part.labels, labels[towers[s].labels]):
+                return wnum, parts
+            restricted.append(Partition._from_canonical(labels, part.nblocks))
+        return weights, restricted
+
     for m in range(level + 1):
         for n in range(m + 1, level + 1):
             for k in range(1, level + 1):
                 if n + k > level:
                     continue
-                p0 = alpha_shift(m, k)
-                p1 = towers[m + k]
-                p2 = alpha_shift(n, k)
-                report = commuting_square_check(wnum, p0, p1, p2)
+                parts = (alpha_shift(m, k), towers[m + k], alpha_shift(n, k))
+                weights, parts = on_blocks(parts, n + k)
+                report = commuting_square_check(weights, *parts)
                 cells[(m, n, k)] = report.is_commuting_square
                 agree = agree and report.all_agree
 

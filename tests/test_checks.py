@@ -472,12 +472,14 @@ def test_lump_process_function_form():
 
 
 def test_definetti_suite_decides_each_model_identity_once(monkeypatch):
-    # measure preservation and the n = 1 power are decided once each; the
-    # range projection is dilate's entry and the suite does not read it
-    calls = {"measure": 0, "power1": 0, "masses": 0}
+    # measure preservation, the n = 1 power and the monoid relations are
+    # decided once each; the range projection is dilate's entry and the
+    # suite does not read it
+    calls = {"measure": 0, "power1": 0, "masses": 0, "relations": 0}
     orig_measure = D.ProcessModel.measure_preservation_check
     orig_power = D.ProcessModel.compressed_power
     orig_masses = D.ProcessModel.first_coordinate_masses_check
+    orig_relations = C.monoid_relations_check
 
     def measure(self):
         calls["measure"] += 1
@@ -491,8 +493,13 @@ def test_definetti_suite_decides_each_model_identity_once(monkeypatch):
         calls["masses"] += 1
         return orig_masses(self)
 
+    def relations(*args):
+        calls["relations"] += 1
+        return orig_relations(*args)
+
     monkeypatch.setattr(D.ProcessModel, "measure_preservation_check", measure)
     monkeypatch.setattr(D.ProcessModel, "compressed_power", power)
     monkeypatch.setattr(D.ProcessModel, "first_coordinate_masses_check", masses)
+    monkeypatch.setattr(C, "monoid_relations_check", relations)
     assert C.definetti_suite(PAPER, 5).passed
-    assert calls == {"measure": 1, "power1": 1, "masses": 0}
+    assert calls == {"measure": 1, "power1": 1, "masses": 0, "relations": 1}

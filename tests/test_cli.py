@@ -374,6 +374,43 @@ def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
     assert calls <= 120
 
 
+def test_tower_cells_read_the_quotient_by_m_n_plus_k(monkeypatch, capsys):
+    """At depth 9 each of the 84 cells is decided on the blocks of M_{n+k}
+    at level 8: 487,152 points in all, against 84 * 13,122 = 1,102,248
+    atoms.  Only the 28 cells with n + k = 8, where M_8 is discrete, read
+    every atom."""
+    sizes = []
+    orig = rep.commuting_square_check
+
+    def recorded(wnum, p0, p1, p2):
+        sizes.append(p1.n)
+        return orig(wnum, p0, p1, p2)
+
+    monkeypatch.setattr(rep, "commuting_square_check", recorded)
+    code, _, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
+    assert code == 0
+    assert len(sizes) == 84
+    assert sum(sizes) <= 487_152
+
+
+def test_verify_all_decides_monoid_relations_once_per_horizon(monkeypatch, capsys):
+    """The definetti suite decides the relations once for its
+    monoid-relations and representation-premise entries; the hierarchy
+    decides them again at its own horizon."""
+    calls = 0
+    orig = checks.monoid_relations_check
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return orig(*args)
+
+    monkeypatch.setattr(checks, "monoid_relations_check", counted)
+    code, _, _ = run(["verify", COIN, "--depth", "4", "--suite", "all"], capsys)
+    assert code == 0
+    assert calls <= 2
+
+
 def test_int64_overflow_refused_before_work_exit_2(monkeypatch, capsys, tmp_path):
     """Level-3 weights of this chain exceed int64: verify and lump refuse it
     before their first check, with one error line and exit 2."""

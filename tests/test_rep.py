@@ -472,6 +472,150 @@ def test_tower_random_chains(seed):
     assert report.passed and report.cells_agree
 
 
+def reference_triangular_tower_check(rep):
+    """The tower check as it was before cells were decided on the quotient
+    by M_{n+k}: every cell on all atoms of level K-1."""
+    level = rep.gspace.K - 1
+    wnum = rep.gspace.level_weights(level)
+    cells = {}
+    agree = True
+    intersections = {}
+    towers = {t: rep.intersected_fixed_points(t, level) for t in range(level + 1)}
+    shifted = {}
+
+    def alpha_shift(t, k):
+        if (t, k) not in shifted:
+            low = rep.intersected_fixed_points(t, level - k)
+            shifted[(t, k)] = rep.shifted_partition(low, k, level)
+        return shifted[(t, k)]
+
+    for m in range(level + 1):
+        for n in range(m + 1, level + 1):
+            for k in range(1, level + 1):
+                if n + k > level:
+                    continue
+                report = commuting_square_check(wnum, alpha_shift(m, k), towers[m + k], alpha_shift(n, k))
+                cells[(m, n, k)] = report.is_commuting_square
+                agree = agree and report.all_agree
+
+    for n in range(level):
+        lhs = towers[n + 1].meet(alpha_shift(n + 1, 1))
+        intersections[n] = lhs == alpha_shift(n, 1)
+    return R.TowerReport(cells, agree, intersections)
+
+
+def tower_cells(level):
+    return [
+        (m, n, k)
+        for m in range(level + 1)
+        for n in range(m + 1, level + 1)
+        for k in range(1, level + 1)
+        if n + k <= level
+    ]
+
+
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(3, 6))
+@settings(max_examples=15, deadline=None)
+def test_tower_matches_atom_level_reference(seed, d, K):
+    spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
+    model = D.build_markov_dilation(spec, K)
+    assert R.triangular_tower_check(model.rep) == reference_triangular_tower_check(model.rep)
+
+
+def tower_or_refusal(check, rep):
+    try:
+        return check(rep)
+    except ValueError as exc:
+        return str(exc)
+
+
+def transposed_eta_rep(spec, K, n, m, i, j):
+    """The model's rep with entries i and j of eta(n, m) swapped; some of
+    its tower cells fail, or a cell is refused as not nested."""
+    rep = D.build_markov_dilation(spec, K).rep
+    table = rep.eta(n, m)
+    table[i], table[j] = table[j], table[i]
+    return rep
+
+
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(4, 5), st.data())
+@settings(max_examples=25, deadline=None)
+def test_tower_matches_atom_level_reference_on_corrupted_eta(seed, d, K, data):
+    spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
+    n = data.draw(st.integers(0, K - 1))
+    m = data.draw(st.integers(0, K - 2))
+    size = D.build_markov_dilation(spec, K).rep.gspace.level_size(m + 1)
+    i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    got = tower_or_refusal(R.triangular_tower_check, transposed_eta_rep(spec, K, n, m, i, j))
+    want = tower_or_refusal(reference_triangular_tower_check, transposed_eta_rep(spec, K, n, m, i, j))
+    assert got == want
+
+
+def weight_sensitive_tower_rep():
+    """The paper rep at K=4 with its towers replaced.  At level 3, with
+    atoms (a, c0, c1, c2) and noise weights (1/4, 1/4, 1/2): M_1 = {S, not
+    S}, where S holds c1 < 2 where c2 = 2 and c1 = 2 elsewhere; alpha_0(M_1)
+    = {c2 = 2, c2 < 2}; M_2 is their join.  S has half the mass on either
+    side of c2 but a third of the atoms on one and two thirds on the other."""
+    rep = paper_rep(4)
+    ids3 = np.arange(rep.gspace.level_size(3))
+    ids2 = np.arange(rep.gspace.level_size(2))
+    c1, c2 = ids3 // 3 % 3, ids3 % 3
+    s = np.where(c2 == 2, c1 < 2, c1 == 2)
+    rep._tower_cache = {
+        3: [Partition.discrete(54), Partition(2 * s + (c2 == 2)), Partition(s), Partition.trivial(54)],
+        2: [Partition.discrete(18), Partition(ids2 % 3 == 2), Partition.trivial(18)],
+        1: [Partition.discrete(6), Partition.trivial(6)],
+    }
+    return rep
+
+
+def test_tower_cell_verdict_reads_the_block_weights():
+    """Cell (0, 1, 1) lies inside M_2, is decided on its four blocks and
+    commutes: M_1 and alpha_0(M_1) are independent under the state.  Under
+    the atom counts of the blocks they would not be."""
+    rep = weight_sensitive_tower_rep()
+    report = R.triangular_tower_check(rep)
+    assert report == reference_triangular_tower_check(weight_sensitive_tower_rep())
+    assert report.cells[(0, 1, 1)] and report.cells_agree
+    assert rep.intersected_fixed_points(2, 3).nblocks == 4
+
+
+@pytest.mark.parametrize("K", [4, 5, 6])
+def test_tower_matches_atom_level_reference_on_splus(K):
+    rep = splus_rep(K)
+    assert R.triangular_tower_check(rep) == reference_triangular_tower_check(rep)
+
+
+@pytest.mark.parametrize("K", [4, 5, 6])
+def test_tower_falls_back_to_atoms_where_containment_fails(K, monkeypatch):
+    """The scrambled fixed-point partitions are not nested, so some cell's
+    algebras do not lie inside M_{n+k}; that cell is decided on the atoms,
+    and both checks refuse the same non-nested cell alike."""
+    with pytest.raises(ValueError) as want:
+        reference_triangular_tower_check(scrambled_rep(K))
+    rep = scrambled_rep(K)
+    sizes = []
+    orig = R.commuting_square_check
+
+    def recorded(wnum, *parts):
+        sizes.append(len(wnum))
+        return orig(wnum, *parts)
+
+    monkeypatch.setattr(R, "commuting_square_check", recorded)
+    with pytest.raises(ValueError) as got:
+        R.triangular_tower_check(rep)
+    assert str(got.value) == str(want.value)
+    level = K - 1
+    atoms = rep.gspace.level_size(level)
+    fallbacks = [
+        (m, n, k)
+        for (m, n, k), size in zip(tower_cells(level), sizes)
+        if size == atoms and rep.intersected_fixed_points(n + k, level).nblocks < atoms
+    ]
+    assert fallbacks
+
+
 # -- filtrations ---------------------------------------------------------------------
 
 
