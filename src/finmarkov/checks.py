@@ -386,10 +386,12 @@ class HierarchyReport:
         return True
 
 
-def hierarchy_check(view: ProcessView, horizon=None) -> HierarchyReport:
+def hierarchy_check(view: ProcessView, horizon=None, relations=None) -> HierarchyReport:
     """Decide stationarity, spreadability and exchangeability exactly on the
     finite-horizon path law, and record the strictness witnesses.  Every
-    decision reads level `horizon` (default view.K) of the model."""
+    decision reads level `horizon` (default view.K) of the model.  The
+    monoid relations decided at the model's horizon may be passed as
+    `relations`; they are read only when `horizon` is that horizon."""
     K = view.K if horizon is None else horizon
     if K > 6:
         raise ValueError("hierarchy enumeration is desk-scale: horizon <= 6")
@@ -445,7 +447,7 @@ def hierarchy_check(view: ProcessView, horizon=None) -> HierarchyReport:
             True, verdict("exchangeability", exchangeable))
 
     # the joint law above already read level K, the deepest level this reads
-    ps = partial_spreadability_check(view, K).passed
+    ps = partial_spreadability_check(view, K, relations if K == view.K else None).passed
     rep.add("partially-spreadable", "representation premise and localization of iota_0",
             True, "yes" if ps else "no")
     hr = HierarchyReport(stationary, spreadable, exchangeable, ps, witnesses, rep)
@@ -509,10 +511,12 @@ def definetti_suite(spec: ChainSpec, horizon: int, budget: int = 2_000_000) -> V
     return definetti_checks(model, triangular_tower_check(model.rep))
 
 
-def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationReport:
+def definetti_checks(model: ProcessModel, tower: TowerReport, relations=None) -> VerificationReport:
     """The de Finetti suite's checks on a built model, reading the tower
-    verdicts from its triangular_tower_check report.  Below horizon 3 the
-    tower has no cell, so the model is refused."""
+    verdicts from its triangular_tower_check report.  A caller that has
+    already decided the monoid relations at the model's horizon passes
+    their (ok, witness) as `relations`.  Below horizon 3 the tower has no
+    cell, so the model is refused."""
     K = model.K
     if K < 3:
         raise ValueError(f"the de Finetti suite needs horizon >= 3; got {K}")
@@ -523,7 +527,8 @@ def definetti_checks(model: ProcessModel, tower: TowerReport) -> VerificationRep
         model.measure_preservation_check(),
     )
 
-    relations = monoid_relations_check(model.rep, K)
+    if relations is None:
+        relations = monoid_relations_check(model.rep, K)
     report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *relations)
 
     view = ProcessView.from_model(model)

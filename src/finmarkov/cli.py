@@ -175,8 +175,9 @@ def cmd_lump(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Build one model and at most one tower report, shared by every
-    requested suite; the hierarchy reads its capped horizon off that model."""
+    """Build one model, at most one tower report and at most one decision
+    of the monoid relations, shared by every requested suite; the hierarchy
+    reads its capped horizon off that model."""
     suites = ("definetti", "tower", "hierarchy") if args.suite == "all" else (args.suite,)
     # below depth 3 the tower has no cell; below depth 2 spreadability
     # compares no two marginals
@@ -187,11 +188,12 @@ def cmd_verify(args) -> int:
     if "definetti" in suites:
         _require_levels(model.gspace, K)
     report = chk.VerificationReport()
-    tower = None
+    tower = relations = None
     if "definetti" in suites or "tower" in suites:
         tower = rp.triangular_tower_check(model.rep)
     if "definetti" in suites:
-        report.extend(chk.definetti_checks(model, tower))
+        relations = chk.monoid_relations_check(model.rep, K)
+        report.extend(chk.definetti_checks(model, tower, relations))
     if "tower" in suites:
         for (m, n, k), ok in sorted(tower.cells.items()):
             report.add(
@@ -212,7 +214,7 @@ def cmd_verify(args) -> int:
             )
     if "hierarchy" in suites:
         view = chk.ProcessView.from_model(model)
-        report.extend(chk.hierarchy_check(view, min(args.depth, 5)).report)
+        report.extend(chk.hierarchy_check(view, min(args.depth, 5), relations).report)
     return _emit(report, args)
 
 

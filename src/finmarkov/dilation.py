@@ -58,10 +58,14 @@ class ChainSpec:
 
     @staticmethod
     def from_rows(rows, pi=None) -> "ChainSpec":
+        """The chain on the given rows.  Its stationary state is always
+        solved for, so a chain whose stationary state is not unique is
+        refused even when `pi` is given; a given `pi` must equal it."""
         rows = tuple(tuple(parse_rational(x) for x in r) for r in rows)
-        if pi is None:
-            pi = stationary_distribution(rows)
-        space = FinSpace(tuple(parse_rational(p) for p in pi))
+        solved = stationary_distribution(rows)
+        if pi is not None and tuple(parse_rational(p) for p in pi) != solved:
+            raise ValueError("given pi is not the stationary distribution of T")
+        space = FinSpace(solved)
         return ChainSpec(MarkovKernel(rows, space, space))
 
     @staticmethod

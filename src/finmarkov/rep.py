@@ -406,32 +406,48 @@ class TowerReport:
         )
 
 
+def _head_factor(part: Partition, nc: int, level: int, h: int, s: int) -> Partition | None:
+    """The partition q of the head (a, c_1 … c_h) with part = q × (the
+    discrete partition of c_{h+1} … c_s) on the given level, constant
+    beyond c_s; None where part does not factor so.  Reshapes and compares
+    test it, and only the head-sized column is canonicalized."""
+    cube = part.labels.reshape(-1, nc ** (s - h), nc ** (level - s))
+    if not np.array_equal(cube, np.broadcast_to(cube[:, :, :1], cube.shape)):
+        return None
+    grid = cube[:, :, 0]
+    q = Partition(grid[:, 0])
+    if part.nblocks != q.nblocks * grid.shape[1]:
+        return None
+    first = _first_occurrence(q.labels, q.nblocks)
+    return q if np.array_equal(grid, grid[first][q.labels]) else None
+
+
 def triangular_tower_check(rep: PointRep) -> TowerReport:
     """Verify that every cell (M_{m+k} ⊃ alpha_0^k(M_m); M_{n+k} ⊃
     alpha_0^k(M_n)) in the shifted tower is a commuting square, plus the
     intersection identities M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).
     Generation by the M_n holds by construction (M_L is discrete at level L).
 
-    The three algebras of cell (m, n, k) lie inside Q = M_{n+k}, so the four
-    commuting-square conditions hold on all functions iff they hold on the
-    quotient whose points are the blocks of Q, weighted by block mass; each
-    cell is decided there.  The containment is tested on every cell with a
-    Q that is not discrete, and a cell where it fails is decided on the
-    atoms.  The intersections keep their atom-level meets."""
-    level = rep.gspace.K - 1
-    wnum = rep.gspace.level_weights(level)
+    Each cell (m, n, k) is decided on its head coordinates (a, c_1 … c_h),
+    h = m + k, with the weights of level h.  The level-L weights are the
+    product of the head weights and the noise weights of the tail slots, so
+    when p0 = alpha_0^k(M_m) and p1 = M_{m+k} are constant along the tail
+    and p2 = alpha_0^k(M_n) is q2 × (the discrete partition of c_{h+1} …
+    c_{n+k}), constant beyond c_{n+k}, each of the four commuting-square
+    conditions on the level is its condition on (p0, p1, q2) over the head,
+    scaled by the same tail factor.  These tail tests are reshapes and
+    compares of the level labels and run on every cell; a cell that fails
+    one is decided on the atoms.  The intersections keep their atom-level
+    meets."""
+    g = rep.gspace
+    level = g.K - 1
+    wnum = g.level_weights(level)
     cells = {}
     agree = True
     intersections = {}
     towers = {t: rep.intersected_fixed_points(t, level) for t in range(level + 1)}
     shifted: dict[tuple[int, int], Partition] = {}
-    # the first atom and the weight of each block of every M_s that is not
-    # discrete; a discrete M_s is the atoms themselves
-    quotients = {
-        s: (_first_occurrence(q.labels, q.nblocks), kern.group_sum(q.labels, wnum, q.nblocks))
-        for s, q in towers.items()
-        if q.nblocks < q.n
-    }
+    heads: dict[tuple[int, int, int, int], Partition | None] = {}
 
     def alpha_shift(t: int, k: int) -> Partition:
         if (t, k) not in shifted:
@@ -439,30 +455,25 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
             shifted[(t, k)] = rep.shifted_partition(low, k, level)
         return shifted[(t, k)]
 
-    def on_blocks(parts, s: int):
-        """The weights and partitions a cell inside M_s is decided on: the
-        blocks of M_s when every part is constant on them, else the atoms.
-        M_s's blocks are numbered in first-atom order, so canonical labels
-        constant on them stay canonical when read at the first atoms."""
-        if s not in quotients:
-            return wnum, parts
-        first, weights = quotients[s]
-        restricted = []
-        for part in parts:
-            labels = part.labels[first]
-            if not np.array_equal(part.labels, labels[towers[s].labels]):
-                return wnum, parts
-            restricted.append(Partition._from_canonical(labels, part.nblocks))
-        return weights, restricted
+    def on_head(t: int, k: int, h: int, s: int) -> Partition | None:
+        """alpha_0^k(M_t), or M_t for k = 0, factored as in _head_factor."""
+        if (t, k, h, s) not in heads:
+            part = alpha_shift(t, k) if k else towers[t]
+            heads[(t, k, h, s)] = _head_factor(part, g.nc, level, h, s)
+        return heads[(t, k, h, s)]
 
     for m in range(level + 1):
         for n in range(m + 1, level + 1):
             for k in range(1, level + 1):
                 if n + k > level:
                     continue
-                parts = (alpha_shift(m, k), towers[m + k], alpha_shift(n, k))
-                weights, parts = on_blocks(parts, n + k)
-                report = commuting_square_check(weights, *parts)
+                h = m + k
+                on_heads = (on_head(m, k, h, h), on_head(h, 0, h, h), on_head(n, k, h, n + k))
+                if all(q is not None for q in on_heads):
+                    report = commuting_square_check(g.level_weights(h), *on_heads)
+                else:
+                    parts = (alpha_shift(m, k), towers[h], alpha_shift(n, k))
+                    report = commuting_square_check(wnum, *parts)
                 cells[(m, n, k)] = report.is_commuting_square
                 agree = agree and report.all_agree
 

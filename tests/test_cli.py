@@ -374,41 +374,92 @@ def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
     assert calls <= 120
 
 
-def test_tower_cells_read_the_quotient_by_m_n_plus_k(monkeypatch, capsys):
-    """At depth 9 each of the 84 cells is decided on the blocks of M_{n+k}
-    at level 8: 487,152 points in all, against 84 * 13,122 = 1,102,248
-    atoms.  Only the 28 cells with n + k = 8, where M_8 is discrete, read
-    every atom."""
-    sizes = []
-    orig = rep.commuting_square_check
+def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
+    """At depth 9 each of the 84 cells (m, n, k) is decided on the 2·9^{m+k}
+    points of its head at level 8: 59,064 points in all, against 487,152
+    on the blocks of M_{n+k} and 84 * 13,122 = 1,102,248 atoms.  No
+    decision canonicalizes a full level."""
+    sizes, canon = [], []
+    orig_check, orig_canon = rep.commuting_square_check, kern.canonicalize
+    deciding = False
 
     def recorded(wnum, p0, p1, p2):
+        nonlocal deciding
         sizes.append(p1.n)
-        return orig(wnum, p0, p1, p2)
+        deciding = True
+        try:
+            return orig_check(wnum, p0, p1, p2)
+        finally:
+            deciding = False
+
+    def canonicalize(labels):
+        if deciding:
+            canon.append(len(labels))
+        return orig_canon(labels)
 
     monkeypatch.setattr(rep, "commuting_square_check", recorded)
+    monkeypatch.setattr(kern, "canonicalize", canonicalize)
     code, _, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
     assert code == 0
     assert len(sizes) == 84
-    assert sum(sizes) <= 487_152
+    assert sum(sizes) <= 59_064
+    assert canon and max(canon) < 13_122
+
+
+def count_relation_decisions(monkeypatch):
+    """Count monoid_relations_check calls through every finmarkov module
+    that holds it."""
+    calls = []
+    orig = rep.monoid_relations_check
+
+    def counted(*args):
+        calls.append(args[1])
+        return orig(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "finmarkov" and getattr(mod, "monoid_relations_check", None) is orig:
+            monkeypatch.setattr(mod, "monoid_relations_check", counted)
+    return calls
 
 
 def test_verify_all_decides_monoid_relations_once_per_horizon(monkeypatch, capsys):
-    """The definetti suite decides the relations once for its
-    monoid-relations and representation-premise entries; the hierarchy
-    decides them again at its own horizon."""
-    calls = 0
-    orig = checks.monoid_relations_check
+    """verify --suite all decides the relations once at the model's horizon
+    for the monoid-relations, representation-premise and hierarchy entries;
+    the hierarchy decides them again only at its own capped horizon 5."""
+    for depth, horizons in (("4", [4]), ("6", [6, 5])):
+        calls = count_relation_decisions(monkeypatch)
+        code, _, _ = run(["verify", COIN, "--depth", depth, "--suite", "all"], capsys)
+        assert code == 0
+        assert calls == horizons, depth
+        monkeypatch.undo()
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return orig(*args)
 
-    monkeypatch.setattr(checks, "monoid_relations_check", counted)
-    code, _, _ = run(["verify", COIN, "--depth", "4", "--suite", "all"], capsys)
-    assert code == 0
-    assert calls <= 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--depth", "3", "--suite", "all"],
+        ["lump", "--map", "0,1", "--depth", "3"],
+        ["rep-check", "--depth", "3"],
+    ],
+)
+def test_reducible_chain_with_given_pi_refused_exit_2(argv, capsys, tmp_path):
+    """The identity chain has every state stationary; a given "pi" does not
+    make it unique, so the spec is refused at load with one error line."""
+    spec = tmp_path / "reducible.json"
+    spec.write_text(json.dumps({"d": 2, "T": [["1", "0"], ["0", "1"]], "pi": ["1/2", "1/2"]}))
+    code, out, err = run(argv[:1] + [str(spec)] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bad chain spec {spec}: stationary distribution is not unique\n"
+
+
+def test_given_pi_must_be_the_stationary_distribution(capsys, tmp_path):
+    spec = tmp_path / "coin.json"
+    spec.write_text(json.dumps({"d": 2, "T": [["1/2", "1/2"], ["1/4", "3/4"]], "pi": ["1/3", "2/3"]}))
+    assert run(["stationary", str(spec)], capsys) == (0, "1/3 2/3\n", "")
+    spec.write_text(json.dumps({"d": 2, "T": [["1/2", "1/2"], ["1/4", "3/4"]], "pi": ["1/2", "1/2"]}))
+    code, out, err = run(["stationary", str(spec)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bad chain spec {spec}: given pi is not the stationary distribution of T\n"
 
 
 def test_int64_overflow_refused_before_work_exit_2(monkeypatch, capsys, tmp_path):

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from finmarkov.finprob import (
 )
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PAPER = D.ChainSpec.coin(F(1, 2), F(1, 4))
 
 
@@ -473,8 +476,8 @@ def test_tower_random_chains(seed):
 
 
 def reference_triangular_tower_check(rep):
-    """The tower check as it was before cells were decided on the quotient
-    by M_{n+k}: every cell on all atoms of level K-1."""
+    """The tower check with no reduction: every cell on all atoms of level
+    K-1."""
     level = rep.gspace.K - 1
     wnum = rep.gspace.level_weights(level)
     cells = {}
@@ -514,6 +517,32 @@ def tower_cells(level):
     ]
 
 
+def record_cell_sizes(monkeypatch):
+    """Record the points each tower cell hands to commuting_square_check."""
+    sizes = []
+    orig = R.commuting_square_check
+
+    def recorded(wnum, p0, p1, p2):
+        sizes.append(p1.n)
+        return orig(wnum, p0, p1, p2)
+
+    monkeypatch.setattr(R, "commuting_square_check", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_level_weights_are_head_weights_times_the_tail(fixture):
+    """The premise the tower's head reduction reads: the level-L weights
+    summed over the tail slots c_{h+1} … c_L are the level-h weights times
+    noise_den^(L-h), for every head length h <= L."""
+    spec = D.ChainSpec.from_dict(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    g = D.build_markov_dilation(spec, 6).gspace
+    L = 6
+    for h in range(L + 1):
+        tails = g.level_weights(L).reshape(g.d * g.nc**h, -1).sum(1)
+        assert np.array_equal(tails, g.level_weights(h) * g.noise_den ** (L - h)), h
+
+
 @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(3, 6))
 @settings(max_examples=15, deadline=None)
 def test_tower_matches_atom_level_reference(seed, d, K):
@@ -551,6 +580,30 @@ def test_tower_matches_atom_level_reference_on_corrupted_eta(seed, d, K, data):
     assert got == want
 
 
+def test_tower_matches_atom_level_reference_on_seeded_eta_swaps(monkeypatch):
+    """Forty seeded swaps of two eta entries: every report or refusal equals
+    the atom-level reference's, some reports fail, and some cells fail a
+    tail test and are decided on the atoms."""
+    rng = random.Random(0)
+    sizes = record_cell_sizes(monkeypatch)
+    fallbacks = failures = 0
+    for trial in range(40):
+        spec = D.random_irreducible_chain(rng, rng.choice([2, 3]), max_den=4)
+        K = rng.choice([4, 5])
+        n, m = rng.randrange(K), rng.randrange(K - 1)
+        size = D.build_markov_dilation(spec, K).rep.gspace.level_size(m + 1)
+        i, j = rng.randrange(size), rng.randrange(size)
+        rep = transposed_eta_rep(spec, K, n, m, i, j)
+        sizes.clear()
+        got = tower_or_refusal(R.triangular_tower_check, rep)
+        want = tower_or_refusal(reference_triangular_tower_check, transposed_eta_rep(spec, K, n, m, i, j))
+        assert got == want, trial
+        failures += not isinstance(got, str) and not got.passed
+        if rep.gspace.nc > 1:  # with one noise atom every head is the level
+            fallbacks += sizes.count(rep.gspace.level_size(K - 1))
+    assert failures and fallbacks
+
+
 def weight_sensitive_tower_rep():
     """The paper rep at K=4 with its towers replaced.  At level 3, with
     atoms (a, c0, c1, c2) and noise weights (1/4, 1/4, 1/2): M_1 = {S, not
@@ -571,9 +624,10 @@ def weight_sensitive_tower_rep():
 
 
 def test_tower_cell_verdict_reads_the_block_weights():
-    """Cell (0, 1, 1) lies inside M_2, is decided on its four blocks and
-    commutes: M_1 and alpha_0(M_1) are independent under the state.  Under
-    the atom counts of the blocks they would not be."""
+    """Cell (0, 1, 1) lies inside M_2, which has four blocks, and commutes:
+    M_1 and alpha_0(M_1) are independent under the state.  Under the atom
+    counts of the blocks they would not be.  M_1 reads c2, beyond the
+    cell's head (a, c0), so the cell is decided on the atoms."""
     rep = weight_sensitive_tower_rep()
     report = R.triangular_tower_check(rep)
     assert report == reference_triangular_tower_check(weight_sensitive_tower_rep())
@@ -589,20 +643,14 @@ def test_tower_matches_atom_level_reference_on_splus(K):
 
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_tower_falls_back_to_atoms_where_containment_fails(K, monkeypatch):
-    """The scrambled fixed-point partitions are not nested, so some cell's
-    algebras do not lie inside M_{n+k}; that cell is decided on the atoms,
-    and both checks refuse the same non-nested cell alike."""
+    """The scrambled fixed-point partitions read the atom index mod 6, so
+    they vary along the last slot of every tail; such a cell is decided on
+    all atoms of the level although its head and M_{n+k} are smaller, and
+    both checks refuse the same non-nested cell alike."""
     with pytest.raises(ValueError) as want:
         reference_triangular_tower_check(scrambled_rep(K))
     rep = scrambled_rep(K)
-    sizes = []
-    orig = R.commuting_square_check
-
-    def recorded(wnum, *parts):
-        sizes.append(len(wnum))
-        return orig(wnum, *parts)
-
-    monkeypatch.setattr(R, "commuting_square_check", recorded)
+    sizes = record_cell_sizes(monkeypatch)
     with pytest.raises(ValueError) as got:
         R.triangular_tower_check(rep)
     assert str(got.value) == str(want.value)
@@ -611,9 +659,89 @@ def test_tower_falls_back_to_atoms_where_containment_fails(K, monkeypatch):
     fallbacks = [
         (m, n, k)
         for (m, n, k), size in zip(tower_cells(level), sizes)
-        if size == atoms and rep.intersected_fixed_points(n + k, level).nblocks < atoms
+        if size == atoms
+        and rep.gspace.level_size(m + k) < atoms
+        and rep.intersected_fixed_points(n + k, level).nblocks < atoms
     ]
     assert fallbacks
+
+
+class TableTowerRep:
+    """Stands in for a PointRep in triangular_tower_check: it hands out
+    given partitions of level 3 (atoms (a, c1, c2, c3), base weights
+    (1/3, 2/3), noise weights (1/4, 1/4, 1/2)), M_t = towers[t] and
+    alpha_0^k(M_t) = shifts[(t, k)], discrete where none is given."""
+
+    def __init__(self, towers, shifts):
+        base, noise = FinSpace.from_rationals(["1/3", "2/3"]), FinSpace.from_rationals(["1/4", "1/4", "1/2"])
+        self.gspace = R.GradedSpace(base, noise, 4)
+        self.towers, self.shifts = towers, shifts
+
+    def part(self, labels):
+        return Partition(labels) if labels is not None else Partition.discrete(54)
+
+    def intersected_fixed_points(self, t, level):
+        # below level 3 only the index is passed on, to shifted_partition
+        return self.part(self.towers.get(t)) if level == 3 else t
+
+    def shifted_partition(self, t, k, level):
+        return self.part(self.shifts.get((t, k)))
+
+
+IDS = np.arange(54)
+HEAD1, C2, C3 = IDS // 9, IDS // 3 % 3, IDS % 3  # HEAD1 = a * 3 + c1, 6 points
+B, R1 = (HEAD1 % 3 == 2).astype(np.int64), (HEAD1 // 3 == 1).astype(np.int64)  # c1 = 2; a = 1
+
+
+def cell_011_rep(p1, p2):
+    """Cell (0, 1, 1) with p0 trivial, p1 = M_1 and p2 = alpha_0(M_1): its
+    head is (a, c1), c2 is the slot p2 pairs with it and c3 lies beyond."""
+    trivial = np.zeros(54, dtype=np.int64)
+    return TableTowerRep({1: p1}, {(0, 1): trivial, (0, 2): trivial, (1, 1): p2})
+
+
+def test_tower_head_cell_reads_the_head_weights(monkeypatch):
+    """p1 = {S, not S} with S = {(a, c1) = (0, 2), (1, 0)} and q2 = {c1 = 2}
+    are independent under the state (S holds a third of the mass on either
+    side of c1 = 2), but not under the head's point counts; p2 = q2 × c2
+    factors, so the cell is decided on its head, where only the weights
+    make it commute."""
+    s = np.isin(HEAD1, [2, 3]).astype(np.int64)
+    rep = cell_011_rep(s, B * 3 + C2)
+    sizes = record_cell_sizes(monkeypatch)
+    report = R.triangular_tower_check(rep)
+    assert report == reference_triangular_tower_check(rep)
+    assert report.cells[(0, 1, 1)] and report.cells_agree and sizes[0] == 6
+
+
+
+@pytest.mark.parametrize(
+    "p1, p2, commutes",
+    [
+        # p1 reads c3 with its own labels: the head sees a = 1 against c1 = 2
+        (np.where(C3 == 1, B, R1), B * 3 + C2, False),
+        # p2 swaps its head part where c3 = 1, with its own labels
+        (R1, np.where(C3 == 1, R1 * 3 + C2, B * 3 + C2), False),
+        # p2 is {c1 = 2} where c2 = 0, its complement where c2 = 1 and one
+        # block where c2 = 2: three blocks, not 2 * 3, and each independent
+        # of c1, since c2 = 0 and c2 = 1 weigh alike
+        (B, np.where(C2 == 0, B, np.where(C2 == 1, 1 - B, 2)), True),
+        # p2 reads a = 1 where c2 = 1 and c1 = 2 elsewhere: 2 * 3 blocks, but
+        # rows of one head block differ
+        (R1, np.where(C2 == 0, B, np.where(C2 == 1, 2 + R1, 4 + B)), False),
+    ],
+    ids=["p1-reads-the-tail", "p2-reads-beyond-n+k", "p2-not-a-product", "p2-rows-differ"],
+)
+def test_tower_tail_tests_send_what_does_not_factor_to_the_atoms(p1, p2, commutes, monkeypatch):
+    """Four cells (0, 1, 1), each spoiled so that only one tail test sees
+    it, and each with the opposite verdict on the head read at tail
+    position 0.  The cell is decided on the atoms and equals the
+    reference."""
+    rep = cell_011_rep(p1, p2)
+    sizes = record_cell_sizes(monkeypatch)
+    report = R.triangular_tower_check(rep)
+    assert report == reference_triangular_tower_check(rep)
+    assert report.cells[(0, 1, 1)] == commutes and sizes[0] == 54
 
 
 # -- filtrations ---------------------------------------------------------------------
