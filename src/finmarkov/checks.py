@@ -374,34 +374,29 @@ class HierarchyReport:
     witnesses: dict
     report: VerificationReport
 
-    @property
-    def chain_consistent(self) -> bool:
-        """exchangeable => spreadable => partially spreadable => stationary"""
-        if self.exchangeable and not self.spreadable:
-            return False
-        if self.spreadable and not self.partially_spreadable:
-            return False
-        if self.partially_spreadable and not self.stationary:
-            return False
-        return True
 
-
-def hierarchy_check(view: ProcessView, horizon=None, relations=None) -> HierarchyReport:
+def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> HierarchyReport:
     """Decide stationarity, spreadability and exchangeability exactly on the
-    finite-horizon path law, and record the strictness witnesses.  Every
-    decision reads level `horizon` (default view.K) of the model.  The
-    monoid relations decided at the model's horizon may be passed as
-    `relations`; they are read only when `horizon` is that horizon."""
-    K = view.K if horizon is None else horizon
+    path law at level `horizon` (default model.K), and pass each answer iff
+    it equals the chain's closed form.  The loader enforces pi T = pi, so
+    the chain is stationary; at horizon >= 2 it is spreadable iff
+    exchangeable iff T^2 = T (Ryll-Nardzewski and de Finetti).  Below
+    horizon 2 spreadability compares no two marginals and exchangeability
+    means reversibility, so the horizon is refused.  The monoid relations
+    decided at the model's horizon may be passed as `relations`; they are
+    read only when `horizon` is that horizon."""
+    K = model.K if horizon is None else horizon
+    if K < 2:
+        raise ValueError(f"the hierarchy needs horizon >= 2; got {K}")
     if K > 6:
         raise ValueError("hierarchy enumeration is desk-scale: horizon <= 6")
+    view = ProcessView.from_model(model)
+    idempotent = model.spec.kernel.power(2).rows == model.spec.rows
     rep = VerificationReport()
     num, den = view.joint_law(range(K + 1), K)
     witnesses = {}
 
-    # the decisions themselves are answers, not assertions: the check that
-    # can fail is the consistency of the implication chain
-    def verdict(name, holds):
+    def answer(name, holds):
         w = witnesses.get(name)
         return ("yes" if holds else "no") + (f" ({w})" if w else "")
 
@@ -415,8 +410,8 @@ def hierarchy_check(view: ProcessView, horizon=None, relations=None) -> Hierarch
                 witnesses.setdefault(
                     "stationarity", f"window [{m},{m+r}] differs from [0,{r}]"
                 )
-    rep.add("stationary", "all marginal windows shift-invariant", True,
-            verdict("stationarity", stationary))
+    rep.add("stationary", "all marginal windows shift-invariant, as pi T = pi gives",
+            stationary, answer("stationarity", stationary))
 
     spreadable = True
     for r in range(1, K + 1):
@@ -432,8 +427,8 @@ def hierarchy_check(view: ProcessView, horizon=None, relations=None) -> Hierarch
                 break
         if not spreadable:
             break
-    rep.add("spreadable", "marginals invariant along increasing reindexings",
-            True, verdict("spreadability", spreadable))
+    rep.add("spreadable", "marginals invariant along increasing reindexings iff T^2 = T",
+            spreadable == idempotent, answer("spreadability", spreadable))
 
     exchangeable = True
     for i in range(K):  # adjacent transpositions generate all permutations
@@ -443,17 +438,14 @@ def hierarchy_check(view: ProcessView, horizon=None, relations=None) -> Hierarch
                 "exchangeability", f"law changes under swapping times {i},{i+1}"
             )
             break
-    rep.add("exchangeable", "path law invariant under time permutations",
-            True, verdict("exchangeability", exchangeable))
+    rep.add("exchangeable", "path law invariant under time permutations iff T^2 = T",
+            exchangeable == idempotent, answer("exchangeability", exchangeable))
 
     # the joint law above already read level K, the deepest level this reads
-    ps = partial_spreadability_check(view, K, relations if K == view.K else None).passed
+    ps = partial_spreadability_check(view, K, relations if K == model.K else None).passed
     rep.add("partially-spreadable", "representation premise and localization of iota_0",
-            True, "yes" if ps else "no")
-    hr = HierarchyReport(stationary, spreadable, exchangeable, ps, witnesses, rep)
-    rep.add("hierarchy", "exchangeable => spreadable => partially spreadable => stationary",
-            hr.chain_consistent)
-    return hr
+            ps, "yes" if ps else "no")
+    return HierarchyReport(stationary, spreadable, exchangeable, ps, witnesses, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,7 @@ def cmd_verify(args) -> int:
                 ok,
             )
     if "hierarchy" in suites:
-        view = chk.ProcessView.from_model(model)
-        report.extend(chk.hierarchy_check(view, min(args.depth, 5), relations).report)
+        report.extend(chk.hierarchy_check(model, min(args.depth, 5), relations).report)
     return _emit(report, args)
 
 

@@ -9,13 +9,12 @@ one, its dual consumes one coordinate).  Generators with index beyond the
 current level act as the plain cylinder embedding, which keeps every
 horizon-truncated statement exact.
 
-Two kinds are built here:
-
-* ``splus``: beta_n inserts a unit tensor factor in slot n; the dual deletes
-  coordinate n.
-* ``fplus``: alpha_0 couples the base to the first noise slot through a
-  state-preserving map c_map: A x C -> A, and alpha_n (n >= 1) merges noise
-  slots (n-1, n) through delta: C x C -> C.
+In every representation alpha_0 couples the base to the first noise slot
+through a state-preserving map c_map: A x C -> A, and alpha_n (n >= 1)
+merges noise slots (n-1, n) through delta: C x C -> C.  The S+
+representation, where beta_n inserts a unit tensor factor in slot n and its
+dual deletes coordinate n, is the case c_map(a, c) = a and delta(x, y) = x:
+the S+ representation pulled back along F+ ->> S+.
 """
 
 from __future__ import annotations
@@ -114,37 +113,33 @@ class PointRep:
     monoid generators on a GradedSpace."""
 
     gspace: GradedSpace
-    kind: str  # "splus" or "fplus"
-    c_map: np.ndarray | None = None  # (d, nc) -> base atom
-    delta: np.ndarray | None = None  # (nc, nc) -> noise atom
+    c_map: np.ndarray  # (d, nc) -> base atom
+    delta: np.ndarray  # (nc, nc) -> noise atom
     _eta_cache: dict = field(default_factory=dict, repr=False)
     _fix_cache: dict = field(default_factory=dict, repr=False)
     _tower_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         g = self.gspace
-        if self.kind == "fplus":
-            self.c_map = np.asarray(self.c_map, dtype=np.int64)
-            self.delta = np.asarray(self.delta, dtype=np.int64)
-            if self.c_map.shape != (g.d, g.nc):
-                raise ValueError("c_map must be a (base x noise) atom table")
-            if self.delta.shape != (g.nc, g.nc):
-                raise ValueError("delta must be a (noise x noise) atom table")
-            for name, table, size in (("c_map", self.c_map, g.d), ("delta", self.delta, g.nc)):
-                if table.min() < 0 or table.max() >= size:
-                    raise ValueError(f"{name} entries must be atoms in [0, {size})")
-            pair_num = g.base_num[:, None] * g.noise_num[None, :]
-            if not _pushforward_ok(
-                self.c_map, pair_num, g.base_den * g.noise_den, g.base_num, g.base_den
-            ):
-                raise ValueError("c_map does not push the product state to the base state")
-            pair_num = g.noise_num[:, None] * g.noise_num[None, :]
-            if not _pushforward_ok(
-                self.delta, pair_num, g.noise_den**2, g.noise_num, g.noise_den
-            ):
-                raise ValueError("delta does not push the product state to the noise state")
-        elif self.kind != "splus":
-            raise ValueError(f"unknown representation kind {self.kind!r}")
+        self.c_map = np.asarray(self.c_map, dtype=np.int64)
+        self.delta = np.asarray(self.delta, dtype=np.int64)
+        if self.c_map.shape != (g.d, g.nc):
+            raise ValueError("c_map must be a (base x noise) atom table")
+        if self.delta.shape != (g.nc, g.nc):
+            raise ValueError("delta must be a (noise x noise) atom table")
+        for name, table, size in (("c_map", self.c_map, g.d), ("delta", self.delta, g.nc)):
+            if table.min() < 0 or table.max() >= size:
+                raise ValueError(f"{name} entries must be atoms in [0, {size})")
+        pair_num = g.base_num[:, None] * g.noise_num[None, :]
+        if not _pushforward_ok(
+            self.c_map, pair_num, g.base_den * g.noise_den, g.base_num, g.base_den
+        ):
+            raise ValueError("c_map does not push the product state to the base state")
+        pair_num = g.noise_num[:, None] * g.noise_num[None, :]
+        if not _pushforward_ok(
+            self.delta, pair_num, g.noise_den**2, g.noise_num, g.noise_den
+        ):
+            raise ValueError("delta does not push the product state to the noise state")
 
     # -- point maps ---------------------------------------------------------
 
@@ -152,20 +147,12 @@ class PointRep:
         """Dual point map of generator n from level m+1 onto level m."""
         g = self.gspace
         g.ensure(m + 1)
-        if self.kind == "splus":
-            key = ("s", min(n, m), m)
-        else:
-            key = ("f", min(n, m + 1), m)
+        key = (min(n, m + 1), m)
         if key in self._eta_cache:
             return self._eta_cache[key]
         ids = np.arange(g.level_size(m + 1), dtype=np.int64)
         nc = g.nc
-        if self.kind == "splus":
-            s = min(n, m)
-            hi = ids // nc ** (m + 1 - s)
-            lo = ids % nc ** (m - s)
-            out = hi * nc ** (m - s) + lo
-        elif n == 0:
+        if n == 0:
             a = ids // nc ** (m + 1)
             c0 = (ids // nc**m) % nc
             out = self.c_map[a, c0] * nc**m + ids % nc**m
@@ -216,10 +203,8 @@ class PointRep:
     def relation_check(self, k: int, l: int, m: int):
         """Check alpha_k alpha_l = alpha_{l+1} alpha_k as point maps
         level_{m+2} -> level_m.  Returns (ok, witness_atom_or_None)."""
-        if self.kind == "fplus" and not k < l:
-            raise ValueError("the F+ relation needs k < l")
-        if self.kind == "splus" and not k <= l:
-            raise ValueError("the S+ relation needs k <= l")
+        if not k <= l:
+            raise ValueError("the relation needs k <= l")
         left = self.eta(l, m)[self.eta(k, m + 1)]
         right = self.eta(k, m)[self.eta(l + 1, m + 1)]
         if np.array_equal(left, right):
@@ -234,8 +219,7 @@ class PointRep:
         Functions constant on the resulting blocks are exactly those with
         alpha_n(f) equal to the cylinder extension of f.
         """
-        cap = level if self.kind == "splus" else level + 1
-        key = (min(n, cap), level)
+        key = (min(n, level + 1), level)
         if key not in self._fix_cache:
             u = self.eta(n, level)
             v = self.drop_last(level)
@@ -273,9 +257,11 @@ class PointRep:
 
 
 def build_splus_rep(base: FinSpace, noise: FinSpace, horizon: int, budget: int = 2_000_000) -> PointRep:
+    """The S+ representation: the dual of beta_n deletes noise slot n."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    return PointRep(GradedSpace(base, noise, horizon, budget), "splus")
+    c_map = np.repeat(np.arange(base.n, dtype=np.int64), noise.n).reshape(base.n, noise.n)
+    return build_fplus_rep(base, noise, c_map, delta_first_coordinate(noise), horizon, budget)
 
 
 def build_fplus_rep(
@@ -288,7 +274,7 @@ def build_fplus_rep(
 ) -> PointRep:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return PointRep(GradedSpace(base, noise, horizon, budget), "fplus", c_map, delta)
+    return PointRep(GradedSpace(base, noise, horizon, budget), c_map, delta)
 
 
 def delta_second_coordinate(noise: FinSpace) -> np.ndarray:

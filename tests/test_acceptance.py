@@ -164,23 +164,20 @@ def test_criterion_07_hierarchy_strictness():
     marginal is exchangeable; spreadable and exchangeable verdicts coincide
     on every tested instance."""
     t0 = time.time()
-    view = C.ProcessView.from_model(D.build_markov_dilation(PAPER, 5))
-    h = C.hierarchy_check(view)
+    h = C.hierarchy_check(D.build_markov_dilation(PAPER, 5))
     ok = h.stationary and bool(h.partially_spreadable)
     ok &= not h.spreadable and "spreadability" in h.witnesses
     ok &= not h.exchangeable
-    ok &= h.chain_consistent
+    ok &= h.report.passed
 
     iid = D.ChainSpec.from_rows([[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]])
-    hi = C.hierarchy_check(C.ProcessView.from_model(D.build_markov_dilation(iid, 5)))
+    hi = C.hierarchy_check(D.build_markov_dilation(iid, 5))
     ok &= hi.exchangeable and hi.spreadable and hi.stationary
 
     for spec in corpus()[:8]:
-        hx = C.hierarchy_check(
-            C.ProcessView.from_model(D.build_markov_dilation(spec, 4))
-        )
+        hx = C.hierarchy_check(D.build_markov_dilation(spec, 4))
         ok &= hx.spreadable == hx.exchangeable
-        ok &= hx.chain_consistent
+        ok &= hx.report.passed
     _line(7, ok, f"witness: {h.witnesses.get('spreadability')}", t0)
 
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -49,8 +50,9 @@ def test_constant_lumping_trivially_everything():
     view = paper_view().lump([0, 0])
     assert C.partial_spreadability_check(view).passed
     assert C.markov_sequence_check(view).passed
-    h = C.hierarchy_check(view)
-    assert h.exchangeable and h.spreadable and h.stationary
+    # the hierarchy reads a model's chain; the constant process is the one-state chain's
+    h = C.hierarchy_check(D.build_markov_dilation(D.ChainSpec.from_rows([[F(1)]]), 4))
+    assert h.exchangeable and h.spreadable and h.stationary and h.report.passed
 
 
 def test_injective_lumping_preserves_markov():
@@ -306,18 +308,16 @@ def test_qregression_rejects_unordered_times():
 
 
 def test_hierarchy_markov_chain_strictness():
-    view = C.ProcessView.from_model(D.build_markov_dilation(PAPER, 5))
-    h = C.hierarchy_check(view)
+    h = C.hierarchy_check(D.build_markov_dilation(PAPER, 5))
     assert h.stationary and h.partially_spreadable
     assert not h.spreadable and not h.exchangeable
     assert "spreadability" in h.witnesses
-    assert h.chain_consistent
+    assert h.report.passed
 
 
 def test_hierarchy_iid_fully_symmetric():
-    view = C.ProcessView.from_model(D.build_markov_dilation(IID, 5))
-    h = C.hierarchy_check(view)
-    assert h.stationary and h.spreadable and h.exchangeable and h.chain_consistent
+    h = C.hierarchy_check(D.build_markov_dilation(IID, 5))
+    assert h.stationary and h.spreadable and h.exchangeable and h.report.passed
 
 
 def test_exchangeable_iff_spreadable_on_instances():
@@ -327,15 +327,111 @@ def test_exchangeable_iff_spreadable_on_instances():
         D.random_irreducible_chain(rng, rng.choice([2, 3])) for _ in range(8)
     ]
     for spec in specs:
-        view = C.ProcessView.from_model(D.build_markov_dilation(spec, 4))
-        h = C.hierarchy_check(view)
+        h = C.hierarchy_check(D.build_markov_dilation(spec, 4))
         assert h.spreadable == h.exchangeable, spec.rows
-        assert h.chain_consistent
+        assert h.report.passed
 
 
 def test_hierarchy_horizon_guard():
     with pytest.raises(ValueError):
-        C.hierarchy_check(paper_view(4), horizon=7)
+        C.hierarchy_check(D.build_markov_dilation(PAPER, 4), horizon=7)
+
+
+@pytest.mark.parametrize("K, horizon", [(1, None), (3, 1), (3, 0)])
+def test_hierarchy_refuses_horizon_below_2(K, horizon):
+    # at horizon 1 spreadability compares no two marginals, and
+    # exchangeability means reversibility, not T^2 = T
+    with pytest.raises(ValueError, match="the hierarchy needs horizon >= 2"):
+        C.hierarchy_check(D.build_markov_dilation(PAPER, K), horizon=horizon)
+
+
+def _move_one_unit(monkeypatch):
+    """Move one numerator unit of every joint law from cell (0, ..., 0) to
+    (1, 0, ..., 0)."""
+    orig = C.ProcessView.joint_law
+
+    def moved(self, ks, level=None):
+        num, den = orig(self, ks, level)
+        num = num.copy()
+        num[(0,) * num.ndim] -= 1
+        num[(1,) + (0,) * (num.ndim - 1)] += 1
+        return num, den
+
+    monkeypatch.setattr(C.ProcessView, "joint_law", moved)
+
+
+@pytest.mark.parametrize(
+    "fixture, failing",
+    [
+        ("iid_third", {"stationary", "spreadable", "exchangeable"}),
+        ("coin_symmetric", {"stationary", "spreadable", "exchangeable"}),
+        ("coin_p12_p14", {"stationary"}),
+    ],
+)
+def test_hierarchy_fails_on_a_moved_joint_law(fixture, failing, monkeypatch):
+    """Each tensor answer is compared with the closed form: on an idempotent
+    chain a moved unit breaks all three answers, on the coin only
+    stationarity, whose answer it turns from yes to no."""
+    spec = D.ChainSpec.from_dict(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    model = D.build_markov_dilation(spec, 4)
+    assert C.hierarchy_check(model).report.passed
+    _move_one_unit(monkeypatch)
+    report = C.hierarchy_check(model).report
+    assert {e.check for e in report.failures()} == failing
+
+
+def test_hierarchy_fails_on_a_corrupted_eta_1():
+    # eta_1 sends atom 0 of level K to an atom of another base value, so
+    # alpha_1 moves iota_0
+    K = 4
+    model = D.build_markov_dilation(PAPER, K)
+    g = model.gspace
+    table = model.rep.eta(1, K - 1)
+    table[0] = (table[0] + g.nc ** (K - 1)) % g.level_size(K - 1)
+    h = C.hierarchy_check(model)
+    assert not h.partially_spreadable
+    assert {e.check for e in h.report.failures()} == {"partially-spreadable"}
+
+
+def _idempotent(rows):
+    d = len(rows)
+    return all(
+        sum(rows[i][k] * rows[k][j] for k in range(d)) == rows[i][j]
+        for i in range(d)
+        for j in range(d)
+    )
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 5), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_hierarchy_answers_equal_the_closed_form(seed, d, K, iid):
+    """On random chains, and on idempotent ones (every row the stationary
+    state, so i.i.d.), every entry passes and both answers equal [T^2 = T]."""
+    rng = random.Random(seed)
+    if iid:
+        den = rng.randint(d, 6)
+        cuts = sorted(rng.sample(range(1, den), d - 1))
+        pi = [F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+        spec = D.ChainSpec.from_rows([pi] * d)
+    else:
+        spec = D.random_irreducible_chain(rng, d, max_den=4)
+    h = C.hierarchy_check(D.build_markov_dilation(spec, K))
+    assert h.report.passed, [(e.check, e.witness) for e in h.report.failures()]
+    idempotent = _idempotent(spec.rows)
+    assert h.spreadable == h.exchangeable == idempotent
+    assert idempotent or not iid
+
+
+def test_no_report_entry_has_a_constant_verdict():
+    """A verdict written as a literal passes whatever was decided."""
+    found = []
+    for path in sorted(Path(C.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add":
+                verdicts = node.args[2:3] + [kw.value for kw in node.keywords if kw.arg == "ok"]
+                if any(isinstance(v, ast.Constant) for v in verdicts):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # -- the suite ----------------------------------------------------------------------
@@ -371,7 +467,8 @@ def test_maxps_implies_markov_on_every_suite_run():
 
 def test_ps_implies_stationary_and_adapted():
     # adaptedness: every canonical algebra sits inside the rep filtration's
-    view = paper_view(3)
+    model = D.build_markov_dilation(PAPER, 3)
+    view = C.ProcessView.from_model(model)
     assert C.partial_spreadability_check(view).passed
     filt = R.filtration_from_rep(view.rep, 3)
     for m in range(4):
@@ -379,7 +476,7 @@ def test_ps_implies_stationary_and_adapted():
             # A_[m,n] ⊂ M^rho_[m,n]: the canonical algebra is the smaller one
             a_part = view.interval_partition(m, n)
             assert a_part.coarsens(filt.partitions[(m, n)]), (m, n)
-    h = C.hierarchy_check(view)
+    h = C.hierarchy_check(model)
     assert h.stationary
 
 

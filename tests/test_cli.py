@@ -147,7 +147,7 @@ def test_verify_all(capsys, tmp_path):
     assert all(item["verdict"] == "pass" for item in data)
     assert all("micros" not in item for item in data)
     checks = {item["check"] for item in data}
-    assert {"triangular-tower", "intertwining", "hierarchy", "maximality"} <= checks
+    assert {"triangular-tower", "intertwining", "spreadable", "maximality"} <= checks
 
 
 def test_verify_hierarchy_iid(capsys):
