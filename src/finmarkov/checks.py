@@ -31,7 +31,6 @@ from .dilation import (
 from .finprob import (
     FinSpace,
     Partition,
-    _first_occurrence,
     block_weight_sums,
     local_filtration_markov_check,
 )
@@ -161,7 +160,7 @@ class ProcessView:
             labels = np.zeros(len(xs[0]), dtype=np.int64)
             for x in xs:
                 labels, nblocks = kern.canonicalize(labels * self.base.n + x)
-            first = _first_occurrence(labels, nblocks)
+            first = Partition._from_canonical(labels, nblocks).first
             values = np.stack([x[first] for x in xs])
             weights = block_weight_sums(labels, nblocks, self.rep.gspace.level_weights(K))
             self._quotient = Quotient(labels, first, values, weights)

@@ -6,18 +6,21 @@ makes conditional expectations weighted block averages and lets operator
 identities like E_P E_Q = E_R reduce to block-weight identities checked in
 exact integer arithmetic.
 
-The low-level checks work on plain label/weight arrays so the same code
-serves both desk-size spaces and the large graded level spaces built in
-:mod:`finmarkov.rep`.  Weight numerators are int64 over a common denominator;
-comparisons that multiply weights are done in int64 only when a bound shows
-the products fit, else on object (big-int) arrays, so no intermediate result
-is ever rounded or overflowed.
+The checks take subalgebras as Partitions and weights as plain arrays, so
+the same code serves both desk-size spaces and the large graded level
+spaces built in :mod:`finmarkov.rep`.  A Partition counts its blocks when it
+is built and finds the first atom of each block once, on first use, so no
+check recounts or rescans the labels it is given.  Weight numerators are
+int64 over a common denominator; comparisons that multiply weights are done
+in int64 only when a bound shows the products fit, else on object (big-int)
+arrays, so no intermediate result is ever rounded or overflowed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +140,12 @@ class Partition:
         part.labels, part.nblocks, part.n = labels, nblocks, len(labels)
         return part
 
+    @cached_property
+    def first(self) -> np.ndarray:
+        """The first atom of each block, found on first use by the scan that
+        also refuses labels that are not canonical."""
+        return _first_occurrence(self.labels, self.nblocks)
+
     @staticmethod
     def from_blocks(blocks, n: int) -> "Partition":
         labels = np.full(n, -1, dtype=np.int64)
@@ -172,13 +181,13 @@ class Partition:
 
     def meet(self, other: "Partition") -> "Partition":
         """Finest common coarsening: the intersection subalgebra."""
-        labels = meet_labels(self.labels, other.labels)
-        return Partition._from_canonical(labels, int(labels.max()) + 1)
+        return Partition._from_canonical(*meet_labels(self.labels, other.labels))
 
     def coarsens(self, other: "Partition") -> bool:
         """True if self is coarser than other (every other-block fits in one
-        self-block), i.e. the subalgebra of self is contained in other's."""
-        return _constant_on_blocks(self.labels, other.labels)
+        self-block), i.e. the subalgebra of self is contained in other's:
+        self's labels are constant on every block of other."""
+        return bool(np.array_equal(self.labels, self.labels[other.first][other.labels]))
 
     def refines(self, other: "Partition") -> bool:
         return other.coarsens(self)
@@ -211,15 +220,9 @@ def _first_occurrence(labels, nblocks):
     return first
 
 
-def _constant_on_blocks(values, labels):
-    """True if `values` is constant on every block of `labels`."""
-    labels = np.asarray(labels, dtype=np.int64)
-    first = _first_occurrence(labels, int(labels.max()) + 1)
-    return bool(np.array_equal(values, np.asarray(values)[first][labels]))
-
-
 def meet_labels(a, b):
-    """Finest common coarsening of two labelings (connected block graph)."""
+    """Finest common coarsening of two labelings (connected block graph):
+    its canonical labels and block count."""
     n = len(a)
     edges_u, edges_v = [], []
     for lab in (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)):
@@ -227,10 +230,7 @@ def meet_labels(a, b):
         same = lab[order][1:] == lab[order][:-1]
         edges_u.append(order[:-1][same])
         edges_v.append(order[1:][same])
-    labels, _ = kern.union_components(
-        n, np.concatenate(edges_u), np.concatenate(edges_v)
-    )
-    return labels
+    return kern.union_components(n, np.concatenate(edges_u), np.concatenate(edges_v))
 
 
 def join_labels(a, b):
@@ -268,46 +268,41 @@ def block_weight_sums(labels, nblocks, wnum):
     return kern.group_sum(labels, wnum, nblocks)
 
 
-def cond_independence_given(labels_r, labels_p, labels_q, wnum):
+def cond_independence_given(r: Partition, p: Partition, q: Partition, wnum):
     """Check E_R(xy) = E_R(x)E_R(y) for all block indicators x of p, y of q.
 
     Equivalent block form: for every r-block R and blocks b of p, c of q,
     W(b∩c∩R)·W(R) = W(b∩R)·W(c∩R), and every (b,c) pair meeting R does so
     jointly.  Returns (ok, witness_or_None).
     """
-    rp, n_rp = kern.pair_canon(labels_r, labels_p)
-    rq, n_rq = kern.pair_canon(labels_r, labels_q)
-    rpq, n_rpq = kern.pair_canon(rp, labels_q)
-    n_r = int(labels_r.max()) + 1
+    rp, rq = r.join(p), r.join(q)
+    rpq = rp.join(q)
 
-    w_r = block_weight_sums(labels_r, n_r, wnum)
-    w_rp = block_weight_sums(rp, n_rp, wnum)
-    w_rq = block_weight_sums(rq, n_rq, wnum)
-    w_rpq = block_weight_sums(rpq, n_rpq, wnum)
+    w_r = block_weight_sums(r.labels, r.nblocks, wnum)
+    w_rp = block_weight_sums(rp.labels, rp.nblocks, wnum)
+    w_rq = block_weight_sums(rq.labels, rq.nblocks, wnum)
+    w_rpq = block_weight_sums(rpq.labels, rpq.nblocks, wnum)
 
-    first_rpq = _first_occurrence(rpq, n_rpq)
-    r_of_t = labels_r[first_rpq]
-    rp_of_t = rp[first_rpq]
-    rq_of_t = rq[first_rpq]
+    r_of_t = r.labels[rpq.first]
+    rp_of_t = rp.labels[rpq.first]
+    rq_of_t = rq.labels[rpq.first]
 
     # joint-occurrence completeness per r-block
-    first_rp = _first_occurrence(rp, n_rp)
-    first_rq = _first_occurrence(rq, n_rq)
-    np_r = kern.group_count(labels_r[first_rp], n_r)
-    nq_r = kern.group_count(labels_r[first_rq], n_r)
-    npq_r = kern.group_count(r_of_t, n_r)
+    np_r = kern.group_count(r.labels[rp.first], r.nblocks)
+    nq_r = kern.group_count(r.labels[rq.first], r.nblocks)
+    npq_r = kern.group_count(r_of_t, r.nblocks)
     bad = np.nonzero(npq_r != np_r * nq_r)[0]
     if len(bad):
         return False, f"blocks of p and q miss each other inside r-block {int(bad[0])}"
 
     idx = _products_equal(w_rpq, w_r[r_of_t], w_rp[rp_of_t], w_rq[rq_of_t])
     if idx is not None:
-        atom = int(first_rpq[idx])
+        atom = int(rpq.first[idx])
         return False, f"factorization fails on the triple containing atom {atom}"
     return True, None
 
 
-def cexp_product_equals(labels_p, labels_q, labels_r, wnum, atoms=None):
+def cexp_product_equals(p: Partition, q: Partition, r: Partition, wnum, atoms=None):
     """Check the operator identity E_P E_Q = E_R on the whole space.
 
     Necessarily r coarsens p and q; then the identity holds iff inside every
@@ -315,31 +310,21 @@ def cexp_product_equals(labels_p, labels_q, labels_r, wnum, atoms=None):
     W(b∩c)·W(R) = W(b)·W(c).  Returns (ok, witness_or_None).  When the
     space is a quotient, atoms[i] is the atom a witness names for point i.
     """
-    if not _constant_on_blocks(labels_r, labels_p):
+    if not r.coarsens(p):
         return False, "target partition does not coarsen the left factor"
-    if not _constant_on_blocks(labels_r, labels_q):
+    if not r.coarsens(q):
         return False, "target partition does not coarsen the right factor"
 
-    n_p = int(labels_p.max()) + 1
-    n_q = int(labels_q.max()) + 1
-    n_r = int(labels_r.max()) + 1
-    pq, n_pq = kern.pair_canon(labels_p, labels_q)
+    pq = p.join(q)
+    w_p = block_weight_sums(p.labels, p.nblocks, wnum)
+    w_q = block_weight_sums(q.labels, q.nblocks, wnum)
+    w_r = block_weight_sums(r.labels, r.nblocks, wnum)
+    w_pq = block_weight_sums(pq.labels, pq.nblocks, wnum)
 
-    w_p = block_weight_sums(labels_p, n_p, wnum)
-    w_q = block_weight_sums(labels_q, n_q, wnum)
-    w_r = block_weight_sums(labels_r, n_r, wnum)
-    w_pq = block_weight_sums(pq, n_pq, wnum)
-
-    first_p = _first_occurrence(labels_p, n_p)
-    first_q = _first_occurrence(labels_q, n_q)
-    first_pq = _first_occurrence(pq, n_pq)
-    r_of_p = labels_r[first_p]
-    r_of_q = labels_r[first_q]
-    r_of_t = labels_r[first_pq]
-
-    np_r = kern.group_count(r_of_p, n_r)
-    nq_r = kern.group_count(r_of_q, n_r)
-    npq_r = kern.group_count(r_of_t, n_r)
+    r_of_t = r.labels[pq.first]
+    np_r = kern.group_count(r.labels[p.first], r.nblocks)
+    nq_r = kern.group_count(r.labels[q.first], r.nblocks)
+    npq_r = kern.group_count(r_of_t, r.nblocks)
     bad = np.nonzero(npq_r != np_r * nq_r)[0]
     if len(bad):
         return False, (
@@ -347,33 +332,34 @@ def cexp_product_equals(labels_p, labels_q, labels_r, wnum, atoms=None):
         )
 
     idx = _products_equal(
-        w_pq, w_r[r_of_t], w_p[labels_p[first_pq]], w_q[labels_q[first_pq]]
+        w_pq, w_r[r_of_t], w_p[p.labels[pq.first]], w_q[q.labels[pq.first]]
     )
     if idx is not None:
-        atom = int(first_pq[idx] if atoms is None else atoms[first_pq[idx]])
+        t = pq.first[idx]
+        atom = int(t if atoms is None else atoms[t])
         return False, f"weight identity fails on the pair containing atom {atom}"
     return True, None
 
 
-def cexp_image_labels(labels_p, labels_q, wnum):
-    """Partition generated by E_P applied to all q-block indicators.
+def cexp_image_labels(p: Partition, q: Partition, wnum):
+    """Labels of the partition generated by E_P applied to all q-block
+    indicators.
 
     Two p-blocks are identified iff their conditional rows over q-blocks are
     proportional; canonical rows are gcd-reduced integer vectors sorted by
-    q-block.  `labels_p` must be canonical, as every Partition's labels are.
+    q-block.  The labels of p must be canonical, as those of a Partition
+    built from raw labels always are.
     """
-    n_p = int(labels_p.max()) + 1
-    _first_occurrence(labels_p, n_p)  # raises unless labels_p is canonical
-    pq, n_pq = kern.pair_canon(labels_p, labels_q)
-    w_pq = block_weight_sums(pq, n_pq, wnum)
-    first_pq = _first_occurrence(pq, n_pq)
-    p_of_t = labels_p[first_pq]
-    q_of_t = labels_q[first_pq]
+    p.first  # raises unless the labels of p are canonical
+    pq = p.join(q)
+    w_pq = block_weight_sums(pq.labels, pq.nblocks, wnum)
+    p_of_t = p.labels[pq.first]
+    q_of_t = q.labels[pq.first]
 
     # the (q, w) pairs of each p-block, contiguous and sorted by q; every
     # p-block meets some q-block, so no row is empty
     order = np.lexsort((q_of_t, p_of_t))
-    counts = kern.group_count(p_of_t, n_p)
+    counts = kern.group_count(p_of_t, p.nblocks)
     starts = np.cumsum(counts) - counts
     w = w_pq[order]
     g = np.gcd.reduceat(w, starts)
@@ -381,7 +367,7 @@ def cexp_image_labels(labels_p, labels_q, wnum):
     # a row's key is the bytes of its (q, w/g) slice: rows sharing a prefix
     # but not a length give keys of different length
     raw = rows.tobytes()
-    bounds = (np.append(starts, n_pq) * rows.strides[0]).tolist()
+    bounds = (np.append(starts, pq.nblocks) * rows.strides[0]).tolist()
     keys = {}
     block_key = np.array(
         [keys.setdefault(raw[s:e], len(keys)) for s, e in zip(bounds[:-1], bounds[1:])],
@@ -389,19 +375,17 @@ def cexp_image_labels(labels_p, labels_q, wnum):
     )
     # keys are numbered in block order, and the blocks of canonical labels
     # first occur in that order, so the image labels are canonical as built
-    return block_key[labels_p]
+    return block_key[p.labels]
 
 
-def cexps_commute(labels_p, labels_q, wnum):
+def cexps_commute(p: Partition, q: Partition, wnum):
     """Check E_P E_Q = E_Q E_P.
 
     Both are state-symmetric idempotents, so they commute iff their product
     is the conditional expectation onto the intersection algebra M_P ∩ M_Q,
     i.e. onto the meet partition.
     """
-    m = meet_labels(labels_p, labels_q)
-    ok, wit = cexp_product_equals(labels_p, labels_q, m, wnum)
-    return ok, wit
+    return cexp_product_equals(p, q, p.meet(q), wnum)
 
 
 # ---------------------------------------------------------------------------
@@ -463,31 +447,26 @@ class CommutingSquareReport:
         )
 
 
-def commuting_square_check(
-    space_or_wnum, p0: Partition, p1: Partition, p2: Partition
-) -> CommutingSquareReport:
+def commuting_square_check(wnum, p0: Partition, p1: Partition, p2: Partition) -> CommutingSquareReport:
     """Evaluate the four equivalent commuting-square conditions independently.
 
-    Requires M_0 ⊂ M_1 ∩ M_2, i.e. p0 coarser than p1 and p2.  The four
-    conditions are computed by different routes; their agreement on every
-    instance is itself part of what the test suite verifies.
+    `wnum` holds the integer weight numerators of the atoms.  Requires
+    M_0 ⊂ M_1 ∩ M_2, i.e. p0 coarser than p1 and p2.  The four conditions
+    are computed by different routes; their agreement on every instance is
+    itself part of what the test suite verifies.
     """
-    if isinstance(space_or_wnum, FinSpace):
-        wnum = space_or_wnum.weight_numerators()
-    else:
-        wnum = np.asarray(space_or_wnum, dtype=np.int64)
+    wnum = np.asarray(wnum, dtype=np.int64)
     if not (p0.coarsens(p1) and p0.coarsens(p2)):
         raise ValueError("commuting square needs p0 coarser than p1 and p2")
 
-    ok_i, wit_i = cond_independence_given(p0.labels, p1.labels, p2.labels, wnum)
-    ok_ii, wit_ii = cexp_product_equals(p1.labels, p2.labels, p0.labels, wnum)
-    image = cexp_image_labels(p1.labels, p2.labels, wnum)
-    ok_iii = bool(np.array_equal(image, p0.labels))
+    ok_i, wit_i = cond_independence_given(p0, p1, p2, wnum)
+    ok_ii, wit_ii = cexp_product_equals(p1, p2, p0, wnum)
+    ok_iii = bool(np.array_equal(cexp_image_labels(p1, p2, wnum), p0.labels))
     wit_iii = None if ok_iii else "image algebra differs from the base"
     # (iv) as in cexps_commute, with its one meet also compared to the base
-    meet = meet_labels(p1.labels, p2.labels)
-    commute, wit_iv = cexp_product_equals(p1.labels, p2.labels, meet, wnum)
-    ok_iv = commute and bool(np.array_equal(meet, p0.labels))
+    meet = p1.meet(p2)
+    commute, wit_iv = cexp_product_equals(p1, p2, meet, wnum)
+    ok_iv = commute and meet == p0
     if ok_iv:
         wit_iv = None
     elif wit_iv is None:
@@ -655,16 +634,14 @@ def local_filtration_markov_check(family, horizon: int, wnum, atoms=None) -> Fil
     for n in range(1, K):
         left = parts[(0, n - 1)].join(parts[(n, n)])
         right = parts[(n, n)].join(parts[(n + 1, K)])
-        ok, wit = cexp_product_equals(left.labels, right.labels, parts[(n, n)].labels, wnum, atoms)
+        ok, wit = cexp_product_equals(left, right, parts[(n, n)], wnum, atoms)
         markov_m[n] = ok
         if wit:
             witnesses.append(f"(M) n={n}: {wit}")
 
     markov_mp = {}
     for n in range(K + 1):
-        ok, wit = cexp_product_equals(
-            parts[(0, n)].labels, parts[(n, K)].labels, parts[(n, n)].labels, wnum, atoms
-        )
+        ok, wit = cexp_product_equals(parts[(0, n)], parts[(n, K)], parts[(n, n)], wnum, atoms)
         markov_mp[n] = ok
         if wit:
             witnesses.append(f"(M') n={n}: {wit}")
@@ -681,8 +658,7 @@ def local_filtration_markov_check(family, horizon: int, wnum, atoms=None) -> Fil
             # nested: A_I ∨ A_U = A_U iff A_U refines A_I
             minimal = parts[u].refines(parts[j if u == i else i])
         else:
-            joined, _ = kern.pair_canon(parts[i].labels, parts[j].labels)
-            minimal = bool(np.array_equal(joined, parts[u].labels))
+            minimal = parts[i].join(parts[j]) == parts[u]
         if not minimal:
             break
     return FiltrationReport(isotone, markov_m, markov_mp, minimal, tuple(witnesses))

@@ -29,7 +29,6 @@ from .finprob import (
     Partition,
     commuting_square_check,
     local_filtration_markov_check,
-    _first_occurrence,
     _products_equal,
 )
 
@@ -333,19 +332,18 @@ def intertwining_check(rep: PointRep, k: int, n: int):
     # every Q_{n+1}-block; then no mass leaves its block either: an atom
     # x = eta_k(y) of block b lies in Q_n-block beta(y) = beta_of_block[b]
     beta = bn.labels[ek]
-    first_b = _first_occurrence(bn1.labels, bn1.nblocks)
-    if not np.array_equal(beta, beta[first_b][bn1.labels]):
-        y = int(np.argmax(beta != beta[first_b][bn1.labels]))
+    beta_of_block = beta[bn1.first]
+    if not np.array_equal(beta, beta_of_block[bn1.labels]):
+        y = int(np.argmax(beta != beta_of_block[bn1.labels]))
         return False, f"left side is not measurable along the right at atom {y}"
-    beta_of_block = beta[first_b]
 
     w_bn = kern.group_sum(bn.labels, w_lo, bn.nblocks)
     w_bn1 = kern.group_sum(bn1.labels, w_hi, bn1.nblocks)
 
     # joint mass J[x, b] of eta_k^{-1}(x) within each Q_{n+1}-block b
-    xb, n_xb = kern.pair_canon(ek, bn1.labels)
-    j = kern.group_sum(xb, w_hi, n_xb)
-    first_t = _first_occurrence(xb, n_xb)
+    xb = Partition._from_canonical(*kern.pair_canon(ek, bn1.labels))
+    j = kern.group_sum(xb.labels, w_hi, xb.nblocks)
+    first_t = xb.first
     x_of_t = ek[first_t]
     b_of_t = bn1.labels[first_t]
 
@@ -404,8 +402,7 @@ def _head_factor(part: Partition, nc: int, level: int, h: int, s: int) -> Partit
     q = Partition(grid[:, 0])
     if part.nblocks != q.nblocks * grid.shape[1]:
         return None
-    first = _first_occurrence(q.labels, q.nblocks)
-    return q if np.array_equal(grid, grid[first][q.labels]) else None
+    return q if np.array_equal(grid, grid[q.first][q.labels]) else None
 
 
 def triangular_tower_check(rep: PointRep) -> TowerReport:

@@ -1,3 +1,5 @@
+import ast
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -119,7 +121,7 @@ def test_structural_operator_identity_matches_dense_matrices(seed):
     q = rand_partition(rng, n, rng.randint(1, n))
     r = rand_partition(rng, n, rng.randint(1, n))
     wnum = sp.weight_numerators()
-    structural, _ = cexp_product_equals(p.labels, q.labels, r.labels, wnum)
+    structural, _ = cexp_product_equals(p, q, r, wnum)
     dense = _dense_product(sp, p, q) == cond_exp_matrix(sp, r)
     assert structural == dense
 
@@ -133,7 +135,7 @@ def test_structural_commutation_matches_dense_matrices(seed):
     p = rand_partition(rng, n, rng.randint(1, n))
     q = rand_partition(rng, n, rng.randint(1, n))
     wnum = sp.weight_numerators()
-    structural, _ = cexps_commute(p.labels, q.labels, wnum)
+    structural, _ = cexps_commute(p, q, wnum)
     ep, eq = cond_exp_matrix(sp, p), cond_exp_matrix(sp, q)
     dense = _dense_product(sp, p, q) == _dense_product(sp, q, p)
     assert structural == dense
@@ -177,7 +179,7 @@ def test_lattice_laws(seed):
 def test_commuting_square_degenerate():
     sp = rand_space(random.Random(0), 5)
     p = rand_partition(random.Random(1), 5, 3)
-    rep = commuting_square_check(sp, p, p, p)
+    rep = commuting_square_check(sp.weight_numerators(), p, p, p)
     assert rep.is_commuting_square and rep.all_agree
 
 
@@ -186,7 +188,7 @@ def test_commuting_square_product_space_independence():
     sp = FinSpace(tuple(F(a, 6) * F(b, 4) for a in (1, 2, 3) for b in (1, 3)))
     rows = Partition([0, 0, 1, 1, 2, 2])
     cols = Partition([0, 1, 0, 1, 0, 1])
-    rep = commuting_square_check(sp, Partition.trivial(6), rows, cols)
+    rep = commuting_square_check(sp.weight_numerators(), Partition.trivial(6), rows, cols)
     assert rep.is_commuting_square and rep.all_agree
 
 
@@ -201,9 +203,9 @@ def test_commuting_square_failure_all_four_agree():
         if p1.nblocks != 2 or p2.nblocks != 2:
             continue
         wnum = sp.weight_numerators()
-        if cexps_commute(p1.labels, p2.labels, wnum)[0]:
+        if cexps_commute(p1, p2, wnum)[0]:
             continue
-        rep = commuting_square_check(sp, p1.meet(p2), p1, p2)
+        rep = commuting_square_check(wnum, p1.meet(p2), p1, p2)
         assert not rep.is_commuting_square
         assert rep.all_agree  # all four verdicts fail together
         found = True
@@ -220,7 +222,7 @@ def test_four_conditions_always_agree(seed):
     p1 = rand_partition(rng, n, rng.randint(1, n))
     p2 = rand_partition(rng, n, rng.randint(1, n))
     p0 = p1.meet(p2)
-    rep = commuting_square_check(sp, p0, p1, p2)
+    rep = commuting_square_check(sp.weight_numerators(), p0, p1, p2)
     assert rep.all_agree
 
 
@@ -230,7 +232,7 @@ def test_precondition_enforced():
     p2 = Partition.from_blocks([[0, 2], [1, 3]], 4)
     bad = Partition.discrete(4)
     with pytest.raises(ValueError):
-        commuting_square_check(sp, bad, p1, p2)
+        commuting_square_check(sp.weight_numerators(), bad, p1, p2)
 
 
 def test_cond_exp_onto_meet_is_composite_when_square_commutes():
@@ -276,11 +278,11 @@ def image_inputs(draw):
     mode every p-block's weights are small multiples of one block scale, so
     proportional rows with different gcds are common."""
     n = draw(st.integers(1, 40))
-    p = Partition(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))).labels
-    q = Partition(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))).labels
+    p = Partition(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
+    q = Partition(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
     if draw(st.booleans()):
         scale = draw(st.lists(st.sampled_from([1, 2, 3, 6, 7, 2**31 - 1]), min_size=8, max_size=8))
-        w = [draw(st.integers(1, 3)) * scale[b] for b in p]
+        w = [draw(st.integers(1, 3)) * scale[b] for b in p.labels]
     else:
         w = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
     return p, q, np.array(w, dtype=np.int64)
@@ -290,7 +292,7 @@ def image_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_image_labels_match_reference(inputs):
     p, q, w = inputs
-    assert np.array_equal(cexp_image_labels(p, q, w), reference_image_labels(p, q, w))
+    assert np.array_equal(cexp_image_labels(p, q, w), reference_image_labels(p.labels, q.labels, w))
 
 
 @pytest.mark.parametrize(
@@ -308,23 +310,32 @@ def test_image_labels_match_reference(inputs):
 )
 def test_image_labels_row_shapes(p, q, w, image):
     p, q, w = (np.array(x, dtype=np.int64) for x in (p, q, w))
-    assert cexp_image_labels(p, q, w).tolist() == image
+    assert cexp_image_labels(Partition(p), Partition(q), w).tolist() == image
     assert reference_image_labels(p, q, w).tolist() == image
 
 
 def test_image_labels_refuse_non_canonical_labels():
+    p = Partition._from_canonical(np.array([1, 0]), 2)
     with pytest.raises(ValueError, match="not canonical"):
-        cexp_image_labels(np.array([1, 0]), np.array([0, 0]), np.array([1, 1]))
+        cexp_image_labels(p, Partition.trivial(2), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_product_identity_refuses_non_canonical_labels(side):
+    bad = Partition._from_canonical(np.array([1, 0]), 2)
+    p, q = (bad, Partition.trivial(2)) if side == "left" else (Partition.trivial(2), bad)
+    with pytest.raises(ValueError, match="not canonical"):
+        cexp_product_equals(p, q, Partition.trivial(2), np.array([1, 1]))
 
 
 def test_image_labels_match_reference_on_every_tower_cell(monkeypatch, capsys):
     cells = 0
 
-    def checked(labels_p, labels_q, wnum):
+    def checked(p, q, wnum):
         nonlocal cells
         cells += 1
-        got = cexp_image_labels(labels_p, labels_q, wnum)
-        assert np.array_equal(got, reference_image_labels(labels_p, labels_q, wnum))
+        got = cexp_image_labels(p, q, wnum)
+        assert np.array_equal(got, reference_image_labels(p.labels, q.labels, wnum))
         return got
 
     monkeypatch.setattr(finprob, "cexp_image_labels", checked)
@@ -548,6 +559,44 @@ def test_first_occurrence_rejects_non_canonical(labels, nblocks):
         _first_occurrence(np.array(labels, dtype=np.int64), nblocks)
 
 
+@st.composite
+def partition_pool(draw):
+    """Partitions of one atom set, built from raw labelings, by join and
+    meet, and wrapped as canonical kernel output."""
+    n = draw(st.integers(1, 9))
+    a, b, c, d = (draw(st.lists(st.integers(-3, 5), min_size=n, max_size=n)) for _ in range(4))
+    a, b, c = Partition(a), Partition(b), Partition(c)
+    return [
+        a, b, c, a.join(b), a.meet(c), b.join(c).meet(a),
+        Partition._from_canonical(*kern.canonicalize(d)),
+        Partition.trivial(n), Partition.discrete(n),
+    ]
+
+
+@given(partition_pool())
+@settings(max_examples=150, deadline=None)
+def test_coarsens_and_refines_match_block_containment(pool):
+    # x coarsens y iff any two atoms in one block of y share a block of x
+    for x, y in itertools.product(pool, repeat=2):
+        pairs = itertools.combinations(range(x.n), 2)
+        want = all(x.labels[i] == x.labels[j] for i, j in pairs if y.labels[i] == y.labels[j])
+        assert x.coarsens(y) is want
+        assert y.refines(x) is want
+
+
+def test_only_finprob_reads_first_occurrence():
+    """Every other module reads a Partition's first atoms off .first."""
+    found = []
+    for path in sorted(Path(finprob.__file__).parent.glob("*.py")):
+        if path.name == "finprob.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "_first_occurrence" in names or getattr(node, "attr", None) == "_first_occurrence":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 @given(st.integers(0, 5_000))
 def test_join_meet_wrap_kernel_labels_canonically(seed):
     rng = random.Random(seed)
@@ -555,7 +604,7 @@ def test_join_meet_wrap_kernel_labels_canonically(seed):
     a, b = (rand_partition(rng, n, rng.randint(1, n)) for _ in range(2))
     for got, raw in (
         (a.join(b), kern.pair_canon(a.labels, b.labels)[0]),
-        (a.meet(b), meet_labels(a.labels, b.labels)),
+        (a.meet(b), meet_labels(a.labels, b.labels)[0]),
     ):
         want = Partition(raw)
         assert np.array_equal(got.labels, want.labels)
