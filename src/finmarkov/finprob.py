@@ -302,20 +302,21 @@ def cond_independence_given(r: Partition, p: Partition, q: Partition, wnum):
     return True, None
 
 
-def cexp_product_equals(p: Partition, q: Partition, r: Partition, wnum, atoms=None):
+def cexp_product_equals(p: Partition, q: Partition, r: Partition, wnum, atoms=None, pq=None):
     """Check the operator identity E_P E_Q = E_R on the whole space.
 
     Necessarily r coarsens p and q; then the identity holds iff inside every
     r-block all p-blocks and q-blocks intersect with the product-weight rule
     W(b∩c)·W(R) = W(b)·W(c).  Returns (ok, witness_or_None).  When the
     space is a quotient, atoms[i] is the atom a witness names for point i.
+    A caller that holds the join p ∨ q passes it as `pq`.
     """
     if not r.coarsens(p):
         return False, "target partition does not coarsen the left factor"
     if not r.coarsens(q):
         return False, "target partition does not coarsen the right factor"
 
-    pq = p.join(q)
+    pq = p.join(q) if pq is None else pq
     w_p = block_weight_sums(p.labels, p.nblocks, wnum)
     w_q = block_weight_sums(q.labels, q.nblocks, wnum)
     w_r = block_weight_sums(r.labels, r.nblocks, wnum)
@@ -341,17 +342,18 @@ def cexp_product_equals(p: Partition, q: Partition, r: Partition, wnum, atoms=No
     return True, None
 
 
-def cexp_image_labels(p: Partition, q: Partition, wnum):
+def cexp_image_labels(p: Partition, q: Partition, wnum, pq=None):
     """Labels of the partition generated by E_P applied to all q-block
     indicators.
 
     Two p-blocks are identified iff their conditional rows over q-blocks are
     proportional; canonical rows are gcd-reduced integer vectors sorted by
     q-block.  The labels of p must be canonical, as those of a Partition
-    built from raw labels always are.
+    built from raw labels always are.  A caller that holds the join p ∨ q
+    passes it as `pq`.
     """
     p.first  # raises unless the labels of p are canonical
-    pq = p.join(q)
+    pq = p.join(q) if pq is None else pq
     w_pq = block_weight_sums(pq.labels, pq.nblocks, wnum)
     p_of_t = p.labels[pq.first]
     q_of_t = q.labels[pq.first]
@@ -453,19 +455,21 @@ def commuting_square_check(wnum, p0: Partition, p1: Partition, p2: Partition) ->
     `wnum` holds the integer weight numerators of the atoms.  Requires
     M_0 ⊂ M_1 ∩ M_2, i.e. p0 coarser than p1 and p2.  The four conditions
     are computed by different routes; their agreement on every instance is
-    itself part of what the test suite verifies.
+    itself part of what the test suite verifies.  (ii), (iii) and (iv)
+    share one join p1 ∨ p2; (i) builds its own joins.
     """
     wnum = np.asarray(wnum, dtype=np.int64)
     if not (p0.coarsens(p1) and p0.coarsens(p2)):
         raise ValueError("commuting square needs p0 coarser than p1 and p2")
 
     ok_i, wit_i = cond_independence_given(p0, p1, p2, wnum)
-    ok_ii, wit_ii = cexp_product_equals(p1, p2, p0, wnum)
-    ok_iii = bool(np.array_equal(cexp_image_labels(p1, p2, wnum), p0.labels))
+    p12 = p1.join(p2)
+    ok_ii, wit_ii = cexp_product_equals(p1, p2, p0, wnum, pq=p12)
+    ok_iii = bool(np.array_equal(cexp_image_labels(p1, p2, wnum, p12), p0.labels))
     wit_iii = None if ok_iii else "image algebra differs from the base"
     # (iv) as in cexps_commute, with its one meet also compared to the base
     meet = p1.meet(p2)
-    commute, wit_iv = cexp_product_equals(p1, p2, meet, wnum)
+    commute, wit_iv = cexp_product_equals(p1, p2, meet, wnum, pq=p12)
     ok_iv = commute and meet == p0
     if ok_iv:
         wit_iv = None

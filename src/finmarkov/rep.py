@@ -149,20 +149,13 @@ class PointRep:
         key = (min(n, m + 1), m)
         if key in self._eta_cache:
             return self._eta_cache[key]
-        ids = np.arange(g.level_size(m + 1), dtype=np.int64)
         nc = g.nc
-        if n == 0:
-            a = ids // nc ** (m + 1)
-            c0 = (ids // nc**m) % nc
-            out = self.c_map[a, c0] * nc**m + ids % nc**m
-        elif n <= m:
-            hi = ids // nc ** (m - n + 2)
-            x = (ids // nc ** (m - n + 1)) % nc
-            y = (ids // nc ** (m - n)) % nc
-            lo = ids % nc ** (m - n)
-            out = (hi * nc + self.delta[x, y]) * nc ** (m - n) + lo
-        else:
-            out = ids // nc  # generator beyond the level: cylinder embedding dual
+        if n == 0:  # (a, c_1) -> c_map(a, c_1)
+            out = _merged(1, self.c_map, nc**m)
+        elif n <= m:  # (c_n, c_{n+1}) -> delta(c_n, c_{n+1})
+            out = _merged(g.level_size(n - 1), self.delta, nc ** (m - n))
+        else:  # generator beyond the level: cylinder embedding dual
+            out = np.repeat(np.arange(g.level_size(m), dtype=np.int64), nc)
         self._eta_cache[key] = out
         return out
 
@@ -217,21 +210,64 @@ class PointRep:
 
         Functions constant on the resulting blocks are exactly those with
         alpha_n(f) equal to the cylinder extension of f.
+
+        For 1 <= n <= level the blocks have a closed form.  eta_n merges
+        slots c_n and c_{n+1} through delta and never reads (a, c_1 …
+        c_{n-1}).  Two atoms that differ only in their last slot are both
+        glued to one drop-last atom, because delta is onto (it pushes the
+        faithful noise state to itself), and the graph on the other slots
+        is the same graph one slot shorter.  By induction
+
+            fix(n) = discrete(a, c_1 … c_{n-1}) × G(c_n) × one block on (c_{n+1} … c_L),
+
+        where G is the classes of {delta(u, v) ~ u} on the noise atoms.
+        The closed form is read off the cached eta_n table once a compare
+        shows that the table is (head, delta_hat(x, y), tail) for an onto
+        delta_hat; any other table, and n = 0 or n > level, is glued by
+        union-find.
         """
         key = (min(n, level + 1), level)
         if key not in self._fix_cache:
             u = self.eta(n, level)
-            v = self.drop_last(level)
-            labels, nblocks = kern.union_components(self.gspace.level_size(level), u, v)
-            self._fix_cache[key] = Partition._from_canonical(labels, nblocks)
+            part = self._closed_form_fixed_points(u, n, level) if 1 <= n <= level else None
+            if part is None:
+                v = self.drop_last(level)
+                part = Partition._from_canonical(
+                    *kern.union_components(self.gspace.level_size(level), u, v)
+                )
+            self._fix_cache[key] = part
         return self._fix_cache[key]
+
+    def _closed_form_fixed_points(self, table, n: int, level: int) -> Partition | None:
+        """fix(n) at the level as discrete(head) × G(c_n) × one tail block,
+        or None where the eta_n table does not factor as the lemma reads it."""
+        g = self.gspace
+        nc = g.nc
+        heads, tail = g.level_size(n - 1), nc ** (level - n)
+        cube = table.reshape(heads, nc, nc, tail)
+        dhat = cube[0, :, :, 0] // tail
+        if set(dhat.reshape(-1).tolist()) != set(range(nc)):  # onto the noise atoms
+            return None
+        if not np.array_equal(table, _merged(heads, dhat, tail)):
+            return None
+        classes, nclasses = _noise_classes(dhat)
+        labels = np.arange(heads, dtype=np.int64)[:, None, None] * nclasses + classes[:, None]
+        return Partition._from_canonical(
+            np.broadcast_to(labels, (heads, nc, tail)).reshape(-1), heads * nclasses
+        )
 
     def intersected_fixed_points(self, n: int, level: int) -> Partition:
         """The tower algebra M_n = ∩_{k>=n+1} M^{alpha_k} at a level; indices
         beyond the horizon act as the identity and add no constraint.
 
         A level's tower is folded downward once and cached: M_top is
-        discrete, M_{top-1} = fix(top) and M_n = M_{n+1} ∧ fix(n+1).
+        discrete, M_{top-1} = fix(top) and M_n = M_{n+1} ∧ fix(n+1).  Where
+        fix(n+1) coarsens M_{n+1} the meet is fix(n+1) itself and is not
+        computed.  For every PointRep, fix(k) at level L is discrete(a, c_1
+        … c_{k-1}) × G(c_k) × one block on (c_{k+1} … c_L) (proved in
+        fixed_point_partition), which coarsens fix(k+1); so M_n = fix(n+1)
+        and no level is met.  Partitions that are not nested (planted in
+        the cache, say) are met.
         """
         top = min(self.gspace.K, level)
         if level not in self._tower_cache:
@@ -240,7 +276,7 @@ class PointRep:
         while len(tower) <= top - n:
             k = top + 1 - len(tower)
             fix = self.fixed_point_partition(k, level)
-            tower.append(fix if k == top else tower[-1].meet(fix))
+            tower.append(fix if k == top or fix.coarsens(tower[-1]) else tower[-1].meet(fix))
         return tower[max(top - n, 0)]
 
     def shifted_partition(self, part: Partition, k: int, level: int) -> Partition:
@@ -248,6 +284,28 @@ class PointRep:
         `part` must live at level - k."""
         chain = self.alpha_pullback([0] * k, level)
         return Partition(part.labels[chain])
+
+
+def _merged(heads: int, table, tail: int) -> np.ndarray:
+    """The flat point map (h, x, y, t) -> (h, table[x, y], t) on heads × X ×
+    Y × tail points, the merged coordinate taking table.shape[1] values:
+    eta_n merges two adjacent coordinates and keeps the rest."""
+    hs = np.arange(heads, dtype=np.int64)[:, None, None, None]
+    out = (hs * table.shape[1] + table[:, :, None]) * tail + np.arange(tail)
+    return out.reshape(-1)
+
+
+def _noise_classes(dhat):
+    """G: canonical labels and count of the classes of {delta(u, v) ~ u} on
+    the noise atoms.  Each class is labeled by its least atom as the rows
+    of the table are merged in one at a time."""
+    nc = len(dhat)
+    least = np.arange(nc, dtype=np.int64)
+    for u in range(nc):
+        touched = np.isin(least, least[np.append(dhat[u], u)])
+        least[touched] = least[touched].min()
+    roots = least == np.arange(nc)
+    return (np.cumsum(roots) - 1)[least], int(roots.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +367,39 @@ def monoid_relations_check(rep: PointRep, K: int):
     return True, None
 
 
+def _reads_head_levels(rep: PointRep, k: int, n: int, tail: int) -> bool:
+    """True where eta_k from level K onto K-1 is eta_k from level n+1 onto n
+    times the identity on the `tail` = nc^(K-1-n) points of c_{n+2} … c_K,
+    and fix(n) at level K-1 and fix(n+1) at level K are their head-level
+    partitions, constant along the tail."""
+    K = rep.gspace.K
+    full = rep.eta(k, K - 1).reshape(-1, tail)
+    if not np.array_equal(full, rep.eta(k, n)[:, None] * tail + np.arange(tail)):
+        return False
+    return all(
+        (rep.fixed_point_partition(t, level).labels.reshape(-1, tail)
+         == rep.fixed_point_partition(t, t).labels[:, None]).all()
+        for t, level in ((n, K - 1), (n + 1, K))
+    )
+
+
 def intertwining_check(rep: PointRep, k: int, n: int):
     """Check alpha_k Q_n = Q_{n+1} alpha_k on level-(K-1) atom indicators.
 
     Q_n is the conditional expectation onto the fixed-point algebra of the
     n-th represented generator.  Returns (ok, witness_or_None).
+
+    The identity is decided on levels (n, n+1).  For k < n, eta_k reads
+    only (a, c_1 … c_{k+1}), and fix(n) at level L is fix(n) at level n
+    times one block on c_{n+1} … c_L (see fixed_point_partition).  The
+    level weights are head weights times tail weights, so every count and
+    weight the check compares on levels (K-1, K) is its head-level value
+    times a positive factor of the tail, the same on both sides.  The
+    identity holds on (K-1, K) iff it holds on (n, n+1), and head atom h
+    is the first failing atom h·T of the full level, T = nc^(K-1-n), as
+    blocks keep their first-atom order.  Compares of the cached tables
+    show the factoring on every call; where it fails, levels K-1 and K are
+    read.
     """
     K = rep.gspace.K
     if not 0 <= k < n:
@@ -321,7 +407,11 @@ def intertwining_check(rep: PointRep, k: int, n: int):
     if n > K - 1:
         raise ValueError("n must stay below the horizon")
     g = rep.gspace
-    lo, hi = K - 1, K
+    lo, scale = K - 1, 1
+    tail = g.nc ** (K - 1 - n)
+    if tail > 1 and _reads_head_levels(rep, k, n, tail):
+        lo, scale = n, tail
+    hi = lo + 1
     w_lo = g.level_weights(lo)
     w_hi = g.level_weights(hi)
     bn = rep.fixed_point_partition(n, lo)
@@ -335,7 +425,7 @@ def intertwining_check(rep: PointRep, k: int, n: int):
     beta_of_block = beta[bn1.first]
     if not np.array_equal(beta, beta_of_block[bn1.labels]):
         y = int(np.argmax(beta != beta_of_block[bn1.labels]))
-        return False, f"left side is not measurable along the right at atom {y}"
+        return False, f"left side is not measurable along the right at atom {y * scale}"
 
     w_bn = kern.group_sum(bn.labels, w_lo, bn.nblocks)
     w_bn1 = kern.group_sum(bn1.labels, w_hi, bn1.nblocks)
@@ -356,7 +446,7 @@ def intertwining_check(rep: PointRep, k: int, n: int):
 
     idx = _products_equal(j, w_bn[bn.labels[x_of_t]], w_lo[x_of_t], w_bn1[b_of_t])
     if idx is not None:
-        return False, f"projection weights differ at atom {int(first_t[idx])}"
+        return False, f"projection weights differ at atom {int(first_t[idx]) * scale}"
     return True, None
 
 

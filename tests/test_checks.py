@@ -627,3 +627,56 @@ def test_definetti_suite_scans_each_labels_array_once(monkeypatch):
     assert C.definetti_suite(PAPER, 8).passed
     assert seen
     assert len(repeats) == 0
+
+
+def test_definetti_suite_glues_and_meets_no_level_and_intertwines_on_head_levels(monkeypatch):
+    """On the coin at K=8: fixed_point_partition makes no union-find call,
+    intersected_fixed_points makes no meet, and intertwining_check(k, n)
+    with n+1 < K hands no kernel an array larger than level n+1."""
+    inside = []
+    kernel_calls, meets = [], []
+
+    def entered(name, fn, bound=None):
+        def wrapper(*args, **kwargs):
+            inside.append((name, bound(*args) if bound else None))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            sizes = [a.size for a in args if isinstance(a, np.ndarray)]
+            kernel_calls.append((name, max(sizes, default=0), tuple(inside)))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def head_level(rep, k, n):
+        return rep.gspace.level_size(n + 1) if n + 1 < rep.gspace.K else None
+
+    for name in ("canonicalize", "pair_canon", "union_components", "group_sum", "group_count"):
+        monkeypatch.setattr(kern, name, recorded(name, getattr(kern, name)))
+    orig_meet = Partition.meet
+
+    def meet(self, other):
+        meets.append(tuple(inside))
+        return orig_meet(self, other)
+
+    monkeypatch.setattr(Partition, "meet", meet)
+    for name in ("fixed_point_partition", "intersected_fixed_points"):
+        monkeypatch.setattr(R.PointRep, name, entered(name, getattr(R.PointRep, name)))
+    monkeypatch.setattr(R, "intertwining_check", entered("intertwining", R.intertwining_check, head_level))
+
+    assert C.definetti_suite(PAPER, 8).passed
+    assert not [c for c in kernel_calls if c[0] == "union_components" and ("fixed_point_partition", None) in c[2]]
+    assert meets and not [m for m in meets if ("intersected_fixed_points", None) in m]
+    on_heads = [
+        (size, bound)
+        for _, size, frames in kernel_calls
+        for name, bound in frames
+        if name == "intertwining" and bound is not None
+    ]
+    assert on_heads and all(size <= bound for size, bound in on_heads)

@@ -331,10 +331,10 @@ def test_product_identity_refuses_non_canonical_labels(side):
 def test_image_labels_match_reference_on_every_tower_cell(monkeypatch, capsys):
     cells = 0
 
-    def checked(p, q, wnum):
+    def checked(p, q, wnum, pq=None):
         nonlocal cells
         cells += 1
-        got = cexp_image_labels(p, q, wnum)
+        got = cexp_image_labels(p, q, wnum, pq)
         assert np.array_equal(got, reference_image_labels(p.labels, q.labels, wnum))
         return got
 

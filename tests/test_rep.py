@@ -169,6 +169,26 @@ def test_state_preservation_every_generator():
             assert rep.state_preservation_check(n, m)
 
 
+def digit_eta(rep, n, m):
+    """eta_n from level m+1 onto m by digit arithmetic on the atom ids."""
+    nc = rep.gspace.nc
+    ids = np.arange(rep.gspace.level_size(m + 1), dtype=np.int64)
+    if n == 0:
+        return rep.c_map[ids // nc ** (m + 1), (ids // nc**m) % nc] * nc**m + ids % nc**m
+    if n <= m:
+        x, y = (ids // nc ** (m - n + 1)) % nc, (ids // nc ** (m - n)) % nc
+        return (ids // nc ** (m - n + 2) * nc + rep.delta[x, y]) * nc ** (m - n) + ids % nc ** (m - n)
+    return ids // nc
+
+
+@pytest.mark.parametrize("make", [paper_rep, splus_rep, lambda: random_delta_rep(3)], ids=["fplus", "splus", "random-delta"])
+def test_eta_tables_match_digit_arithmetic(make):
+    rep = make()
+    for m in range(rep.gspace.K):
+        for n in range(m + 3):
+            assert np.array_equal(rep.eta(n, m), digit_eta(rep, n, m)), (n, m)
+
+
 # -- fixed point algebras --------------------------------------------------------
 
 
@@ -198,13 +218,119 @@ def test_fplus_fixed_points_canonical_delta():
 
 
 def test_intersected_equals_next_fixed_point():
-    # the tower collapse M_n = fix(alpha_{n+1}) granted by generation
+    # the tower collapse M_n = fix(alpha_{n+1}), proved in
+    # fixed_point_partition: fix(k) coarsens fix(k+1)
     rep = paper_rep()
     for level in (2, 3):
         for n in range(level):
             assert rep.intersected_fixed_points(n, level) == rep.fixed_point_partition(
                 n + 1, level
             ), (n, level)
+
+
+def two_class_rep(K=4):
+    """nc = 4 uniform noise with delta(u, v) = 2*(u // 2) + v % 2, whose
+    classes G of {delta(u, v) ~ u} are {0, 1} and {2, 3}."""
+    noise = FinSpace.uniform(4)
+    delta = np.array([[2 * (u // 2) + v % 2 for v in range(4)] for u in range(4)])
+    c_map = np.array([[0, 1, 0, 1], [1, 0, 1, 0]])
+    return R.build_fplus_rep(FinSpace.uniform(2), noise, c_map, delta, K)
+
+
+def random_delta_rep(seed, K=4):
+    rng = random.Random(seed)
+    noise = random_noise(rng, rng.randint(2, 4))
+    base = FinSpace.uniform(2)
+    c_map = np.array([[0] * noise.n, [1] * noise.n])
+    c_map[:, 0] = [1, 0]
+    return R.build_fplus_rep(base, noise, c_map, random_delta(rng, noise), K)
+
+
+def fixture_rep(name, K=4):
+    spec = D.ChainSpec.from_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+    return D.build_markov_dilation(spec, K).rep
+
+
+def union_find_fixed_points(rep, n, level):
+    """fix(n) at the level by union-find on the cached eta_n table."""
+    size = rep.gspace.level_size(level)
+    return Partition._from_canonical(*kern.union_components(size, rep.eta(n, level), rep.drop_last(level)))
+
+
+def count_union_find(monkeypatch):
+    calls = []
+    orig = kern.union_components
+
+    def counted(n, eu, ev):
+        calls.append(n)
+        return orig(n, eu, ev)
+
+    monkeypatch.setattr(kern, "union_components", counted)
+    return calls
+
+
+CLOSED_FORM_CASES = {
+    **{f"fixture-{p.stem}": (lambda name=p.stem: fixture_rep(name)) for p in sorted(FIXTURES.glob("*.json"))},
+    **{f"random-delta-{seed}": (lambda seed=seed: random_delta_rep(seed)) for seed in range(4)},
+    "splus": splus_rep,
+    "two-classes": two_class_rep,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_fixed_points_closed_form_equals_union_find(case, monkeypatch):
+    """On every (n, L) the fixed-point partition equals union-find on the
+    eta_n table, and for 1 <= n <= L it is built with no union-find."""
+    rep = CLOSED_FORM_CASES[case]()
+    K = rep.gspace.K
+    calls = count_union_find(monkeypatch)
+    for level in range(K + 1):
+        for n in range(level + 2):
+            calls.clear()
+            got = rep.fixed_point_partition(n, level)
+            assert bool(calls) == (not 1 <= n <= level), (n, level)
+            want = union_find_fixed_points(rep, n, level)
+            assert np.array_equal(got.labels, want.labels), (n, level)
+            assert (got.nblocks, got.n) == (want.nblocks, want.n), (n, level)
+    if case == "two-classes":
+        assert rep.fixed_point_partition(K, K).nblocks == 2 * rep.gspace.level_size(K - 1)
+
+
+# factors through a delta_hat that is not onto, whose classes G are one
+# block though fix(n) at level n+1 has two blocks per head
+NOT_ONTO = np.array([[0, 0, 0, 0], [0, 0, 0, 2], [2, 2, 2, 2], [2, 2, 2, 2]])
+
+
+@pytest.mark.parametrize("mutation", ["swap", "not-onto"])
+def test_fixed_points_fall_back_to_union_find_on_a_corrupted_eta(mutation, monkeypatch):
+    """An eta_n table corrupted before its first use is glued by union-find:
+    one that no longer factors (two entries swapped), and one that factors
+    through NOT_ONTO, where the closed form would be wrong."""
+    rng = random.Random(14)
+    K = 4
+    calls = count_union_find(monkeypatch)
+    closed_form_wrong = 0
+    for level in range(1, K + 1):
+        for n in range(1, level + 1):
+            rep = two_class_rep(K)
+            nc = rep.gspace.nc
+            table = rep.eta(n, level)
+            if mutation == "swap":
+                i, j = rng.sample(range(len(table)), 2)
+                while table[i] == table[j]:
+                    i, j = rng.sample(range(len(table)), 2)
+                table[i], table[j] = table[j], table[i]
+            else:
+                tail = nc ** (level - n)
+                cube = table.reshape(-1, nc, nc, tail)
+                heads = np.arange(len(cube))[:, None, None, None]
+                cube[:] = (heads * nc + NOT_ONTO[:, :, None]) * tail + np.arange(tail)
+            calls.clear()
+            got = rep.fixed_point_partition(n, level)
+            assert calls == [rep.gspace.level_size(level)], (n, level)
+            assert got == union_find_fixed_points(rep, n, level), (n, level)
+            closed_form_wrong += got.nblocks != rep.gspace.level_size(n - 1)
+    assert mutation == "swap" or closed_form_wrong
 
 
 def discrete_start_fold(rep, n, level):
@@ -405,6 +531,103 @@ def test_intertwining_matches_reference_on_corruptions():
                 rep._fix_cache[key] = saved
     assert failures > 100
     assert all(R.intertwining_check(rep, k, n) == (True, None) for k, n in pairs)
+
+
+def head_pairs(rep):
+    """The (k, n) pairs whose check reads levels (n, n+1), with their tail
+    sizes nc^(K-1-n)."""
+    K, nc = rep.gspace.K, rep.gspace.nc
+    return [(k, n, nc ** (K - 1 - n)) for n in range(1, K - 1) for k in range(n) if nc > 1]
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(3, 6))
+@settings(max_examples=20, deadline=None)
+def test_intertwining_on_head_levels_matches_reference(seed, d, K):
+    """Every pair with a tail takes the head levels and gives the verdict
+    and witness of the reference on levels K-1 and K.  K is lowered until
+    level K+1 holds at most 50,000 atoms."""
+    spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
+    nc = D.build_first_order_dilation(spec)[0].n
+    while K > 3 and d * nc ** (K + 1) > 50_000:
+        K -= 1
+    rep = D.build_markov_dilation(spec, K).rep
+    for k, n, tail in head_pairs(rep):
+        assert R._reads_head_levels(rep, k, n, tail), (k, n)
+    for n in range(1, K):
+        for k in range(n):
+            assert R.intertwining_check(rep, k, n) == _intertwining_reference(rep, k, n), (k, n)
+
+
+def test_intertwining_on_a_corrupted_coupling_matches_reference():
+    """The equal-mass coupling swap of the dilation tests changes eta_0 on
+    the head only, so every table still factors and every pair is decided
+    on its head levels.  It passes there as on levels K-1 and K: for k < n
+    the identity holds for any head map, since Q_n and Q_{n+1} average the
+    same noise classes and tail slots, which eta_k only shifts."""
+    spec = D.ChainSpec.coin(F(1, 2), F(1, 4))
+    _, cpl = D.build_first_order_dilation(spec)
+    bad_target = cpl.target.copy()
+    bad_target[0, 2], bad_target[1, 0] = bad_target[1, 0], bad_target[0, 2]
+    rep = D.build_markov_dilation(spec, 5, D.CouplingMap(cpl.base, cpl.noise, bad_target)).rep
+    assert all(R._reads_head_levels(rep, k, n, tail) for k, n, tail in head_pairs(rep))
+    for n in range(1, 5):
+        for k in range(n):
+            assert R.intertwining_check(rep, k, n) == _intertwining_reference(rep, k, n) == (True, None)
+
+
+def lift(labels, tail):
+    return Partition(np.repeat(labels, tail))
+
+
+def test_intertwining_on_head_levels_matches_reference_on_factored_corruptions():
+    """Seeded corruptions planted alike on the head and the full levels, so
+    that every compare of the head path still passes: two head entries of
+    eta_k swapped with the matching rows of the level-K table, or a block
+    of fix(n) or fix(n+1) split or merged on the head and lifted.  The
+    check, decided on the head levels, gives the verdict and the witness
+    atom of the reference on levels K-1 and K."""
+    rng = random.Random(14)
+    model = D.build_markov_dilation(PAPER, 5)
+    rep = model.rep
+    K = rep.gspace.K
+    pairs = head_pairs(rep)
+    for k, n, _ in pairs:  # fill the caches the corruptions edit
+        R.intertwining_check(rep, k, n)
+    failures = set()
+    for trial in range(150):
+        k, n, tail = rng.choice(pairs)
+        kind = trial % 3
+        if kind == 0:
+            head, full = rep.eta(k, n), rep.eta(k, K - 1)
+            saved = head.copy(), full.copy()
+            i, j = rng.sample(range(len(head)), 2)
+            head[i], head[j] = saved[0][j], saved[0][i]
+            full[:] = (head[:, None] * tail + np.arange(tail)).reshape(-1)
+        else:
+            t = rng.choice([n, n + 1])
+            keys = (t, t), (t, t + K - 1 - n)
+            saved = tuple(rep._fix_cache[key] for key in keys)
+            labels = saved[0].labels.copy()
+            if kind == 1:  # split one atom off its block
+                labels[rng.randrange(len(labels))] = saved[0].nblocks
+            else:  # merge two blocks
+                a, b = rng.sample(range(saved[0].nblocks), 2)
+                labels[labels == b] = a
+            rep._fix_cache[keys[0]] = Partition(labels)
+            rep._fix_cache[keys[1]] = lift(rep._fix_cache[keys[0]].labels, tail)
+        try:
+            assert R._reads_head_levels(rep, k, n, tail), trial
+            got = R.intertwining_check(rep, k, n)
+            assert got == _intertwining_reference(rep, k, n), (trial, k, n)
+            if not got[0]:
+                failures.add(got[1].split(" at ")[0].split(" in ")[0])
+        finally:
+            if kind == 0:
+                head[:], full[:] = saved
+            else:
+                rep._fix_cache[keys[0]], rep._fix_cache[keys[1]] = saved
+    assert len(failures) == 3, failures
+    assert all(R.intertwining_check(rep, k, n) == (True, None) for k, n, _ in pairs)
 
 
 def test_single_entry_delta_corruption_rejected():
