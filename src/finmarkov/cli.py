@@ -10,6 +10,7 @@ timing fields appear only behind --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -217,7 +218,11 @@ def cmd_verify(args) -> int:
     return _emit(report, args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    `main` call.  Each subcommand binds its `cmd_*` function when the parser
+    is first built, so replacing a `cmd_*` afterwards does not reach `main`."""
     p = argparse.ArgumentParser(
         prog="finmarkov",
         description="exact finite models: monoid words, Markov dilations, commuting squares",

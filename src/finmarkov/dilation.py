@@ -436,8 +436,11 @@ def dilation_property_check(model: ProcessModel) -> DilationReport:
     projection are decided by the model's own methods."""
     spec, K = model.spec, model.K
     power_ok = {}
+    power = spec.kernel.power(0)
     for n in range(K + 1):
-        power_ok[n] = model.compressed_power(n) == spec.kernel.power(n).rows
+        if n:
+            power = spec.kernel.compose(power)  # T^n from T^{n-1}: K compositions in all
+        power_ok[n] = model.compressed_power(n) == power.rows
 
     law = path_law(spec, K)
     model_num, model_den = model.joint_law()

@@ -31,8 +31,8 @@ class Word:
 
     def __post_init__(self):
         for fam, idx in self.letters:
-            if fam not in FAMILIES or idx < 0:
-                raise ValueError(f"bad letter ({fam}, {idx})")
+            if fam not in FAMILIES or type(idx) is not int or idx < 0:
+                raise ValueError(f"bad letter ({fam}, {idx!r})")
 
     @staticmethod
     def parse(text: str) -> "Word":
@@ -296,17 +296,60 @@ def monoid_rules(kind: str):
     raise ValueError(f"unknown monoid {kind!r}")
 
 
-def neighbours(w: Word, rules):
-    """All single-relation rewrites of w: (word, rule name, position)."""
-    out = []
-    ls = w.letters
-    for pos in range(len(ls) - 1):
-        pair = (ls[pos], ls[pos + 1])
-        for name, rule in rules:
-            new = rule(pair)
-            if new is not None:
-                out.append((Word(ls[:pos] + new + ls[pos + 2 :]), name, pos))
-    return out
+class _PairRewrites:
+    """The rewrites of one search, on words held as tuples of letter ids.
+
+    Each distinct letter gets a small int id when first met.  Each adjacent
+    pair of ids maps to its (rule name, new pair) rewrites in rule order,
+    keeping only new pairs whose indices are at most cap; the entry is filled
+    the first time the pair is seen.
+    """
+
+    def __init__(self, rules, cap: int):
+        self.rules = rules
+        self.cap = cap
+        self.letters: list[Letter] = []
+        self.ids: dict[Letter, int] = {}
+        self.table: dict[tuple[int, int], tuple[tuple[str, tuple[int, int]], ...]] = {}
+
+    def _id(self, letter: Letter) -> int:
+        i = self.ids.get(letter)
+        if i is None:
+            i = self.ids[letter] = len(self.letters)
+            self.letters.append(letter)
+        return i
+
+    def encode(self, w: Word) -> tuple[int, ...]:
+        return tuple(map(self._id, w.letters))
+
+    def decode(self, ids: tuple[int, ...]) -> Word:
+        return Word(tuple(map(self.letters.__getitem__, ids)))
+
+    def max_index(self, ids: tuple[int, ...]) -> int:
+        return max((self.letters[i][1] for i in ids), default=0)
+
+    def _fill(self, pair: tuple[int, int]):
+        letters = (self.letters[pair[0]], self.letters[pair[1]])
+        out = []
+        for name, rule in self.rules:
+            new = rule(letters)
+            if new is not None and max(new[0][1], new[1][1]) <= self.cap:
+                out.append((name, (self._id(new[0]), self._id(new[1]))))
+        out = self.table[pair] = tuple(out)
+        return out
+
+    def rewrites_of(self, cur: tuple[int, ...]):
+        """(word, rule name, position) of every single-relation rewrite of cur
+        whose new pair stays within the cap, by position and then rule order."""
+        table = self.table
+        out = []
+        for pos, pair in enumerate(zip(cur, cur[1:])):
+            rewrites = table.get(pair)
+            if rewrites is None:
+                rewrites = self._fill(pair)
+            for name, new in rewrites:
+                out.append((cur[:pos] + new + cur[pos + 2 :], name, pos))
+        return out
 
 
 def rewriting_closure(w: Word, kind: str = "F+", index_cap=None, node_budget=2_000_000):
@@ -314,22 +357,33 @@ def rewriting_closure(w: Word, kind: str = "F+", index_cap=None, node_budget=2_0
 
     Exploration caps generator indices at max index + word length + 1 unless
     index_cap is given; each forward rewrite raises one index by exactly 1
-    and words keep their length, so the class stays within the cap.
+    and words keep their length, so the class stays within the cap.  The
+    start word itself may exceed the cap; every other word of the returned
+    set has all its indices at most the cap.
     """
-    rules = monoid_rules(kind)
     cap = index_cap if index_cap is not None else w.max_index() + len(w) + 1
-    seen = {w}
-    queue = deque([w])
+    pairs = _PairRewrites(monoid_rules(kind), cap)
+    start = pairs.encode(w)
+    seen = {start}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt, _, _ in neighbours(cur, rules):
-            if nxt.max_index() > cap or nxt in seen:
+        for nxt, _, _ in pairs.rewrites_of(cur):
+            # only the start can carry an index above the cap outside the rewritten pair
+            if nxt in seen or (cur is start and pairs.max_index(nxt) > cap):
                 continue
             if len(seen) >= node_budget:
                 raise RuntimeError("closure node budget exhausted")
             seen.add(nxt)
             queue.append(nxt)
-    return seen
+    # large classes set the peak memory: drop the id set, and each id tuple
+    # as its Word is built, so the two encodings are never both held whole
+    found = list(seen)
+    del seen
+    out = set()
+    while found:
+        out.add(pairs.decode(found.pop()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -395,22 +449,25 @@ def derive_words(kind: str, start: Word, target: Word, node_budget=200_000) -> D
     All relations are length-preserving, so the search space is finite once
     indices are capped; the budget bounds explored nodes.
     """
-    rules = monoid_rules(kind)
+    # start lies within the cap, so the pair table's check of each new pair
+    # keeps every explored word within it
     cap = max(start.max_index(), target.max_index()) + len(start) + 1
-    prev: dict[Word, tuple[Word, str, int] | None] = {start: None}
-    queue = deque([start])
+    pairs = _PairRewrites(monoid_rules(kind), cap)
+    first, goal = pairs.encode(start), pairs.encode(target)
+    prev: dict[tuple[int, ...], tuple[tuple[int, ...], str, int] | None] = {first: None}
+    queue = deque([first])
     while queue:
         cur = queue.popleft()
-        if cur == target:
+        if cur == goal:
             steps = []
             node = cur
             while prev[node] is not None:
                 parent, name, pos = prev[node]
-                steps.append(DerivationStep(name, pos, node))
+                steps.append(DerivationStep(name, pos, pairs.decode(node)))
                 node = parent
             return DerivationTrace(kind, start, tuple(reversed(steps)))
-        for nxt, name, pos in neighbours(cur, rules):
-            if nxt.max_index() > cap or nxt in prev:
+        for nxt, name, pos in pairs.rewrites_of(cur):
+            if nxt in prev:
                 continue
             if len(prev) >= node_budget:
                 raise DerivationNotFound(

@@ -513,6 +513,35 @@ def test_output_deterministic():
     assert r1.stdout == r2.stdout
 
 
+def test_reused_parser_gives_fresh_parser_reports(capsys, tmp_path):
+    """main builds its parser once per process: a verify run after lump and
+    after a refused argv reports byte for byte what verify run first on a
+    freshly built parser reports, and so does lump."""
+    verify = ["verify", COIN, "--depth", "3", "--suite", "all"]
+    lump = ["lump", LUMPED, "--map", "0,1,0", "--depth", "3"]
+
+    def report(argv, name):
+        dest = tmp_path / name
+        code, out, _ = run(["--json", str(dest)] + argv, capsys)
+        return code, out, dest.read_bytes()
+
+    from finmarkov.cli import build_parser
+
+    fresh = {}
+    for name, argv in (("verify", verify), ("lump", lump)):
+        build_parser.cache_clear()
+        fresh[name] = report(argv, f"fresh-{name}.json")
+    first = report(verify, "verify1.json")
+    assert report(lump, "lump.json") == fresh["lump"]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", COIN, "--suite", "nonsense"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    again = report(verify, "verify2.json")
+    assert first == again == fresh["verify"]
+    assert first[0] == 0 and fresh["lump"][0] == 1
+
+
 def test_console_script_installed():
     """The declared ``finmarkov`` console script runs ``normalize``.
 

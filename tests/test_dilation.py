@@ -210,6 +210,19 @@ def test_dilation_property_random(seed):
     assert D.dilation_property_check(model).passed
 
 
+def test_dilation_powers_compose_once_per_step(monkeypatch):
+    # T^n is taken from T^{n-1}: K compositions decide n = 0 ... K
+    from finmarkov.finprob import MarkovKernel
+
+    model = D.build_markov_dilation(D.ChainSpec.coin(F(1, 2), F(1, 4)), 4)
+    calls = []
+    orig = MarkovKernel.compose
+    monkeypatch.setattr(MarkovKernel, "compose", lambda self, other: calls.append(1) or orig(self, other))
+    report = D.dilation_property_check(model)
+    assert report.passed and sorted(report.power_ok) == [0, 1, 2, 3, 4]
+    assert len(calls) == 4
+
+
 def test_dilation_check_points_at_a_moved_cell(monkeypatch):
     # the joint-law comparison decides; the tuple loop runs only to point
     # at a failing marginal cell

@@ -1,5 +1,7 @@
+from collections import deque
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmarkov import monoid as M
@@ -272,6 +274,13 @@ def test_derivation_budget_error():
         M.derive_words("F+", gword(0, 0), gword(1, 0))
 
 
+@pytest.mark.parametrize("idx", [1.5, 2.0, True, False, "1"])
+def test_word_refuses_non_integer_index(idx):
+    # str(Word) of such a letter would print a token Word.parse refuses
+    with pytest.raises(ValueError):
+        Word((("g", idx),))
+
+
 def test_bad_words_rejected():
     with pytest.raises(ValueError):
         M.normal_form_fplus(hword(0))
@@ -281,3 +290,109 @@ def test_bad_words_rejected():
         Word.parse("g0 x1")
     with pytest.raises(ValueError):
         M.extended_relation_check("EF+", 2, 2)
+
+
+# -- the searches against a reference on Word objects --------------------------
+
+# The searches in monoid hold words as tuples of letter ids and look rewrites
+# up in a per-call pair table.  The reference below is the same breadth-first
+# search written directly on Word objects, running every rule on every
+# adjacent pair of every word.
+
+
+def _ref_neighbours(w, rules):
+    out = []
+    ls = w.letters
+    for pos in range(len(ls) - 1):
+        pair = (ls[pos], ls[pos + 1])
+        for name, rule in rules:
+            new = rule(pair)
+            if new is not None:
+                out.append((Word(ls[:pos] + new + ls[pos + 2 :]), name, pos))
+    return out
+
+
+def _ref_closure(w, kind, index_cap=None, node_budget=2_000_000):
+    rules = M.monoid_rules(kind)
+    cap = index_cap if index_cap is not None else w.max_index() + len(w) + 1
+    seen = {w}
+    queue = deque([w])
+    while queue:
+        cur = queue.popleft()
+        for nxt, _, _ in _ref_neighbours(cur, rules):
+            if nxt.max_index() > cap or nxt in seen:
+                continue
+            if len(seen) >= node_budget:
+                raise RuntimeError("closure node budget exhausted")
+            seen.add(nxt)
+            queue.append(nxt)
+    return seen
+
+
+def _ref_derive(kind, start, target):
+    rules = M.monoid_rules(kind)
+    cap = max(start.max_index(), target.max_index()) + len(start) + 1
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        if cur == target:
+            steps = []
+            while prev[cur] is not None:
+                parent, name, pos = prev[cur]
+                steps.append(M.DerivationStep(name, pos, cur))
+                cur = parent
+            return M.DerivationTrace(kind, start, tuple(reversed(steps)))
+        for nxt, name, pos in _ref_neighbours(cur, rules):
+            if nxt.max_index() > cap or nxt in prev:
+                continue
+            prev[nxt] = (cur, name, pos)
+            queue.append(nxt)
+    raise M.DerivationNotFound(f"{start} -> {target}")
+
+
+KIND_FAMILIES = {"F+": "g", "S+": "h", "EF+": "gc", "ES+": "hc", "FF+": "gc"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closure_equals_word_reference(data):
+    kind = data.draw(st.sampled_from(sorted(KIND_FAMILIES)))
+    letters = data.draw(
+        st.lists(st.tuples(st.sampled_from(KIND_FAMILIES[kind]), st.integers(0, 5)), max_size=6)
+    )
+    w = Word(tuple(letters))
+    # a cap below the start's max index leaves the start over the cap
+    top = w.max_index()
+    below = st.integers(0, top - 1) if top else st.none()
+    cap = data.draw(st.one_of(st.none(), below, st.integers(top, top + len(w) + 2)))
+    assert M.rewriting_closure(w, kind, index_cap=cap) == _ref_closure(w, kind, index_cap=cap)
+
+
+def test_closure_with_start_over_the_cap():
+    # only the start may exceed the cap: its rewrite g0 g1 -> g2 g0 stays
+    # within the cap but keeps g5, so it is cut; g5 g0 -> g0 g4 is kept
+    w = gword(5, 0, 1)
+    got = M.rewriting_closure(w, index_cap=4)
+    assert got == _ref_closure(w, "F+", index_cap=4)
+    assert gword(0, 4, 1) in got and gword(5, 2, 0) not in got
+    assert all(u.max_index() <= 4 for u in got - {w})
+
+
+def test_closure_node_budget_boundary():
+    w = hword(2, 0, 4, 1, 3)
+    cls = _ref_closure(w, "S+")
+    assert M.rewriting_closure(w, "S+", node_budget=len(cls)) == cls
+    with pytest.raises(RuntimeError):
+        M.rewriting_closure(w, "S+", node_budget=len(cls) - 1)
+
+
+@pytest.mark.parametrize("kind", ["EF+", "ES+", "FF+"])
+def test_derivation_traces_equal_word_reference(kind):
+    fam = KIND_FAMILIES[kind][0]
+    for l in range(1, 7):
+        for k in range(l):
+            start = Word((("c", k), (fam, k), ("c", l), (fam, l)))
+            target = Word((("c", l + 1), (fam, l + 1), ("c", k), (fam, k)))
+            want = _ref_derive(kind, start, target)
+            assert M.extended_relation_check(kind, k, l).to_json() == want.to_json(), (k, l)
