@@ -202,11 +202,6 @@ def cmd_verify(args) -> int:
                 "the cell (M_{m+k} ⊃ a0^k(M_m); M_{n+k} ⊃ a0^k(M_n)) commutes",
                 ok,
             )
-        report.add(
-            "tower-cells-agree",
-            "all four commuting-square conditions agree on every cell",
-            tower.cells_agree,
-        )
         for n, ok in sorted(tower.intersections.items()):
             report.add(
                 f"tower-intersection-n{n}",

@@ -187,7 +187,9 @@ class PointRep:
     # -- exact structural checks -------------------------------------------
 
     def state_preservation_check(self, n: int, m: int) -> bool:
-        """Pushforward of the level-(m+1) state under eta_n is the level-m state."""
+        """Pushforward of the level-(m+1) state under eta_n is the level-m
+        state.  It holds for every state-preserving (c_map, delta) the CLI
+        accepts; `rep-check` keeps it as an implementation check on eta."""
         g = self.gspace
         sums = kern.group_sum(self.eta(n, m), g.level_weights(m + 1), g.level_size(m))
         return bool(np.array_equal(sums, g.level_weights(m) * g.noise_den))
@@ -355,7 +357,10 @@ def monoid_relations_check(rep: PointRep, K: int):
     """Decide alpha_k alpha_l = alpha_{l+1} alpha_k for 0 <= k < l <= K as
     point maps level_{m+2} -> level_m for every m < K - 1.  Returns (ok,
     witness) naming the first failing instance.  Below horizon 2 no level
-    is decided, so the horizon is refused."""
+    is decided, so the horizon is refused.  For k < l, eta_k and eta_{l+1}
+    merge disjoint slot pairs, so the relations hold for every
+    state-preserving (c_map, delta) the CLI accepts; the check is kept as
+    an implementation check on the eta tables every other check reads."""
     if K < 2:
         raise ValueError(f"the monoid relations need horizon >= 2; got {K}")
     for k in range(K):
@@ -453,7 +458,9 @@ def intertwining_check(rep: PointRep, k: int, n: int):
 def intertwining_identities_check(rep: PointRep):
     """Decide alpha_k Q_n = Q_{n+1} alpha_k for every 0 <= k < n < K, the
     horizon of rep.  Returns (ok, witness) naming the first failing (k, n).
-    Below horizon 2 there is no such pair, so the horizon is refused."""
+    Below horizon 2 there is no such pair, so the horizon is refused.  It
+    passes on every state-preserving (c_map, delta) the CLI accepts and is
+    kept as an implementation check on the eta tables."""
     K = rep.gspace.K
     if K < 2:
         raise ValueError(f"the intertwining identities need horizon >= 2; got {K}")
@@ -467,17 +474,17 @@ def intertwining_identities_check(rep: PointRep):
 
 @dataclass(frozen=True)
 class TowerReport:
+    """`cells[(m, n, k)]`: the cell commutes; `intersections[n]`: M_{n+1} ∩
+    alpha_0(M_{n+1}) = alpha_0(M_n).  A cell is True by the lemma that
+    (q0, q1, q0) with q0 ⊂ q1 commutes, once tail tests show it is its head
+    cell scaled, or by the four conditions on the atoms."""
+
     cells: dict
-    cells_agree: bool
     intersections: dict
 
     @property
     def passed(self) -> bool:
-        return (
-            self.cells_agree
-            and all(self.cells.values())
-            and all(self.intersections.values())
-        )
+        return all(self.cells.values()) and all(self.intersections.values())
 
 
 def _head_factor(part: Partition, nc: int, level: int, h: int, s: int) -> Partition | None:
@@ -501,22 +508,22 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
     intersection identities M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).
     Generation by the M_n holds by construction (M_L is discrete at level L).
 
-    Each cell (m, n, k) is decided on its head coordinates (a, c_1 … c_h),
-    h = m + k, with the weights of level h.  The level-L weights are the
-    product of the head weights and the noise weights of the tail slots, so
-    when p0 = alpha_0^k(M_m) and p1 = M_{m+k} are constant along the tail
-    and p2 = alpha_0^k(M_n) is q2 × (the discrete partition of c_{h+1} …
-    c_{n+k}), constant beyond c_{n+k}, each of the four commuting-square
-    conditions on the level is its condition on (p0, p1, q2) over the head,
-    scaled by the same tail factor.  These tail tests are reshapes and
-    compares of the level labels and run on every cell; a cell that fails
-    one is decided on the atoms.  The intersections keep their atom-level
-    meets."""
+    Cell (m, n, k) reads p0 = alpha_0^k(M_m), p1 = M_{m+k} and p2 =
+    alpha_0^k(M_n) on level L = K-1, with head (a, c_1 … c_h), h = m + k.
+    The level weights are the level-h weights times those of the tail
+    slots.  So where the tail tests pass (p0 = q0 and p1 = q1 constant
+    along the tail; p2 = q2 × the discrete partition of c_{h+1} … c_{n+k},
+    constant beyond), each commuting-square condition on the level is its
+    condition on the head triple (q0, q1, q2) times one tail factor.  Where
+    also q2 = q0 ⊂ q1, the head triple (q0, q1, q0) is a commuting square,
+    as E_{q1} E_{q0} = E_{q0}, and the cell is True.  Every other cell goes
+    to commuting_square_check on the level's atoms, which also refuses a
+    cell whose p0 is not coarser than p1 and p2.  The tail tests are
+    reshapes and compares of the level labels.  The intersections keep
+    their atom-level meets."""
     g = rep.gspace
     level = g.K - 1
-    wnum = g.level_weights(level)
     cells = {}
-    agree = True
     intersections = {}
     towers = {t: rep.intersected_fixed_points(t, level) for t in range(level + 1)}
     shifted: dict[tuple[int, int], Partition] = {}
@@ -537,23 +544,18 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
 
     for m in range(level + 1):
         for n in range(m + 1, level + 1):
-            for k in range(1, level + 1):
-                if n + k > level:
-                    continue
+            for k in range(1, level - n + 1):
                 h = m + k
-                on_heads = (on_head(m, k, h, h), on_head(h, 0, h, h), on_head(n, k, h, n + k))
-                if all(q is not None for q in on_heads):
-                    report = commuting_square_check(g.level_weights(h), *on_heads)
-                else:
-                    parts = (alpha_shift(m, k), towers[h], alpha_shift(n, k))
-                    report = commuting_square_check(wnum, *parts)
-                cells[(m, n, k)] = report.is_commuting_square
-                agree = agree and report.all_agree
+                q0, q1, q2 = on_head(m, k, h, h), on_head(h, 0, h, h), on_head(n, k, h, n + k)
+                lemma = q0 is not None and q1 is not None and q0 == q2 and q0.coarsens(q1)
+                cells[(m, n, k)] = lemma or commuting_square_check(
+                    g.level_weights(level), alpha_shift(m, k), towers[h], alpha_shift(n, k)
+                ).is_commuting_square
 
     for n in range(level):
         lhs = towers[n + 1].meet(alpha_shift(n + 1, 1))
         intersections[n] = lhs == alpha_shift(n, 1)
-    return TowerReport(cells, agree, intersections)
+    return TowerReport(cells, intersections)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from finmarkov import checks as C
 from finmarkov import dilation as D
 from finmarkov import monoid as M
 from finmarkov import rep as R
+from finmarkov.finprob import commuting_square_check
 from finmarkov.monoid import Word, gword
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -122,16 +123,24 @@ def test_criterion_04_fplus_relations():
 
 
 def test_criterion_05_triangular_tower():
-    """All tower cells with indices <= K-1 = 3 are commuting squares, all
-    four characterizations agreeing, including the intersection identity."""
+    """All tower cells with indices <= K-1 = 3 are commuting squares,
+    including the intersection identity.  Each cell is decided twice: by
+    triangular_tower_check (the (q0, q1, q0) lemma on built models) and by
+    the four commuting-square conditions on the atoms of level 3, which
+    must agree with each other and with the first verdict."""
     t0 = time.time()
     ok = True
     for spec in corpus()[:8] + [PAPER]:
-        model = D.build_markov_dilation(spec, 4)
-        report = R.triangular_tower_check(model.rep)
-        ok &= all(report.cells.values()) and report.cells_agree
+        rep = D.build_markov_dilation(spec, 4).rep
+        report = R.triangular_tower_check(rep)
+        ok &= all(report.cells.values())
         ok &= all(report.intersections.values())
-    _line(5, ok, "tower cells + intersections, four conditions agree", t0)
+        w = rep.gspace.level_weights(3)
+        for (m, n, k), verdict in report.cells.items():
+            p0, p2 = (rep.shifted_partition(rep.intersected_fixed_points(t, 3 - k), k, 3) for t in (m, n))
+            atoms = commuting_square_check(w, p0, rep.intersected_fixed_points(m + k, 3), p2)
+            ok &= atoms.all_agree and atoms.is_commuting_square == verdict
+    _line(5, ok, "tower cells + intersections, lemma = four conditions on the atoms", t0)
 
 
 def test_criterion_06_definetti_suite():

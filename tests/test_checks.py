@@ -97,12 +97,11 @@ def test_every_lumping_stays_partially_spreadable():
 
 
 def test_corrupted_representation_fails_premise():
-    # an equal-mass swap in the coupling keeps states intact but breaks the
-    # monoid relations when applied to c_map's noise argument pairing
-    ns, cpl = D.build_first_order_dilation(PAPER)
-    noise = ns.space
-    # corrupt the model by composing delta with a non-pushforward map is
-    # rejected earlier; instead corrupt an eta table in place
+    """A wrong implementation fails: two entries of the cached eta_1 table
+    swapped in place break the monoid relations, and the premise entry
+    fails with a witness.  No accepted (c_map, delta) fails the relations,
+    and a delta that is not state-preserving is refused when the model is
+    built, so the table is edited instead of the input."""
     model = D.build_markov_dilation(PAPER, 3)
     view = C.ProcessView.from_model(model)
     table = model.rep.eta(1, 1)
@@ -384,8 +383,8 @@ def test_hierarchy_fails_on_a_moved_joint_law(fixture, failing, monkeypatch):
 
 
 def test_hierarchy_fails_on_a_corrupted_eta_1():
-    # eta_1 sends atom 0 of level K to an atom of another base value, so
-    # alpha_1 moves iota_0
+    """A wrong implementation fails: the cached eta_1 table sends atom 0 of
+    level K to an atom of another base value, so alpha_1 moves iota_0."""
     K = 4
     model = D.build_markov_dilation(PAPER, K)
     g = model.gspace

@@ -375,20 +375,20 @@ def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
 
 
 def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
-    """At depth 9 each of the 84 cells (m, n, k) is decided on the 2·9^{m+k}
-    points of its head at level 8: 59,064 points in all, against 487,152
-    on the blocks of M_{n+k} and 84 * 13,122 = 1,102,248 atoms.  No
-    decision canonicalizes a full level."""
-    sizes, canon = [], []
-    orig_check, orig_canon = rep.commuting_square_check, kern.canonicalize
+    """At depth 9 each of the 84 cells (m, n, k) passes its tail tests on
+    level 8 and has the head triple (q0, q1, q0) with q0 ⊂ q1 on the
+    2·3^{m+k} points of its head, so the lemma decides it: no cell reaches
+    commuting_square_check, and the tail tests relabel head columns only,
+    never a full level of 13,122 atoms."""
+    calls, canon = [], []
+    orig_factor, orig_check, orig_canon = rep._head_factor, rep.commuting_square_check, kern.canonicalize
     deciding = False
 
-    def recorded(wnum, p0, p1, p2):
+    def factored(*args):
         nonlocal deciding
-        sizes.append(p1.n)
         deciding = True
         try:
-            return orig_check(wnum, p0, p1, p2)
+            return orig_factor(*args)
         finally:
             deciding = False
 
@@ -397,12 +397,13 @@ def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
             canon.append(len(labels))
         return orig_canon(labels)
 
-    monkeypatch.setattr(rep, "commuting_square_check", recorded)
+    monkeypatch.setattr(rep, "_head_factor", factored)
+    monkeypatch.setattr(rep, "commuting_square_check", lambda *args: calls.append(args) or orig_check(*args))
     monkeypatch.setattr(kern, "canonicalize", canonicalize)
-    code, _, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
+    code, out, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
     assert code == 0
-    assert len(sizes) == 84
-    assert sum(sizes) <= 59_064
+    assert out.count("tower-cell-") == 84
+    assert calls == []
     assert canon and max(canon) < 13_122
 
 

@@ -437,8 +437,10 @@ def test_intertwining_refuses_bad_indices():
     ],
 )
 def test_intertwining_fails_on_a_corrupted_eta(swap, witness):
-    # swapping two entries of the cached eta_0 table at level 2 fails one
-    # branch each: the weights, completeness and measurability
+    """A wrong implementation fails: swapping two entries of the cached
+    eta_0 table at level 2 fails one branch each, the weights,
+    completeness and measurability.  No accepted (c_map, delta) fails the
+    intertwining identities."""
     model = D.build_markov_dilation(PAPER, 3)
     table = model.rep.eta(0, 2)
     orig = table.copy()
@@ -675,7 +677,7 @@ def test_shared_decisions_refuse_a_horizon_deciding_nothing():
 def test_tower_paper_chain():
     rep = paper_rep(5)
     report = R.triangular_tower_check(rep)
-    assert report.passed and report.cells_agree
+    assert report.passed
     assert all(report.intersections.values())
 
 
@@ -695,16 +697,16 @@ def test_tower_random_chains(seed):
     spec = D.random_irreducible_chain(rng, rng.choice([2, 3]))
     model = D.build_markov_dilation(spec, 4)
     report = R.triangular_tower_check(model.rep)
-    assert report.passed and report.cells_agree
+    assert report.passed
 
 
 def reference_triangular_tower_check(rep):
     """The tower check with no reduction: every cell on all atoms of level
-    K-1."""
+    K-1, where the four commuting-square conditions of each cell must
+    agree."""
     level = rep.gspace.K - 1
     wnum = rep.gspace.level_weights(level)
     cells = {}
-    agree = True
     intersections = {}
     towers = {t: rep.intersected_fixed_points(t, level) for t in range(level + 1)}
     shifted = {}
@@ -721,13 +723,13 @@ def reference_triangular_tower_check(rep):
                 if n + k > level:
                     continue
                 report = commuting_square_check(wnum, alpha_shift(m, k), towers[m + k], alpha_shift(n, k))
+                assert report.all_agree, (m, n, k)
                 cells[(m, n, k)] = report.is_commuting_square
-                agree = agree and report.all_agree
 
     for n in range(level):
         lhs = towers[n + 1].meet(alpha_shift(n + 1, 1))
         intersections[n] = lhs == alpha_shift(n, 1)
-    return R.TowerReport(cells, agree, intersections)
+    return R.TowerReport(cells, intersections)
 
 
 def tower_cells(level):
@@ -766,12 +768,28 @@ def test_level_weights_are_head_weights_times_the_tail(fixture):
         assert np.array_equal(tails, g.level_weights(h) * g.noise_den ** (L - h)), h
 
 
+def assert_tower_matches_reference_by_the_lemma(rep):
+    """The tower report equals the atom-level reference, and every cell of
+    the built model is decided by the (q0, q1, q0) lemma: none reaches
+    commuting_square_check."""
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = record_cell_sizes(mp)
+        report = R.triangular_tower_check(rep)
+    assert report == reference_triangular_tower_check(rep)
+    assert sizes == []
+
+
 @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(3, 6))
 @settings(max_examples=15, deadline=None)
 def test_tower_matches_atom_level_reference(seed, d, K):
     spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
-    model = D.build_markov_dilation(spec, K)
-    assert R.triangular_tower_check(model.rep) == reference_triangular_tower_check(model.rep)
+    assert_tower_matches_reference_by_the_lemma(D.build_markov_dilation(spec, K).rep)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_tower_matches_atom_level_reference_on_fixtures(fixture):
+    spec = D.ChainSpec.from_dict(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    assert_tower_matches_reference_by_the_lemma(D.build_markov_dilation(spec, 6).rep)
 
 
 def tower_or_refusal(check, rep):
@@ -782,8 +800,9 @@ def tower_or_refusal(check, rep):
 
 
 def transposed_eta_rep(spec, K, n, m, i, j):
-    """The model's rep with entries i and j of eta(n, m) swapped; some of
-    its tower cells fail, or a cell is refused as not nested."""
+    """The model's rep with entries i and j of the cached eta(n, m) swapped,
+    a wrong implementation: some of its tower cells fail, or a cell is
+    refused as not nested."""
     rep = D.build_markov_dilation(spec, K).rep
     table = rep.eta(n, m)
     table[i], table[j] = table[j], table[i]
@@ -854,7 +873,7 @@ def test_tower_cell_verdict_reads_the_block_weights():
     rep = weight_sensitive_tower_rep()
     report = R.triangular_tower_check(rep)
     assert report == reference_triangular_tower_check(weight_sensitive_tower_rep())
-    assert report.cells[(0, 1, 1)] and report.cells_agree
+    assert report.cells[(0, 1, 1)]
     assert rep.intersected_fixed_points(2, 3).nblocks == 4
 
 
@@ -923,19 +942,33 @@ def cell_011_rep(p1, p2):
     return TableTowerRep({1: p1}, {(0, 1): trivial, (0, 2): trivial, (1, 1): p2})
 
 
-def test_tower_head_cell_reads_the_head_weights(monkeypatch):
+def test_tower_planted_cell_is_decided_on_the_atoms(monkeypatch):
     """p1 = {S, not S} with S = {(a, c1) = (0, 2), (1, 0)} and q2 = {c1 = 2}
     are independent under the state (S holds a third of the mass on either
-    side of c1 = 2), but not under the head's point counts; p2 = q2 × c2
-    factors, so the cell is decided on its head, where only the weights
-    make it commute."""
+    side of c1 = 2), but not under the head's point counts.  p2 = q2 × c2
+    passes the tail tests, but q2 is not the trivial q0, so the lemma does
+    not decide the cell: it is decided on the 54 atoms, where only the
+    weights make it commute."""
     s = np.isin(HEAD1, [2, 3]).astype(np.int64)
     rep = cell_011_rep(s, B * 3 + C2)
     sizes = record_cell_sizes(monkeypatch)
     report = R.triangular_tower_check(rep)
     assert report == reference_triangular_tower_check(rep)
-    assert report.cells[(0, 1, 1)] and report.cells_agree and sizes[0] == 6
+    assert report.cells[(0, 1, 1)] and sizes[0] == 54
 
+
+def test_tower_refuses_a_non_nested_cell_whose_head_triple_is_q0_q1_q0():
+    """Cells (0, 1, 1) and (0, 2, 1) have p0 = {a = 1}, p1 = M_1 trivial,
+    and p2 = p0 × c2 and p0 × c2 × c3.  Both pass the tail tests with q2 =
+    q0, but q0 is not coarser than q1: the lemma does not apply, and the
+    first is refused as the reference refuses it.  Every other cell is
+    nested."""
+    trivial = np.zeros(54, dtype=np.int64)
+    shifts = {(0, 1): R1, (0, 2): trivial, (1, 1): R1 * 3 + C2, (2, 1): R1 * 9 + C2 * 3 + C3}
+    rep = TableTowerRep({1: trivial}, shifts)
+    got = tower_or_refusal(R.triangular_tower_check, rep)
+    assert got == tower_or_refusal(reference_triangular_tower_check, rep)
+    assert "p0 coarser than p1" in got
 
 
 @pytest.mark.parametrize(
