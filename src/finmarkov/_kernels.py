@@ -60,9 +60,27 @@ def union_components(n: int, eu, ev):
             return canonicalize(parent)
 
 
+# canonicalize relabels through a first-occurrence table when the labels are
+# nonnegative and below _DENSE_RANGE_FACTOR * n + _DENSE_RANGE_SLACK: the table
+# then costs at most a few times the labels, and the only sort is over the
+# labels present.  Wider ranges, such as pair codes, and negative labels sort.
+_DENSE_RANGE_FACTOR = 4
+_DENSE_RANGE_SLACK = 64
+
+
 def canonicalize(labels):
     """Relabel to 0..k-1 in order of first occurrence. Returns (labels, k)."""
     labels = np.ascontiguousarray(labels, dtype=np.int64)
+    n = len(labels)
+    size = int(labels.max()) + 1 if n else 0
+    if n and labels.min() >= 0 and size <= _DENSE_RANGE_FACTOR * n + _DENSE_RANGE_SLACK:
+        first = np.full(size, n, dtype=np.int64)
+        np.minimum.at(first, labels, np.arange(n, dtype=np.int64))
+        present = np.flatnonzero(first < n)
+        # first occurrences are distinct, so ranking them needs no stable sort
+        table = np.empty(size, dtype=np.int64)
+        table[present[np.argsort(first[present])]] = np.arange(len(present), dtype=np.int64)
+        return table[labels], len(present)
     uniq, first, inv = np.unique(labels, return_index=True, return_inverse=True)
     order = np.argsort(np.argsort(first, kind="stable"), kind="stable")
     out = order[inv].astype(np.int64)

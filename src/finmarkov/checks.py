@@ -32,7 +32,7 @@ from .finprob import (
     FinSpace,
     Partition,
     block_weight_sums,
-    local_filtration_markov_check,
+    cexp_product_equals,
 )
 from .rep import (
     PointRep,
@@ -247,11 +247,27 @@ def maximal_ps_check(view: ProcessView, relations=None) -> VerificationReport:
 
 def markov_sequence_check(view: ProcessView) -> VerificationReport:
     """E_{A[0,n]} iota_{n+1} = E_{A[n,n]} iota_{n+1} for 0 <= n <= K-1, plus
-    the equivalent local-filtration Markov property of the canonical family.
+    the equivalent local-filtration Markov property of the canonical family
+    A_[m,n] = sigma(X_m .. X_n).
 
-    Both are decided on the quotient by A_[0,K].  Every tested quantity is
-    constant on its blocks, which are numbered in first-atom order, so the
-    first atom of the first failing block is the first failing atom."""
+    The filtration is decided on its K-1 distinct cells
+    E_{A[0,n]} E_{A[n,K]} = E_{A[n,n]}, 1 <= n <= K-1, because on a family
+    generated by coordinates the rest of local_filtration_markov_check holds
+    by construction:
+
+    * A[m-1,n] and A[m,n+1] refine A[m,n] (isotony);
+    * A_I ∨ A_J = A_{I∪J} (local minimality);
+    * so (M) at n, with left A[0,n-1] ∨ A[n,n] = A[0,n] and right
+      A[n,n] ∨ A[n+1,K] = A[n,K], is the same call as (M') at n;
+    * (M') at 0 and at K holds because E_P E_Q = E_Q E_P = E_P for P ⊂ Q.
+
+    The verdict and the (M) witnesses are those of the generic check; the
+    test suite asserts the lemma on the generic check's report.
+
+    Both properties are decided on the quotient by A_[0,K].  Every tested
+    quantity is constant on its blocks, which are numbered in first-atom
+    order, so the first atom of the first failing block is the first failing
+    atom."""
     K = view.K
     q = view.quotient
     w = q.weights
@@ -282,22 +298,25 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
         "markov-sequence", "E[0,n] iota_{n+1} = E[n,n] iota_{n+1}", seq_ok, wit
     )
 
-    filt = local_filtration_markov_check(view.block_partition, K, w, atoms=q.first)
+    part = view.block_partition
+    filt_ok, wits = True, []
+    for n in range(1, K):
+        ok, cell_wit = cexp_product_equals(part(0, n), part(n, K), part(n, n), w, q.first)
+        if not ok:
+            filt_ok = False
+            wits.append(f"(M) n={n}: {cell_wit}")
+            if len(wits) == 2:
+                break
     report.add(
         "canonical-filtration-markov",
         "E[0,n] E[n,K] = E[n,n] on the canonical local filtration",
-        filt.is_markov,
-        "; ".join(filt.witnesses[:2]) or None,
-    )
-    report.add(
-        "canonical-filtration-minimal",
-        "A_I ∨ A_J = A_{I∪J} for overlapping intervals",
-        filt.locally_minimal,
+        filt_ok,
+        "; ".join(wits) or None,
     )
     report.add(
         "markov-equivalence",
         "sequence Markov property coincides with filtration Markov property",
-        seq_ok == filt.is_markov,
+        seq_ok == filt_ok,
     )
     return report
 

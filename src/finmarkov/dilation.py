@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -401,13 +401,8 @@ def tensor_marginal(num, ks):
 def path_law(spec: ChainSpec, horizon: int) -> PathLaw:
     d = spec.d
     pi_num = np.array(spec.pi.weight_numerators(), dtype=np.int64)
-    t_den = 1
-    for row in spec.rows:
-        for x in row:
-            t_den = t_den * x.denominator // gcd(t_den, x.denominator)
-    t_num = np.array(
-        [[int(x * t_den) for x in row] for row in spec.rows], dtype=np.int64
-    )
+    t_num, t_den = _transition_numerators(spec)
+    t_num = np.array(t_num, dtype=np.int64)
     den = spec.pi.denominator * t_den**horizon
     if not kern.fits_int64(den):
         raise OverflowError("path-law denominator exceeds int64")
@@ -436,11 +431,10 @@ def dilation_property_check(model: ProcessModel) -> DilationReport:
     projection are decided by the model's own methods."""
     spec, K = model.spec, model.K
     power_ok = {}
-    power = spec.kernel.power(0)
-    for n in range(K + 1):
-        if n:
-            power = spec.kernel.compose(power)  # T^n from T^{n-1}: K compositions in all
-        power_ok[n] = model.compressed_power(n) == power.rows
+    for n, (num, den) in enumerate(_transition_powers(spec, K)):
+        power_ok[n] = all(
+            x * den == y for row, nrow in zip(model.compressed_power(n), num) for x, y in zip(row, nrow)
+        )
 
     law = path_law(spec, K)
     model_num, model_den = model.joint_law()
@@ -457,6 +451,26 @@ def dilation_property_check(model: ProcessModel) -> DilationReport:
                 if int(m_num[cell]) * law.den != int(p_num[cell]) * model_den:
                     failures.append((ks, cell))
     return DilationReport(power_ok, tuple(failures[:5]))
+
+
+def _transition_numerators(spec: ChainSpec):
+    """T as integer numerators (a list of rows) over the least common
+    denominator of its entries."""
+    t_den = lcm(*(x.denominator for row in spec.rows for x in row))
+    return [[int(x * t_den) for x in row] for row in spec.rows], t_den
+
+
+def _transition_powers(spec: ChainSpec, horizon: int):
+    """T^n for 0 <= n <= horizon as exact integer numerators over D^n, D the
+    common denominator of T: one object-dtype matrix product per step, with
+    no rational arithmetic."""
+    t_num, t_den = _transition_numerators(spec)
+    t_num = np.array(t_num, dtype=object)
+    num = np.identity(spec.d, dtype=object)
+    for n in range(horizon + 1):
+        if n:
+            num = t_num @ num
+        yield num, t_den**n
 
 
 def _ratio_tensor_equal(a_num, a_den, b_num, b_den) -> bool:

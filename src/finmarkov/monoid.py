@@ -34,6 +34,13 @@ class Word:
             if fam not in FAMILIES or type(idx) is not int or idx < 0:
                 raise ValueError(f"bad letter ({fam}, {idx!r})")
 
+    @classmethod
+    def _trusted(cls, letters: tuple[Letter, ...]) -> "Word":
+        """A Word on letters already checked, skipping __post_init__."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     @staticmethod
     def parse(text: str) -> "Word":
         letters = []
@@ -323,7 +330,9 @@ class _PairRewrites:
         return tuple(map(self._id, w.letters))
 
     def decode(self, ids: tuple[int, ...]) -> Word:
-        return Word(tuple(map(self.letters.__getitem__, ids)))
+        # every letter was checked when the start word was built or was
+        # produced by a rule, so it is not checked again
+        return Word._trusted(tuple(map(self.letters.__getitem__, ids)))
 
     def max_index(self, ids: tuple[int, ...]) -> int:
         return max((self.letters[i][1] for i in ids), default=0)

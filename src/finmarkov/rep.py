@@ -117,6 +117,7 @@ class PointRep:
     _eta_cache: dict = field(default_factory=dict, repr=False)
     _fix_cache: dict = field(default_factory=dict, repr=False)
     _tower_cache: dict = field(default_factory=dict, repr=False)
+    _classes_cache: dict = field(default_factory=dict, repr=False)  # delta_hat bytes -> G
 
     def __post_init__(self):
         g = self.gspace
@@ -252,7 +253,12 @@ class PointRep:
             return None
         if not np.array_equal(table, _merged(heads, dhat, tail)):
             return None
-        classes, nclasses = _noise_classes(dhat)
+        # every eta_n table of a built model factors through the same delta_hat,
+        # so G is found once; a planted or corrupted table keys its own entry
+        key = dhat.tobytes()
+        if key not in self._classes_cache:
+            self._classes_cache[key] = _noise_classes(dhat)
+        classes, nclasses = self._classes_cache[key]
         labels = np.arange(heads, dtype=np.int64)[:, None, None] * nclasses + classes[:, None]
         return Partition._from_canonical(
             np.broadcast_to(labels, (heads, nc, tail)).reshape(-1), heads * nclasses

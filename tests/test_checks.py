@@ -125,9 +125,21 @@ def test_markov_sequence_paper_and_iid():
 
 
 def test_canonical_filtration_minimal():
-    rep = C.markov_sequence_check(paper_view())
-    entry = [e for e in rep.entries if e.check == "canonical-filtration-minimal"][0]
-    assert entry.ok
+    """The lemma markov_sequence_check rests on holds on the generic check's
+    report of canonical families, and its assertion fails on the
+    representation's filtration M^rho, which is Markov but not locally
+    minimal."""
+    spec, _ = lumped_fixture()
+    lumped = C.ProcessView.from_model(D.build_markov_dilation(spec, 4)).lump([0, 1, 1])
+    verdicts = []
+    for view in (paper_view(), paper_view(3).lump([1, 0]), lumped):
+        _, filt = reference_markov_sequence_check(view)  # asserts the lemma
+        verdicts.append(filt.is_markov)
+    assert verdicts == [True, True, False]  # the lemma holds on a failing filtration too
+    rho = R.filtration_from_rep(paper_view().rep, 4).report
+    assert rho.is_markov and not rho.locally_minimal
+    with pytest.raises(AssertionError):
+        assert_coordinate_family_lemma(rho, 4)
 
 
 def reference_interval_partition(view, m, n):
@@ -140,8 +152,10 @@ def reference_interval_partition(view, m, n):
 
 def reference_markov_sequence_check(view):
     """Reference for markov_sequence_check: the same identities decided on
-    every level-K atom instead of on the quotient by A_[0,K].  Returns the
-    (check, ok, witness) entries and the FiltrationReport."""
+    every level-K atom instead of on the quotient by A_[0,K], the filtration
+    by the generic local_filtration_markov_check, on whose report the
+    coordinate-family lemma is asserted.  Returns the (check, ok, witness)
+    entries and the FiltrationReport."""
     K = level = view.K
     parts = {}
 
@@ -175,10 +189,25 @@ def reference_markov_sequence_check(view):
             break
     report.add("markov-sequence", "", seq_ok, wit)
     filt = local_filtration_markov_check(part, K, w)
-    report.add("canonical-filtration-markov", "", filt.is_markov, "; ".join(filt.witnesses[:2]) or None)
-    report.add("canonical-filtration-minimal", "", filt.locally_minimal)
+    assert_coordinate_family_lemma(filt, K)
+    cells = [x for x in filt.witnesses if x.startswith("(M) ")]
+    report.add("canonical-filtration-markov", "", filt.is_markov, "; ".join(cells[:2]) or None)
     report.add("markov-equivalence", "", seq_ok == filt.is_markov)
     return [(e.check, e.ok, e.witness) for e in report.entries], filt
+
+
+def assert_coordinate_family_lemma(filt, K):
+    """What holds by construction on a family generated by coordinates, so
+    that markov_sequence_check decides only (M') at 1 <= n <= K-1: isotony,
+    local minimality, (M) at n equal to (M') at n with the same witness,
+    and (M') at 0 and at K."""
+    assert filt.isotone and filt.locally_minimal
+    assert all(filt.markov_m[n] == filt.markov_m_prime[n] for n in range(1, K))
+    assert filt.markov_m_prime[0] and filt.markov_m_prime[K]
+    m = [x for x in filt.witnesses if x.startswith("(M) ")]
+    m_prime = [x for x in filt.witnesses if x.startswith("(M') ")]
+    assert len(m) + len(m_prime) == len(filt.witnesses)
+    assert [x.replace("(M') ", "(M) ", 1) for x in m_prime] == m
 
 
 def two_block_lumps(d):
@@ -223,6 +252,20 @@ def test_markov_sequence_witness_atom_is_mapped_back():
     view = C.ProcessView.from_model(D.build_markov_dilation(spec, 3)).lump([0, 0, 1])
     first, *_ = assert_matches_reference(view)
     assert first == ("markov-sequence", False, "n=1, value 0: prediction from the past differs at atom 64")
+
+
+@pytest.mark.parametrize("key", [(0, 2), (2, 2), (1, 4), (3, 4)])
+def test_a_scrambled_block_partition_is_caught(key):
+    """A wrong implementation fails: after a first run fills the cache, one
+    cached A_[m,n] shuffled over the quotient points makes the Markov checks
+    differ from the atom-level reference."""
+    view = paper_view(4)
+    expect = assert_matches_reference(view)
+    labels = view.block_partition(*key).labels.copy()
+    np.random.default_rng(17).shuffle(labels)
+    view._parts[key] = Partition(labels)
+    got = [(e.check, e.ok, e.witness) for e in C.markov_sequence_check(view).entries]
+    assert got != expect
 
 
 def quotient_law(view):

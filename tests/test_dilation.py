@@ -1,11 +1,14 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmarkov import checks as C
 from finmarkov import dilation as D
 
 
@@ -210,17 +213,51 @@ def test_dilation_property_random(seed):
     assert D.dilation_property_check(model).passed
 
 
-def test_dilation_powers_compose_once_per_step(monkeypatch):
-    # T^n is taken from T^{n-1}: K compositions decide n = 0 ... K
-    from finmarkov.finprob import MarkovKernel
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-    model = D.build_markov_dilation(D.ChainSpec.coin(F(1, 2), F(1, 4)), 4)
-    calls = []
-    orig = MarkovKernel.compose
-    monkeypatch.setattr(MarkovKernel, "compose", lambda self, other: calls.append(1) or orig(self, other))
-    report = D.dilation_property_check(model)
-    assert report.passed and sorted(report.power_ok) == [0, 1, 2, 3, 4]
-    assert len(calls) == 4
+
+def _power_specs():
+    """The five fixtures and seven seeded random chains."""
+    specs = {p.stem: D.ChainSpec.from_dict(json.loads(p.read_text())) for p in sorted(FIXTURES.glob("*.json"))}
+    for seed in range(1, 8):
+        rng = random.Random(seed)
+        specs[f"random-{seed}"] = D.random_irreducible_chain(rng, rng.choice([2, 3, 4]))
+    return specs
+
+
+POWER_SPECS = _power_specs()
+
+
+@pytest.mark.parametrize("name", sorted(POWER_SPECS))
+def test_dilation_powers_equal_the_kernel_powers(name, monkeypatch):
+    # T^n as integer numerators over D^n equals the Fraction kernel power;
+    # a moved compressed power still fails its dilation-powers entry
+    spec = POWER_SPECS[name]
+    K = 5
+    powers = list(D._transition_powers(spec, K))
+    assert len(powers) == K + 1
+    for n, (num, den) in enumerate(powers):
+        got = tuple(tuple(F(int(x), den) for x in row) for row in num)
+        assert got == spec.kernel.power(n).rows, n
+
+    model = D.build_markov_dilation(spec, 3)
+    assert D.dilation_property_check(model).passed
+    orig = model.compressed_power
+    for bad_n in range(4):
+
+        def moved(n, bad_n=bad_n):
+            rows = [list(r) for r in orig(n)]
+            if n == bad_n:
+                rows[0][0] += F(1, 7)
+                rows[0][-1] -= F(1, 7)
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(model, "compressed_power", moved)
+        report = C.VerificationReport()
+        C.add_dilation_entries(report, model)
+        powers_entry = report.entries[0]
+        assert (powers_entry.check, powers_entry.ok) == ("dilation-powers", False)
+        assert powers_entry.witness == f"first failing power {bad_n}"
 
 
 def test_dilation_check_points_at_a_moved_cell(monkeypatch):

@@ -58,6 +58,54 @@ def test_canonicalize_first_occurrence(vals):
     assert labels.tolist() == ref and k == len(seen)
 
 
+def unique_reference(labels):
+    """The sort path: np.unique, then the first occurrences ranked."""
+    uniq, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+    return order[inv].astype(np.int64), len(uniq)
+
+
+@st.composite
+def labels_near_the_dense_bound(draw):
+    """Labels whose maximum lies just below, at or just above the dense
+    path's range bound for their length, or that hold a negative label."""
+    n = draw(st.integers(1, 60))
+    bound = kern._DENSE_RANGE_FACTOR * n + kern._DENSE_RANGE_SLACK
+    top = draw(st.sampled_from([bound - 1, bound, bound + 1, n - 1, 3 * bound]))
+    vals = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    vals[draw(st.integers(0, n - 1))] = top
+    if draw(st.integers(0, 3)) == 0:  # a quarter of the inputs hold a negative label
+        vals[draw(st.integers(0, n - 1))] = -draw(st.integers(1, 3 * bound))
+    return np.array(vals, dtype=np.int64)
+
+
+@given(labels_near_the_dense_bound())
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_equals_the_unique_reference_on_both_sides_of_the_dense_bound(labels):
+    got, k = kern.canonicalize(labels)
+    want, k_want = unique_reference(labels)
+    assert got.dtype == np.int64 and k == k_want
+    assert np.array_equal(got, want)
+
+
+def test_canonicalize_takes_the_dense_path_below_the_bound_only(monkeypatch):
+    calls = []
+    orig = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or orig(*a, **k))
+    n = 10
+    bound = kern._DENSE_RANGE_FACTOR * n + kern._DENSE_RANGE_SLACK
+    for top, sorts in ((bound - 1, 0), (bound, 1)):
+        labels = np.array([top] + [0] * (n - 1), dtype=np.int64)
+        assert kern.canonicalize(labels)[0].tolist() == [0] + [1] * (n - 1)
+        assert len(calls) == sorts
+    assert kern.canonicalize(np.array([0, -1, 0]))[0].tolist() == [0, 1, 0] and len(calls) == 2
+
+
+def test_canonicalize_empty():
+    labels, k = kern.canonicalize(np.array([], dtype=np.int64))
+    assert labels.dtype == np.int64 and labels.shape == (0,) and k == 0
+
+
 @given(
     st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=100)
 )

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -396,3 +399,25 @@ def test_derivation_traces_equal_word_reference(kind):
             target = Word((("c", l + 1), (fam, l + 1), ("c", k), (fam, k)))
             want = _ref_derive(kind, start, target)
             assert M.extended_relation_check(kind, k, l).to_json() == want.to_json(), (k, l)
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_corpus_closures_equal_word_reference(monkeypatch):
+    """The four closure classes of the benchmark's corpus (6720, 1008, 5040
+    and 40320 words) equal the search on validated Words, and every word
+    returned without validation passes it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    sizes = []
+    for kind, text in workloads.CLOSURE_BASES:
+        base = Word.parse(text)
+        got = M.rewriting_closure(base, kind)
+        assert got == _ref_closure(base, kind)
+        assert all(Word(w.letters) == w for w in got)
+        sizes.append(len(got))
+    assert sizes == [6720, 1008, 5040, 40320]

@@ -333,6 +333,37 @@ def test_fixed_points_fall_back_to_union_find_on_a_corrupted_eta(mutation, monke
     assert mutation == "swap" or closed_form_wrong
 
 
+def test_fixed_points_find_the_noise_classes_once_per_delta_hat(monkeypatch):
+    """G is found once per delta_hat: every eta_n table of a built model
+    factors through the same one.  A table planted to factor through another
+    onto delta_hat gets its own classes, and still equals union-find."""
+    calls = []
+    orig = R._noise_classes
+    monkeypatch.setattr(R, "_noise_classes", lambda dhat: calls.append(1) or orig(dhat))
+    for rep in (two_class_rep(), fixture_rep("coin_p12_p14", 6)):
+        calls.clear()
+        K = rep.gspace.K
+        for level in range(1, K + 1):
+            for n in range(1, level + 1):
+                assert rep.fixed_point_partition(n, level) == union_find_fixed_points(rep, n, level)
+        assert len(calls) == 1
+
+    rep = two_class_rep(4)
+    nc = rep.gspace.nc
+    rep.fixed_point_partition(1, 1)
+    table = rep.eta(2, 3)
+    tail = nc ** (3 - 2)
+    cube = table.reshape(-1, nc, nc, tail)
+    heads = np.arange(len(cube))[:, None, None, None]
+    cube[:] = (heads * nc + np.arange(nc)[:, None]) * tail + np.arange(tail)  # delta_hat(u, v) = v
+    calls.clear()
+    uf = count_union_find(monkeypatch)
+    got = rep.fixed_point_partition(2, 3)
+    assert uf == [] and len(calls) == 1
+    assert got == union_find_fixed_points(rep, 2, 3)
+    assert got.nblocks == rep.gspace.level_size(1)  # one class: delta_hat(u, v) = v glues every u to every v
+
+
 def discrete_start_fold(rep, n, level):
     """The tower algebra as intersected_fixed_points once computed it: from
     the discrete partition, one meet per fixed-point algebra k = n+1..top."""
