@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -22,19 +23,21 @@ from . import _kernels as kern
 from .dilation import (
     ChainSpec,
     DilationReport,
+    PathTable,
     ProcessModel,
+    _transition_powers,
     build_markov_dilation,
     dilation_property_check,
-    joint_law,
+    path_table,
     tensor_marginal,
 )
 from .finprob import (
     FinSpace,
     Partition,
-    block_weight_sums,
     cexp_product_equals,
 )
 from .rep import (
+    AtomBudgetError,
     PointRep,
     TowerReport,
     intertwining_identities_check,
@@ -101,18 +104,6 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """Level K of a process view modulo A_[0,K], the algebra generated by
-    X_0 .. X_K.  Its points are the blocks of A_[0,K], numbered in
-    first-atom order and weighted by their level-K mass."""
-
-    labels: np.ndarray  # the block of each level-K atom
-    first: np.ndarray  # the first atom of each block
-    values: np.ndarray  # values[k, b] is X_k on block b
-    weights: np.ndarray  # block weight numerators over the level-K denominator
-
-
 class ProcessView:
     """A stationary sequence of finite-valued random variables read off a
     graded model: the k-th variable is the base coordinate transported by k
@@ -129,12 +120,15 @@ class ProcessView:
         self.base = base  # the value space of the variables
         self.value_map = np.asarray(value_map, dtype=np.int64)
         self.K = horizon
-        self._quotient: Quotient | None = None
+        self._model: ProcessModel | None = None  # set by from_model: its table is the model's
         self._parts: dict = {}
 
     @staticmethod
     def from_model(model: ProcessModel) -> "ProcessView":
-        return ProcessView(model.rep, model.spec.pi, np.arange(model.spec.d), model.K)
+        """The model's own view, which reads the path table the model caches."""
+        view = ProcessView(model.rep, model.spec.pi, np.arange(model.spec.d), model.K)
+        view._model = model
+        return view
 
     def lump(self, f) -> "ProcessView":
         """The view of f(X_k): value space atoms are merged along f."""
@@ -151,29 +145,25 @@ class ProcessView:
     def x_table(self, k: int, level: int) -> np.ndarray:
         return self.value_map[self.rep.x_table(k, level)]
 
-    @property
-    def quotient(self) -> Quotient:
-        """A_[0,K] at level K, built on first use by K + 1 canonicalize calls."""
-        if self._quotient is None:
-            K = self.K
-            xs = [self.x_table(k, K) for k in range(K + 1)]
-            labels = np.zeros(len(xs[0]), dtype=np.int64)
-            for x in xs:
-                labels, nblocks = kern.canonicalize(labels * self.base.n + x)
-            first = Partition._from_canonical(labels, nblocks).first
-            values = np.stack([x[first] for x in xs])
-            weights = block_weight_sums(labels, nblocks, self.rep.gspace.level_weights(K))
-            self._quotient = Quotient(labels, first, values, weights)
-        return self._quotient
+    @cached_property
+    def quotient(self) -> PathTable:
+        """The view's path table: the model's own for a view from_model."""
+        model = self._model
+        return model.paths if model else path_table(self.rep, self.value_map, self.base.n, self.K)
 
     def block_partition(self, m: int, n: int) -> Partition:
-        """A_[m,n] on the points of the quotient, built from A_[m,n-1] by one
-        canonicalize call."""
+        """A_[m,n] on the points of the quotient, built by one canonicalize
+        call from A_[m+1,K] when n = K and from A_[m,n-1] otherwise, so that
+        the filtration's right factors A_[n,K] chain from the right."""
         key = (m, n)
         if key not in self._parts:
-            labels = self.quotient.values[n]
-            if n > m:
-                labels = self.block_partition(m, n - 1).labels * self.base.n + labels
+            values = self.quotient.values
+            if m == n:
+                labels = values[n]
+            elif n == self.K:
+                labels = self.block_partition(m + 1, n).labels * self.base.n + values[m]
+            else:
+                labels = self.block_partition(m, n - 1).labels * self.base.n + values[n]
             self._parts[key] = Partition._from_canonical(*kern.canonicalize(labels))
         return self._parts[key]
 
@@ -184,9 +174,8 @@ class ProcessView:
         part = self.block_partition(m, n)
         return Partition._from_canonical(part.labels[self.quotient.labels], part.nblocks)
 
-    def joint_law(self, ks, level=None):
-        level = self.K if level is None else level
-        return joint_law(self.rep, self.value_map, self.base.n, ks, level)
+    def joint_law(self, ks):
+        return self.quotient.joint_law(ks)
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +382,34 @@ class HierarchyReport:
     report: VerificationReport
 
 
+def require_hierarchy_budget(d: int, horizon: int, budget: int):
+    """Refuse a hierarchy whose dense law, d^(horizon+1) cells, exceeds the budget."""
+    cells = f"{d}^{horizon + 1} cells"
+    if d ** (horizon + 1) > budget:
+        raise AtomBudgetError(f"hierarchy law at horizon {horizon} has {cells}, exceeds budget {budget}")
+
+
 def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> HierarchyReport:
     """Decide stationarity, spreadability and exchangeability exactly on the
-    path law at level `horizon` (default model.K), and pass each answer iff
-    it equals the chain's closed form.  The loader enforces pi T = pi, so
-    the chain is stationary; at horizon >= 2 it is spreadable iff
-    exchangeable iff T^2 = T (Ryll-Nardzewski and de Finetti).  Below
+    joint law of X_0 .. X_horizon (default horizon model.K), a marginal of
+    the model's path table, and pass each answer iff it equals the chain's
+    closed form, T^2 = T on T's integer numerators.  The loader enforces
+    pi T = pi, so the chain is stationary; at horizon >= 2 it is spreadable
+    iff exchangeable iff T^2 = T (Ryll-Nardzewski and de Finetti).  Below
     horizon 2 spreadability compares no two marginals and exchangeability
-    means reversibility, so the horizon is refused.  The monoid relations
-    decided at the model's horizon may be passed as `relations`; they are
-    read only when `horizon` is that horizon."""
+    means reversibility, so the horizon is refused, as is a law that does
+    not fit the atom budget.  The monoid relations decided at the model's
+    horizon may be passed as `relations`; they are read only when `horizon`
+    is that horizon."""
     K = model.K if horizon is None else horizon
-    if K < 2:
-        raise ValueError(f"the hierarchy needs horizon >= 2; got {K}")
-    if K > 6:
-        raise ValueError("hierarchy enumeration is desk-scale: horizon <= 6")
+    if not 2 <= K <= model.K:
+        raise ValueError(f"the hierarchy needs horizon >= 2 and at most the model's {model.K}; got {K}")
+    require_hierarchy_budget(model.spec.d, K, model.gspace.budget)
     view = ProcessView.from_model(model)
-    idempotent = model.spec.kernel.power(2).rows == model.spec.rows
+    _, (t, t_den), (t2, _) = _transition_powers(model.spec, 2)
+    idempotent = bool((t2 == t * t_den).all())
     rep = VerificationReport()
-    num, den = view.joint_law(range(K + 1), K)
+    num, _ = view.joint_law(range(K + 1))
     witnesses = {}
 
     def answer(name, holds):
@@ -425,9 +423,7 @@ def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> Hierar
             win = tensor_marginal(num, tuple(range(m, m + r + 1)))
             if not np.array_equal(base, win):
                 stationary = False
-                witnesses.setdefault(
-                    "stationarity", f"window [{m},{m+r}] differs from [0,{r}]"
-                )
+                witnesses.setdefault("stationarity", f"window [{m},{m+r}] differs from [0,{r}]")
     rep.add("stationary", "all marginal windows shift-invariant, as pi T = pi gives",
             stationary, answer("stationarity", stationary))
 
@@ -438,10 +434,7 @@ def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> Hierar
             win = tensor_marginal(num, ks)
             if not np.array_equal(base, win):
                 spreadable = False
-                witnesses.setdefault(
-                    "spreadability",
-                    f"marginal at indices {ks} differs from [0,{r}]",
-                )
+                witnesses.setdefault("spreadability", f"marginal at indices {ks} differs from [0,{r}]")
                 break
         if not spreadable:
             break
@@ -452,14 +445,11 @@ def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> Hierar
     for i in range(K):  # adjacent transpositions generate all permutations
         if not np.array_equal(num, np.swapaxes(num, i, i + 1)):
             exchangeable = False
-            witnesses.setdefault(
-                "exchangeability", f"law changes under swapping times {i},{i+1}"
-            )
+            witnesses.setdefault("exchangeability", f"law changes under swapping times {i},{i+1}")
             break
     rep.add("exchangeable", "path law invariant under time permutations iff T^2 = T",
             exchangeable == idempotent, answer("exchangeability", exchangeable))
 
-    # the joint law above already read level K, the deepest level this reads
     ps = partial_spreadability_check(view, K, relations if K == model.K else None).passed
     rep.add("partially-spreadable", "representation premise and localization of iota_0",
             ps, "yes" if ps else "no")

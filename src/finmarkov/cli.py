@@ -184,6 +184,8 @@ def cmd_verify(args) -> int:
     # compares no two marginals
     _require_depth(args.depth, 2 if suites == ("hierarchy",) else 3, f"verify --suite {args.suite}")
     spec, _ = _load_chainspec(args.chainspec)
+    if "hierarchy" in suites:
+        chk.require_hierarchy_budget(spec.d, min(args.depth, 5), args.budget)
     K = min(args.depth, 5) if suites == ("hierarchy",) else args.depth
     model = dil.build_markov_dilation(spec, K, budget=args.budget)
     if "definetti" in suites:

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from . import _kernels as kern
-from .finprob import FinSpace, MarkovKernel
+from .finprob import FinSpace, MarkovKernel, Partition, block_weight_sums
 from .rationals import parse_rational
 from .rep import GradedSpace, PointRep, build_fplus_rep, delta_second_coordinate
 
@@ -289,6 +289,47 @@ def build_first_order_dilation(spec: ChainSpec) -> tuple[NoiseSpace, CouplingMap
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PathTable:
+    """Level K of a process modulo A_[0,K], the algebra generated by X_0 ..
+    X_K: one point per path of the support, in first-atom order, weighted
+    by its level-K mass.  Every law of X_0 .. X_K is a marginal of it."""
+
+    labels: np.ndarray  # the block of each level-K atom
+    first: np.ndarray  # the first atom of each block
+    values: np.ndarray  # values[k, b] is X_k on block b
+    weights: np.ndarray  # block weight numerators over den, which they sum to
+    nvals: int  # the variables take values in range(nvals)
+    den: int  # the level-K denominator
+
+    def joint_law(self, ks):
+        """The law of (X_k)_{k in ks}: numerators of shape (nvals,)*len(ks), den."""
+        key = np.zeros(len(self.weights), dtype=np.int64)
+        for k in ks:
+            key = key * self.nvals + self.values[k]
+        num = kern.group_sum(key, self.weights, self.nvals ** len(ks))
+        return num.reshape((self.nvals,) * len(ks)), self.den
+
+
+def path_table(rep: PointRep, value_map, nvals: int, level: int) -> PathTable:
+    """The path table of f(X_0) .. f(X_K), f = value_map taking the base
+    atoms to nvals values: X_k is read off one running pullback through
+    eta_0, and A_[0,K] refined by it with one canonicalize call."""
+    g = rep.gspace
+    ids = np.arange(g.level_size(level), dtype=np.int64)
+    labels = np.zeros(len(ids), dtype=np.int64)
+    xs = []
+    for k in range(level + 1):
+        if k:
+            ids = rep.eta(0, level - k)[ids]
+        xs.append(value_map[g.base_coord(ids, level - k)])
+        labels, nblocks = kern.canonicalize(labels * nvals + xs[-1])
+    first = Partition._from_canonical(labels, nblocks).first
+    weights = block_weight_sums(labels, nblocks, g.level_weights(level))
+    values = np.stack([x[first] for x in xs])
+    return PathTable(labels, first, values, weights, nvals, g.level_denominator(level))
+
+
 @dataclass
 class ProcessModel:
     """A chain amplified over K fresh noise slots, carrying the full
@@ -303,20 +344,23 @@ class ProcessModel:
     def gspace(self) -> GradedSpace:
         return self.rep.gspace
 
+    @cached_property
+    def paths(self) -> PathTable:
+        """The path table of X_0 .. X_K, built on first use."""
+        return path_table(self.rep, np.arange(self.spec.d), self.spec.d, self.K)
+
     def compressed_power(self, n: int) -> tuple:
-        """iota* alpha^n iota as an exact d x d matrix."""
-        d = self.spec.d
-        num, den = joint_law(self.rep, np.arange(d), d, (0, n), n)
-        pi = self.spec.pi.weights
-        return tuple(
-            tuple(Fraction(int(num[a, j]), den) / pi[a] for j in range(d))
-            for a in range(d)
-        )
+        """iota* alpha^n iota as an exact d x d matrix, read from (X_0, X_n)
+        at level n, apart from the path table."""
+        d, g = self.spec.d, self.gspace
+        key = self.rep.x_table(0, n) * d + self.rep.x_table(n, n)
+        num = kern.group_sum(key, g.level_weights(n), d * d).reshape(d, d)
+        den, pi = g.level_denominator(n), self.spec.pi.weights
+        return tuple(tuple(Fraction(int(num[a, j]), den) / pi[a] for j in range(d)) for a in range(d))
 
     def joint_law(self, ks=None):
         """Exact joint distribution of (X_k)_{k in ks} read off the model."""
-        ks = range(self.K + 1) if ks is None else ks
-        return joint_law(self.rep, np.arange(self.spec.d), self.spec.d, ks, self.K)
+        return self.paths.joint_law(range(self.K + 1) if ks is None else ks)
 
     def measure_preservation_check(self) -> bool:
         return all(
@@ -330,20 +374,6 @@ class ProcessModel:
         x0 = np.arange(g.level_size(self.K), dtype=np.int64) // g.nc**self.K
         sums = kern.group_sum(x0, g.level_weights(self.K), g.d)
         return bool(np.array_equal(sums, g.base_num * g.noise_den**self.K))
-
-
-def joint_law(rep: PointRep, value_map, nvals: int, ks, level: int):
-    """Exact joint distribution of (f(X_k))_{k in ks} read at a level, where
-    f = value_map takes the base atoms to nvals values.
-
-    Returns (numerator array of shape (nvals,)*len(ks), denominator).
-    """
-    g = rep.gspace
-    key = np.zeros(g.level_size(level), dtype=np.int64)
-    for k in ks:
-        key = key * nvals + value_map[rep.x_table(k, level)]
-    num = kern.group_sum(key, g.level_weights(level), nvals ** len(ks))
-    return num.reshape((nvals,) * len(ks)), g.level_denominator(level)
 
 
 def build_markov_dilation(
@@ -402,7 +432,7 @@ def path_law(spec: ChainSpec, horizon: int) -> PathLaw:
     d = spec.d
     pi_num = np.array(spec.pi.weight_numerators(), dtype=np.int64)
     t_num, t_den = _transition_numerators(spec)
-    t_num = np.array(t_num, dtype=np.int64)
+    t_num = t_num.astype(np.int64)
     den = spec.pi.denominator * t_den**horizon
     if not kern.fits_int64(den):
         raise OverflowError("path-law denominator exceeds int64")
@@ -424,40 +454,37 @@ class DilationReport:
 
 def dilation_property_check(model: ProcessModel) -> DilationReport:
     """iota* alpha^n iota = T^n for n <= K, and model moments of basis
-    indicators equal path-law expectations.  The moments are decided by one
-    comparison of the full joint laws; on failure the witnesses are the
-    first failing cells of the marginals of up to three times, then of the
-    whole path, which always holds one.  Measure preservation and the range
-    projection are decided by the model's own methods."""
-    spec, K = model.spec, model.K
-    power_ok = {}
-    for n, (num, den) in enumerate(_transition_powers(spec, K)):
-        power_ok[n] = all(
-            x * den == y for row, nrow in zip(model.compressed_power(n), num) for x, y in zip(row, nrow)
-        )
+    indicators equal path-law expectations.
 
-    law = path_law(spec, K)
-    model_num, model_den = model.joint_law()
-    # one exact tensor comparison decides every indicator-moment identity;
-    # only when it fails are individual tuples compared, to point at a witness
-    failures = []
-    if not _ratio_tensor_equal(model_num, model_den, law.num, law.den):
-        times = range(K + 1)
-        tuples = [ks for r in range(1, min(3, K) + 1) for ks in combinations(times, r)]
-        for ks in tuples + [tuple(times)]:
-            m_num = tensor_marginal(model_num, ks)
-            p_num = tensor_marginal(law.num, ks)
-            for cell in np.ndindex(*([spec.d] * len(ks))):
-                if int(m_num[cell]) * law.den != int(p_num[cell]) * model_den:
-                    failures.append((ks, cell))
-    return DilationReport(power_ok, tuple(failures[:5]))
+    The moments are decided on the support of the model's path table: each
+    path s on it must have weights[s] / level_den = pi(s_0) prod T(s_k,
+    s_{k+1}), compared in exact integers over pi_den D^K, D the common
+    denominator of T.  The weights sum to the level denominator, so where
+    every path of the support passes the chain puts no mass off it.  The
+    failures are the first five failing paths, ((0, .., K), path), in
+    first-atom order.  Measure preservation and the range projection are
+    decided by the model's own methods."""
+    spec, K = model.spec, model.K
+    power_ok = {
+        n: all(x * den == y for row, nrow in zip(model.compressed_power(n), num) for x, y in zip(row, nrow))
+        for n, (num, den) in enumerate(_transition_powers(spec, K))
+    }
+    table = model.paths
+    t_num, t_den = _transition_numerators(spec)
+    chain = np.array(spec.pi.weight_numerators(), dtype=object)[table.values[0]]
+    for k in range(K):
+        chain = chain * t_num[table.values[k], table.values[k + 1]]
+    lhs = table.weights.astype(object) * (spec.pi.denominator * t_den**K)
+    bad = np.flatnonzero(lhs != chain * table.den)[:5]
+    paths = (tuple(int(v) for v in table.values[:, b]) for b in bad)
+    return DilationReport(power_ok, tuple((tuple(range(K + 1)), p) for p in paths))
 
 
 def _transition_numerators(spec: ChainSpec):
-    """T as integer numerators (a list of rows) over the least common
+    """T as exact integer numerators (an object array) over the least common
     denominator of its entries."""
     t_den = lcm(*(x.denominator for row in spec.rows for x in row))
-    return [[int(x * t_den) for x in row] for row in spec.rows], t_den
+    return np.array([[int(x * t_den) for x in row] for row in spec.rows], dtype=object), t_den
 
 
 def _transition_powers(spec: ChainSpec, horizon: int):
@@ -465,18 +492,11 @@ def _transition_powers(spec: ChainSpec, horizon: int):
     common denominator of T: one object-dtype matrix product per step, with
     no rational arithmetic."""
     t_num, t_den = _transition_numerators(spec)
-    t_num = np.array(t_num, dtype=object)
     num = np.identity(spec.d, dtype=object)
     for n in range(horizon + 1):
         if n:
             num = t_num @ num
         yield num, t_den**n
-
-
-def _ratio_tensor_equal(a_num, a_den, b_num, b_den) -> bool:
-    lhs = a_num.astype(object).reshape(-1) * b_den
-    rhs = b_num.astype(object).reshape(-1) * a_den
-    return bool((lhs == rhs).all())
 
 
 # ---------------------------------------------------------------------------

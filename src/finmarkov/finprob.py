@@ -170,11 +170,6 @@ class Partition:
             raise ValueError("empty partition")
         return Partition._from_canonical(np.arange(n, dtype=np.int64), n)
 
-    def blocks(self):
-        order = np.argsort(self.labels, kind="stable")
-        cuts = np.searchsorted(self.labels[order], np.arange(self.nblocks))
-        return [order[s:e] for s, e in zip(cuts, list(cuts[1:]) + [self.n])]
-
     def join(self, other: "Partition") -> "Partition":
         """Common refinement: the subalgebra generated by both."""
         return Partition._from_canonical(*kern.pair_canon(self.labels, other.labels))

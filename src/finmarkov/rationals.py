@@ -7,7 +7,7 @@ or as "num/den" strings at the I/O boundary; no floats are accepted anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def parse_rational(s) -> Fraction:
@@ -38,15 +38,8 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def common_denominator(qs) -> int:
-    d = 1
-    for q in qs:
-        d = lcm(d, Fraction(q).denominator)
-    return d
+    return lcm(*(Fraction(q).denominator for q in qs))
 
 
 def numerators_over(qs, den: int) -> list[int]:

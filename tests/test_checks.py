@@ -268,6 +268,20 @@ def test_a_scrambled_block_partition_is_caught(key):
     assert got != expect
 
 
+@pytest.mark.parametrize("K", [4, 10])
+def test_right_factors_chain_from_the_right(K):
+    """markov_sequence_check builds A_[0,n] for n < K, A_[n,n] for n < K and
+    A_[n,K] for 1 <= n <= K, each A_[n,K] from A_[n+1,K]: 3K - 1 partitions
+    (29 at K = 10, where chaining A_[n,K] from A_[n,n] built 64)."""
+    view = paper_view(K)
+    assert C.markov_sequence_check(view).passed
+    left = {(0, n) for n in range(K)} | {(n, n) for n in range(K)}
+    assert set(view._parts) == left | {(n, K) for n in range(1, K + 1)}
+    assert len(view._parts) == 3 * K - 1
+    for m, n in view._parts:
+        assert view.interval_partition(m, n) == reference_interval_partition(view, m, n)
+
+
 def quotient_law(view):
     """The quotient's block weights, reindexed by each block's value tuple."""
     q = view.quotient
@@ -278,15 +292,34 @@ def quotient_law(view):
     return law
 
 
+def reference_joint_law(view, ks):
+    """The dense joint law of (X_k)_{k in ks} keyed off every level-K atom,
+    each X_k read by its own pullback."""
+    g, K, n = view.rep.gspace, view.K, view.base.n
+    key = np.zeros(g.level_size(K), dtype=np.int64)
+    for k in ks:
+        key = key * n + view.x_table(k, K)
+    num = kern.group_sum(key, g.level_weights(K), n ** len(ks))
+    return num.reshape((n,) * len(ks)), g.level_denominator(K)
+
+
 @pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
 def test_quotient_weights_are_the_joint_law(fixture):
+    """The path table holds the dense atom-level joint law of X_0 .. X_K,
+    and each of its marginals is that law's marginal."""
     spec = D.ChainSpec.from_dict(json.loads((FIXTURES / f"{fixture}.json").read_text()))
     K = 4
-    view = C.ProcessView.from_model(D.build_markov_dilation(spec, K))
+    model = D.build_markov_dilation(spec, K)
+    view = C.ProcessView.from_model(model)
+    assert view.quotient is model.paths
     for v in [view] + [view.lump(f) for f in two_block_lumps(spec.d)]:
-        num, den = D.joint_law(v.rep, v.value_map, v.base.n, range(K + 1), K)
-        assert den == v.rep.gspace.level_denominator(K)
+        num, den = reference_joint_law(v, range(K + 1))
+        assert den == v.rep.gspace.level_denominator(K) == v.quotient.den
         assert np.array_equal(quotient_law(v), num)
+        for ks in [(0,), (3, 1), (0, 2, 4), (4, 0, 1, 3)]:
+            got, got_den = v.joint_law(ks)
+            assert got_den == den
+            assert np.array_equal(got, reference_joint_law(v, ks)[0]), ks
 
 
 def test_markov_checks_canonicalize_level_k_at_most_k_plus_1_times(monkeypatch):
@@ -378,8 +411,10 @@ def test_exchangeable_iff_spreadable_on_instances():
 
 
 def test_hierarchy_horizon_guard():
-    with pytest.raises(ValueError):
-        C.hierarchy_check(D.build_markov_dilation(PAPER, 4), horizon=7)
+    # the hierarchy reads X_0 .. X_horizon off the model's path table
+    for horizon in (5, 7):
+        with pytest.raises(ValueError, match="at most the model's 4; got"):
+            C.hierarchy_check(D.build_markov_dilation(PAPER, 4), horizon=horizon)
 
 
 @pytest.mark.parametrize("K, horizon", [(1, None), (3, 1), (3, 0)])
@@ -395,8 +430,8 @@ def _move_one_unit(monkeypatch):
     (1, 0, ..., 0)."""
     orig = C.ProcessView.joint_law
 
-    def moved(self, ks, level=None):
-        num, den = orig(self, ks, level)
+    def moved(self, ks):
+        num, den = orig(self, ks)
         num = num.copy()
         num[(0,) * num.ndim] -= 1
         num[(1,) + (0,) * (num.ndim - 1)] += 1
@@ -423,6 +458,18 @@ def test_hierarchy_fails_on_a_moved_joint_law(fixture, failing, monkeypatch):
     _move_one_unit(monkeypatch)
     report = C.hierarchy_check(model).report
     assert {e.check for e in report.failures()} == failing
+
+
+def _four_cycle(budget):
+    spec = D.ChainSpec.from_rows([[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)])
+    return D.build_markov_dilation(spec, 5, budget=budget)
+
+
+def test_hierarchy_refuses_a_law_over_the_budget():
+    # the 4-cycle's levels hold 4 atoms, but its law at horizon 5 has 4^6 cells
+    with pytest.raises(R.AtomBudgetError, match=r"4\^6 cells, exceeds budget 4095"):
+        C.hierarchy_check(_four_cycle(4095))
+    assert C.hierarchy_check(_four_cycle(4096)).report.passed
 
 
 def test_hierarchy_fails_on_a_corrupted_eta_1():
@@ -550,7 +597,7 @@ def test_timing_stamps_each_entry_once():
 
 
 def test_moment_consistency_hundred_random_tuples():
-    # the check decides the moments by one joint-law comparison; its verdict
+    # the check decides the moments on the path table's support; its verdict
     # agrees with the model and path-law moments compared tuple by tuple,
     # r <= 3 exhaustively plus 100 random longer tuples
     model = D.build_markov_dilation(PAPER, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -87,16 +88,18 @@ def _fail_powers(monkeypatch):
 
 
 def _fail_moments(monkeypatch):
-    orig = dilation.ProcessModel.joint_law
+    """Move one numerator unit of the model's path table from its last path
+    to its first."""
+    orig = dilation.ProcessModel.paths.func
 
-    def moved(self, ks=None):
-        num, den = orig(self, ks)
-        num = num.copy()
-        num.flat[0] += 1
-        num.flat[-1] -= 1
-        return num, den
+    def moved(self):
+        table = orig(self)
+        weights = table.weights.copy()
+        weights[0] += 1
+        weights[-1] -= 1
+        return dataclasses.replace(table, weights=weights)
 
-    monkeypatch.setattr(dilation.ProcessModel, "joint_law", moved)
+    monkeypatch.setattr(dilation.ProcessModel, "paths", property(moved))
 
 
 def _fail_measure(monkeypatch):
@@ -119,6 +122,17 @@ def test_dilate_fails_each_decided_entry(entry, mutate, monkeypatch, capsys, tmp
     code, out, _ = run(["dilate", _no_bijection_chain(tmp_path), "--depth", "3"], capsys)
     assert code == 1
     assert [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")] == [entry]
+
+
+def test_dilate_moments_witness_names_the_first_failing_path(monkeypatch, capsys, tmp_path):
+    chain = _no_bijection_chain(tmp_path)
+    spec = dilation.ChainSpec.from_dict(json.loads(Path(chain).read_text()))
+    first = tuple(int(v) for v in dilation.build_markov_dilation(spec, 3).paths.values[:, 0])
+    _fail_moments(monkeypatch)
+    code, out, _ = run(["dilate", chain, "--depth", "3"], capsys)
+    assert code == 1
+    fail = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fail == [f"FAIL  moments-vs-path-law  --  model moments equal path-law expectations  [((0, 1, 2, 3), {first})]"]
 
 
 def test_rep_check(capsys):
@@ -236,6 +250,54 @@ def test_depth_deciding_nothing_refused_exit_2(argv, code):
 def test_suites_reading_level_k_run_at_that_budget(suite, capsys):
     code, _, _ = run(["--budget", "200", "verify", COIN, "--depth", "4", "--suite", suite], capsys)
     assert code == 0
+
+
+def _cycle(tmp_path, d):
+    """The d-cycle, a permutation chain: its compact noise has one atom, so
+    every level holds d atoms."""
+    rows = [["1" if j == (i + 1) % d else "0" for j in range(d)] for i in range(d)]
+    path = tmp_path / f"cycle{d}.json"
+    path.write_text(json.dumps({"d": d, "T": rows}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "d, argv",
+    [(2, ["verify", "--depth", "30"]), (2, ["dilate", "--depth", "40"]), (4, ["verify", "--depth", "16"])],
+)
+def test_one_atom_noise_runs_deep(d, argv, capsys, tmp_path):
+    """The swap chain and the 4-cycle hold d atoms at every level, so their
+    laws are read off a d-point path table, never a d^(K+1) tensor."""
+    code, out, err = run([argv[0], _cycle(tmp_path, d)] + argv[1:], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS") and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "d, budget, argv, horizon",
+    [
+        (40, 2_000_000, ["--suite", "hierarchy", "--depth", "5"], 5),
+        (40, 2_000_000, ["--suite", "hierarchy", "--depth", "9"], 5),
+        (40, 2_000_000, ["--suite", "all", "--depth", "4"], 4),
+        (4, 4095, ["--suite", "hierarchy", "--depth", "5"], 5),
+    ],
+)
+def test_hierarchy_law_over_budget_refused_before_the_model(d, budget, argv, horizon, monkeypatch, capsys, tmp_path):
+    """The hierarchy's dense law holds d^(min(depth, 5)+1) cells; past the
+    budget it is refused with one error line, before any model is built."""
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built")
+
+    monkeypatch.setattr(dilation, "build_markov_dilation", no_model)
+    code, out, err = run(["--budget", str(budget), "verify", _cycle(tmp_path, d)] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: hierarchy law at horizon {horizon} has {d}^{horizon + 1} cells, exceeds budget {budget}\n"
+
+
+def test_hierarchy_law_at_the_budget_runs(capsys, tmp_path):
+    code, _, err = run(["--budget", "4096", "verify", _cycle(tmp_path, 4), "--suite", "hierarchy", "--depth", "5"], capsys)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

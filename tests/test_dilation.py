@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -260,38 +261,61 @@ def test_dilation_powers_equal_the_kernel_powers(name, monkeypatch):
         assert powers_entry.witness == f"first failing power {bad_n}"
 
 
+def _with_weights(model, monkeypatch, weights):
+    """Plant a copy of the model's path table carrying other weights."""
+    monkeypatch.setattr(model, "paths", dataclasses.replace(model.paths, weights=weights))
+
+
 def test_dilation_check_points_at_a_moved_cell(monkeypatch):
-    # the joint-law comparison decides; the tuple loop runs only to point
-    # at a failing marginal cell
+    # the moments are decided path by path on the table's support: one
+    # numerator unit moved between two paths fails exactly those two, in
+    # first-atom order, each against the chain's path law
     spec = D.ChainSpec.coin(F(1, 2), F(1, 4))
     model = D.build_markov_dilation(spec, 3)
     assert D.dilation_property_check(model).moment_failures == ()
-    num, den = model.joint_law()
-    moved = num.copy()
-    moved[0, 0, 0, 0] -= 1
-    moved[0, 0, 0, 1] += 1
-    monkeypatch.setattr(model, "joint_law", lambda ks=None: (moved, den))
+    table = model.paths
+    moved = table.weights.copy()
+    moved[5] -= 1
+    moved[2] += 1
+    _with_weights(model, monkeypatch, moved)
     report = D.dilation_property_check(model)
-    assert not report.passed and report.moment_failures
+    assert not report.passed
+    paths = [tuple(int(v) for v in table.values[:, b]) for b in (2, 5)]
+    assert report.moment_failures == tuple(((0, 1, 2, 3), p) for p in paths)
     law = D.path_law(spec, 3)
-    for ks, cell in report.moment_failures:
-        assert ks and all(isinstance(k, int) for k in ks) and len(cell) == len(ks)
-        got = D.tensor_marginal(moved, ks)[cell] * law.den
-        want = D.tensor_marginal(law.num, ks)[cell] * den
-        assert got != want
+    for (_, path), b in zip(report.moment_failures, (2, 5)):
+        assert int(moved[b]) * law.den != int(law.num[path]) * table.den
 
 
 def test_dilation_check_points_at_the_whole_path(monkeypatch):
-    # a +-1 sign pattern over (X_0, ..., X_3) moves the joint law but no
-    # marginal of up to three times: the witness is the whole path
+    # a +-1 sign pattern over the support moves every path and keeps the
+    # total: the witnesses are the first five whole paths in first-atom
+    # order, the first the path of atom 0
     spec = D.ChainSpec.coin(F(1, 2), F(1, 4))
     model = D.build_markov_dilation(spec, 3)
-    num, den = model.joint_law()
-    signs = (-1) ** np.indices(num.shape).sum(axis=0)
-    monkeypatch.setattr(model, "joint_law", lambda ks=None: (num + signs, den))
+    table = model.paths
+    assert len(table.weights) % 2 == 0
+    signs = (-1) ** np.arange(len(table.weights))
+    _with_weights(model, monkeypatch, table.weights + signs)
     report = D.dilation_property_check(model)
     assert report.moment_failures[0] == ((0, 1, 2, 3), (0, 0, 0, 0))
-    assert len(report.moment_failures) == 5
+    assert report.moment_failures == tuple(
+        ((0, 1, 2, 3), tuple(int(v) for v in table.values[:, b])) for b in range(5)
+    )
+
+
+def test_moments_refuse_a_path_off_the_chain_support(monkeypatch):
+    # relabeling the first block to a path the chain gives no mass, keeping
+    # its weight, fails that path
+    spec = D.ChainSpec.from_rows([[0, 1], [F(1, 2), F(1, 2)]])
+    model = D.build_markov_dilation(spec, 2)
+    table = model.paths
+    assert not any(p[:2] == (0, 0) for p in zip(*table.values.tolist()))
+    values = table.values.copy()
+    values[:, 0] = (0, 0, 1)
+    monkeypatch.setattr(model, "paths", dataclasses.replace(table, values=values))
+    failures = D.dilation_property_check(model).moment_failures
+    assert failures[0] == ((0, 1, 2), (0, 0, 1))
 
 
 def _target_cut_points(rows, pi):
