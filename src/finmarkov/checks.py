@@ -31,19 +31,8 @@ from .dilation import (
     path_table,
     tensor_marginal,
 )
-from .finprob import (
-    FinSpace,
-    Partition,
-    cexp_product_equals,
-)
-from .rep import (
-    AtomBudgetError,
-    PointRep,
-    TowerReport,
-    intertwining_identities_check,
-    monoid_relations_check,
-    triangular_tower_check,
-)
+from .finprob import FinSpace, Partition, _products_equal, cexp_product_equals
+from .rep import AtomBudgetError, PointRep, intertwining_identities_check
 
 
 @dataclass(frozen=True)
@@ -183,21 +172,19 @@ class ProcessView:
 # ---------------------------------------------------------------------------
 
 
-def partial_spreadability_check(view: ProcessView, horizon=None, relations=None) -> VerificationReport:
+def partial_spreadability_check(view: ProcessView, horizon=None) -> VerificationReport:
     """Localization (L): alpha_n iota_0 = iota_0 for n >= 1, as an exact
     pullback identity.  Stationarity (S), iota_n = alpha_0^n iota_0, is how
     ProcessView.x_table defines iota_n, so it holds by construction.
 
     The definition quantifies over genuine monoid representations, so the
-    represented relations are re-verified as a premise; a corrupted noise
-    map fails here even when it still preserves the state.  A caller that
-    has already decided them at this horizon passes their (ok, witness) as
-    `relations`.
+    represented relations are a premise; a corrupted noise map fails here
+    even when it still preserves the state.  They are read from
+    view.rep.relations, which decides them once per horizon.
     """
     rep, K = view.rep, view.K if horizon is None else horizon
     report = VerificationReport()
-    ok, wit = monoid_relations_check(rep, K) if relations is None else relations
-    report.add("representation-premise", "the maps alpha_n satisfy the monoid relations", ok, wit)
+    report.add("representation-premise", "the maps alpha_n satisfy the monoid relations", *rep.relations(K))
     level = K - 1
     x0 = view.x_table(0, level)
     drop = rep.drop_last(level)
@@ -213,12 +200,13 @@ def partial_spreadability_check(view: ProcessView, horizon=None, relations=None)
     return report
 
 
-def maximal_ps_check(view: ProcessView, relations=None) -> VerificationReport:
+def maximal_ps_check(view: ProcessView) -> VerificationReport:
     """Maximality: the range of iota_0 is the whole intersected fixed-point
-    algebra M_0 = ∩_{k>=1} fix(alpha_k).  `relations` is passed on to
-    partial_spreadability_check."""
-    report = partial_spreadability_check(view, relations=relations)
-    range_part = Partition(view.x_table(0, view.K))
+    algebra M_0 = ∩_{k>=1} fix(alpha_k), after the partial spreadability
+    entries.  The range of iota_0 is A_[0,0] on the level-K atoms, read off
+    the view's path table."""
+    report = partial_spreadability_check(view)
+    range_part = view.interval_partition(0, 0)
     m0 = view.rep.intersected_fixed_points(0, view.K)
     ok = range_part == m0
     wit = None
@@ -273,12 +261,12 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
             hit = np.where(nxt == j, w, 0).astype(np.int64)
             s_past = kern.group_sum(past.labels, hit, past.nblocks)
             s_now = kern.group_sum(now.labels, hit, now.nblocks)
-            lhs = s_past[past.labels].astype(object) * w_now[now.labels]
-            rhs = s_now[now.labels].astype(object) * w_past[past.labels]
-            neq = lhs != rhs
-            if neq.any():
+            bad = _products_equal(
+                s_past[past.labels], w_now[now.labels], s_now[now.labels], w_past[past.labels]
+            )
+            if bad is not None:
                 seq_ok = False
-                x = int(q.first[np.argmax(neq)])
+                x = int(q.first[bad])
                 wit = f"n={n}, value {j}: prediction from the past differs at atom {x}"
                 break
         if not seq_ok:
@@ -389,7 +377,7 @@ def require_hierarchy_budget(d: int, horizon: int, budget: int):
         raise AtomBudgetError(f"hierarchy law at horizon {horizon} has {cells}, exceeds budget {budget}")
 
 
-def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> HierarchyReport:
+def hierarchy_check(model: ProcessModel, horizon=None) -> HierarchyReport:
     """Decide stationarity, spreadability and exchangeability exactly on the
     joint law of X_0 .. X_horizon (default horizon model.K), a marginal of
     the model's path table, and pass each answer iff it equals the chain's
@@ -398,9 +386,9 @@ def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> Hierar
     iff exchangeable iff T^2 = T (Ryll-Nardzewski and de Finetti).  Below
     horizon 2 spreadability compares no two marginals and exchangeability
     means reversibility, so the horizon is refused, as is a law that does
-    not fit the atom budget.  The monoid relations decided at the model's
-    horizon may be passed as `relations`; they are read only when `horizon`
-    is that horizon."""
+    not fit the atom budget.  The partially-spreadable entry reads the
+    monoid relations at `horizon` from the model's representation, which
+    decides them once per horizon."""
     K = model.K if horizon is None else horizon
     if not 2 <= K <= model.K:
         raise ValueError(f"the hierarchy needs horizon >= 2 and at most the model's {model.K}; got {K}")
@@ -450,7 +438,7 @@ def hierarchy_check(model: ProcessModel, horizon=None, relations=None) -> Hierar
     rep.add("exchangeable", "path law invariant under time permutations iff T^2 = T",
             exchangeable == idempotent, answer("exchangeability", exchangeable))
 
-    ps = partial_spreadability_check(view, K, relations if K == model.K else None).passed
+    ps = partial_spreadability_check(view, K).passed
     rep.add("partially-spreadable", "representation premise and localization of iota_0",
             ps, "yes" if ps else "no")
     return HierarchyReport(stationary, spreadable, exchangeable, ps, witnesses, rep)
@@ -507,19 +495,21 @@ def definetti_suite(spec: ChainSpec, horizon: int, budget: int = 2_000_000) -> V
     """End-to-end verification for one chain: dilation, representation
     relations, partial and maximal partial spreadability, Markov property,
     distributional equality with the path law, tower and intertwining."""
-    model = build_markov_dilation(spec, horizon, budget=budget)
-    return definetti_checks(model, triangular_tower_check(model.rep))
+    return definetti_checks(build_markov_dilation(spec, horizon, budget=budget))
 
 
-def definetti_checks(model: ProcessModel, tower: TowerReport, relations=None) -> VerificationReport:
-    """The de Finetti suite's checks on a built model, reading the tower
-    verdicts from its triangular_tower_check report.  A caller that has
-    already decided the monoid relations at the model's horizon passes
-    their (ok, witness) as `relations`.  Below horizon 3 the tower has no
-    cell, so the model is refused."""
+def definetti_checks(model: ProcessModel) -> VerificationReport:
+    """The de Finetti suite's checks on a built model.  The tower verdicts
+    come from model.tower and the monoid relations from
+    model.rep.relations(K), so a later suite on the same model reads the
+    same two decisions.  Below horizon 3 the tower has no cell, so the
+    model is refused."""
     K = model.K
     if K < 3:
         raise ValueError(f"the de Finetti suite needs horizon >= 3; got {K}")
+    # built first, so the tower's temporaries peak before the path table and
+    # the Markov checks' partitions are held, not on top of them
+    tower = model.tower
     report = VerificationReport()
     report.add(
         "construction",
@@ -527,12 +517,10 @@ def definetti_checks(model: ProcessModel, tower: TowerReport, relations=None) ->
         model.measure_preservation_check(),
     )
 
-    if relations is None:
-        relations = monoid_relations_check(model.rep, K)
-    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *relations)
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *model.rep.relations(K))
 
     view = ProcessView.from_model(model)
-    report.extend(maximal_ps_check(view, relations))
+    report.extend(maximal_ps_check(view))
     report.extend(markov_sequence_check(view))
 
     dil = add_dilation_entries(report, model)

@@ -147,8 +147,7 @@ def cmd_rep_check(args) -> int:
     rep = _build_rep(spec, obj, K, args.budget)
     _require_levels(rep.gspace, K)
     report = chk.VerificationReport()
-    ok, wit = rp.monoid_relations_check(rep, K)
-    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", ok, wit)
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *rep.relations(K))
     ok = all(
         rep.state_preservation_check(n, m) for n in range(K + 1) for m in range(K)
     )
@@ -176,9 +175,10 @@ def cmd_lump(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Build one model, at most one tower report and at most one decision
-    of the monoid relations, shared by every requested suite; the hierarchy
-    reads its capped horizon off that model."""
+    """Build one model and run every requested suite on it.  The model
+    holds its tower report and its representation holds the monoid
+    relations per horizon, so each is decided once however many suites
+    read it; the hierarchy reads its capped horizon off that model."""
     suites = ("definetti", "tower", "hierarchy") if args.suite == "all" else (args.suite,)
     # below depth 3 the tower has no cell; below depth 2 spreadability
     # compares no two marginals
@@ -191,27 +191,23 @@ def cmd_verify(args) -> int:
     if "definetti" in suites:
         _require_levels(model.gspace, K)
     report = chk.VerificationReport()
-    tower = relations = None
-    if "definetti" in suites or "tower" in suites:
-        tower = rp.triangular_tower_check(model.rep)
     if "definetti" in suites:
-        relations = chk.monoid_relations_check(model.rep, K)
-        report.extend(chk.definetti_checks(model, tower, relations))
+        report.extend(chk.definetti_checks(model))
     if "tower" in suites:
-        for (m, n, k), ok in sorted(tower.cells.items()):
+        for (m, n, k), ok in sorted(model.tower.cells.items()):
             report.add(
                 f"tower-cell-m{m}-n{n}-k{k}",
                 "the cell (M_{m+k} ⊃ a0^k(M_m); M_{n+k} ⊃ a0^k(M_n)) commutes",
                 ok,
             )
-        for n, ok in sorted(tower.intersections.items()):
+        for n, ok in sorted(model.tower.intersections.items()):
             report.add(
                 f"tower-intersection-n{n}",
                 "M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n)",
                 ok,
             )
     if "hierarchy" in suites:
-        report.extend(chk.hierarchy_check(model, min(args.depth, 5), relations).report)
+        report.extend(chk.hierarchy_check(model, min(args.depth, 5)).report)
     return _emit(report, args)
 
 

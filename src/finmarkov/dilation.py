@@ -31,7 +31,14 @@ import numpy as np
 from . import _kernels as kern
 from .finprob import FinSpace, MarkovKernel, Partition, block_weight_sums
 from .rationals import parse_rational
-from .rep import GradedSpace, PointRep, build_fplus_rep, delta_second_coordinate
+from .rep import (
+    GradedSpace,
+    PointRep,
+    TowerReport,
+    build_fplus_rep,
+    delta_second_coordinate,
+    triangular_tower_check,
+)
 
 
 @dataclass(frozen=True)
@@ -349,6 +356,12 @@ class ProcessModel:
         """The path table of X_0 .. X_K, built on first use."""
         return path_table(self.rep, np.arange(self.spec.d), self.spec.d, self.K)
 
+    @cached_property
+    def tower(self) -> TowerReport:
+        """The triangular tower report of the representation, built on
+        first use; every suite that reads the tower reads this one."""
+        return triangular_tower_check(self.rep)
+
     def compressed_power(self, n: int) -> tuple:
         """iota* alpha^n iota as an exact d x d matrix, read from (X_0, X_n)
         at level n, apart from the path table."""
@@ -409,8 +422,6 @@ class PathLaw:
 
     num: np.ndarray  # shape (d,)*(K+1)
     den: int
-    d: int
-    K: int
 
     def prob(self, path) -> Fraction:
         return Fraction(int(self.num[tuple(path)]), self.den)
@@ -429,7 +440,6 @@ def tensor_marginal(num, ks):
 
 
 def path_law(spec: ChainSpec, horizon: int) -> PathLaw:
-    d = spec.d
     pi_num = np.array(spec.pi.weight_numerators(), dtype=np.int64)
     t_num, t_den = _transition_numerators(spec)
     t_num = t_num.astype(np.int64)
@@ -439,7 +449,7 @@ def path_law(spec: ChainSpec, horizon: int) -> PathLaw:
     arr = pi_num.copy()
     for _ in range(horizon):
         arr = arr[..., :, None] * t_num
-    return PathLaw(arr, den, d, horizon)
+    return PathLaw(arr, den)
 
 
 @dataclass(frozen=True)

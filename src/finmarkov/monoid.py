@@ -203,29 +203,18 @@ def project_to_splus(w: Word) -> Word:
 # A rule is (name, match(pair) -> new pair or None).
 
 
-def _fplus_rules(fam):
+def _shift_rules(fam, strict: bool):
+    """x_k x_l = x_{l+1} x_k, for k < l (F+, strict) or k <= l (S+)."""
+    gap = 1 if strict else 0
+
     def fwd(p):
         (fa, a), (fb, b) = p
-        if fa == fb == fam and a < b:
+        if fa == fb == fam and a + gap <= b:
             return ((fam, b + 1), (fam, a))
 
     def bwd(p):
         (fa, a), (fb, b) = p
-        if fa == fb == fam and a >= b + 2:
-            return ((fam, b), (fam, a - 1))
-
-    return [(f"{fam}{fam}+", fwd), (f"{fam}{fam}-", bwd)]
-
-
-def _splus_rules(fam):
-    def fwd(p):
-        (fa, a), (fb, b) = p
-        if fa == fb == fam and a <= b:
-            return ((fam, b + 1), (fam, a))
-
-    def bwd(p):
-        (fa, a), (fb, b) = p
-        if fa == fb == fam and a >= b + 1:
+        if fa == fb == fam and a >= b + 1 + gap:
             return ((fam, b), (fam, a - 1))
 
     return [(f"{fam}{fam}+", fwd), (f"{fam}{fam}-", bwd)]
@@ -276,30 +265,36 @@ def _xc_plain_swap(fam):
     return rule
 
 
+def _monoid_name(kind: str) -> str:
+    """A monoid name in the spelling the rule tables use: "ef^+" -> "EF+"."""
+    return kind.upper().replace("^", "").replace("⁺", "+")
+
+
 def monoid_rules(kind: str):
     """Adjacent-pair rewrite rules (both directions) for a monoid name."""
-    k = kind.upper().replace("^", "").replace("⁺", "+")
+    k = _monoid_name(kind)
     if k == "F+":
-        return _fplus_rules("g")
+        return _shift_rules("g", True)
     if k == "S+":
-        return _splus_rules("h")
+        return _shift_rules("h", False)
     if k == "EF+":
         return (
-            _fplus_rules("g")
+            _shift_rules("g", True)
             + [("cc~", _cc_far_swap), ("cg~", _cx_far_swap("g"))]
             + _xc_twist("g")
         )
     if k == "ES+":
         return (
-            _splus_rules("h")
+            _shift_rules("h", False)
             + [("cc~", _cc_far_swap), ("ch~", _cx_far_swap("h"))]
             + _xc_twist("h")
         )
     if k == "FF+":
-        rules = _fplus_rules("g")
-        rules += [(n.replace("g", "c"), f) for n, f in _fplus_rules("c")]
-        rules += [("cg~", _cx_far_swap("g")), ("gc~", _xc_plain_swap("g"))]
-        return rules
+        return (
+            _shift_rules("g", True)
+            + _shift_rules("c", True)
+            + [("cg~", _cx_far_swap("g")), ("gc~", _xc_plain_swap("g"))]
+        )
     raise ValueError(f"unknown monoid {kind!r}")
 
 
@@ -495,7 +490,7 @@ def extended_relation_check(monoid_kind: str, k: int, l: int, node_budget=200_00
     """
     if not 0 <= k < l:
         raise ValueError(f"need 0 <= k < l, got ({k}, {l})")
-    kind = monoid_kind.upper().replace("^", "").replace("⁺", "+")
+    kind = _monoid_name(monoid_kind)
     if kind not in ("EF+", "ES+", "FF+"):
         raise ValueError(f"extended monoid expected, got {monoid_kind!r}")
     fam = "h" if kind == "ES+" else "g"

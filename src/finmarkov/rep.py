@@ -51,10 +51,7 @@ class GradedSpace:
         self.budget = budget
         self.d = base.n
         self.nc = noise.n
-        if self.level_size(horizon) > budget:
-            raise AtomBudgetError(
-                f"level-{horizon} atom count {self.level_size(horizon)} exceeds budget {budget}"
-            )
+        self.ensure(horizon)
         self.base_num = base.weight_numerators()
         self.base_den = base.denominator
         self.noise_num = noise.weight_numerators()
@@ -118,6 +115,7 @@ class PointRep:
     _fix_cache: dict = field(default_factory=dict, repr=False)
     _tower_cache: dict = field(default_factory=dict, repr=False)
     _classes_cache: dict = field(default_factory=dict, repr=False)  # delta_hat bytes -> G
+    _relations_cache: dict = field(default_factory=dict, repr=False)  # horizon -> (ok, witness)
 
     def __post_init__(self):
         g = self.gspace
@@ -205,6 +203,14 @@ class PointRep:
         if np.array_equal(left, right):
             return True, None
         return False, int(np.argmax(left != right))
+
+    def relations(self, K: int):
+        """monoid_relations_check(self, K), decided once per horizon and
+        kept: the monoid-relations entry and every representation premise
+        at that horizon read this one decision."""
+        if K not in self._relations_cache:
+            self._relations_cache[K] = monoid_relations_check(self, K)
+        return self._relations_cache[K]
 
     # -- fixed point algebras ------------------------------------------------
 

@@ -630,7 +630,7 @@ def test_dilation_entries_name_the_first_failing_power():
     powers, moments = report.entries
     assert (powers.check, powers.ok, powers.witness) == ("dilation-powers", False, "first failing power 1")
     assert moments.check == "moments-vs-path-law" and not moments.ok
-    suite = {e.check: e for e in C.definetti_checks(model, R.triangular_tower_check(model.rep)).entries}
+    suite = {e.check: e for e in C.definetti_checks(model).entries}
     assert suite["dilation-powers"].witness == powers.witness
     assert suite["moments-vs-path-law"].witness == moments.witness
 
@@ -668,7 +668,7 @@ def test_definetti_suite_decides_each_model_identity_once(monkeypatch):
     orig_measure = D.ProcessModel.measure_preservation_check
     orig_power = D.ProcessModel.compressed_power
     orig_masses = D.ProcessModel.first_coordinate_masses_check
-    orig_relations = C.monoid_relations_check
+    orig_relations = R.monoid_relations_check
 
     def measure(self):
         calls["measure"] += 1
@@ -689,9 +689,36 @@ def test_definetti_suite_decides_each_model_identity_once(monkeypatch):
     monkeypatch.setattr(D.ProcessModel, "measure_preservation_check", measure)
     monkeypatch.setattr(D.ProcessModel, "compressed_power", power)
     monkeypatch.setattr(D.ProcessModel, "first_coordinate_masses_check", masses)
-    monkeypatch.setattr(C, "monoid_relations_check", relations)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "finmarkov" and getattr(mod, "monoid_relations_check", None) is orig_relations:
+            monkeypatch.setattr(mod, "monoid_relations_check", relations)
     assert C.definetti_suite(PAPER, 5).passed
     assert calls == {"measure": 1, "power1": 1, "masses": 0, "relations": 1}
+
+
+def test_suites_on_one_model_share_its_relations_and_tower(monkeypatch):
+    """definetti_checks and then hierarchy_check on one model decide the
+    monoid relations once at the model's horizon and build one tower
+    report, with no decision handed from one call to the other."""
+    calls = {"monoid_relations_check": [], "triangular_tower_check": []}
+    for name, log in calls.items():
+        orig = getattr(R, name)
+
+        def counted(*args, _orig=orig, _log=log):
+            _log.append(args[1] if len(args) > 1 else None)
+            return _orig(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "finmarkov" and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    model = D.build_markov_dilation(PAPER, 4)
+    suite = C.definetti_checks(model)
+    h = C.hierarchy_check(model)
+    assert suite.passed and h.report.passed
+    assert {e.check for e in h.report.entries} >= {"partially-spreadable"}
+    # reading both again decides nothing more
+    assert model.tower.passed and model.rep.relations(4) == (True, None)
+    assert calls == {"monoid_relations_check": [4], "triangular_tower_check": [None]}
 
 
 def test_definetti_suite_scans_each_labels_array_once(monkeypatch):
