@@ -296,6 +296,30 @@ def build_first_order_dilation(spec: ChainSpec) -> tuple[NoiseSpace, CouplingMap
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class SupportLaw:
+    """A law on its support: distinct value columns, each with its positive
+    weight numerator over den.  A marginal lists its columns in
+    lexicographic order, so two marginals are one law iff they are equal."""
+
+    values: np.ndarray  # values[t, j] is the t-th variable on column j
+    weights: np.ndarray
+    den: int
+
+    def marginal(self, ks) -> "SupportLaw":
+        """The law at positions ks, in ks order: columns sorted, equal ones summed."""
+        rows = self.values[list(ks)]
+        rows = rows.astype(np.min_scalar_type(rows.max()), copy=False)  # small types sort by radix
+        order = np.lexsort(rows[::-1])
+        rows = rows[:, order]
+        starts = np.flatnonzero(np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(axis=0))))
+        return SupportLaw(rows[:, starts], np.add.reduceat(self.weights[order], starts), self.den)
+
+    def __eq__(self, other) -> bool:
+        same = np.array_equal(self.values, other.values) and np.array_equal(self.weights, other.weights)
+        return same and self.den == other.den
+
+
 @dataclass(frozen=True)
 class PathTable:
     """Level K of a process modulo A_[0,K], the algebra generated by X_0 ..
@@ -306,16 +330,11 @@ class PathTable:
     first: np.ndarray  # the first atom of each block
     values: np.ndarray  # values[k, b] is X_k on block b
     weights: np.ndarray  # block weight numerators over den, which they sum to
-    nvals: int  # the variables take values in range(nvals)
     den: int  # the level-K denominator
 
-    def joint_law(self, ks):
-        """The law of (X_k)_{k in ks}: numerators of shape (nvals,)*len(ks), den."""
-        key = np.zeros(len(self.weights), dtype=np.int64)
-        for k in ks:
-            key = key * self.nvals + self.values[k]
-        num = kern.group_sum(key, self.weights, self.nvals ** len(ks))
-        return num.reshape((self.nvals,) * len(ks)), self.den
+    def marginal(self, ks) -> SupportLaw:
+        """The law of (X_k)_{k in ks} on its support: blocks have positive mass."""
+        return SupportLaw(self.values, self.weights, self.den).marginal(ks)
 
 
 def path_table(rep: PointRep, value_map, nvals: int, level: int) -> PathTable:
@@ -334,7 +353,7 @@ def path_table(rep: PointRep, value_map, nvals: int, level: int) -> PathTable:
     first = Partition._from_canonical(labels, nblocks).first
     weights = block_weight_sums(labels, nblocks, g.level_weights(level))
     values = np.stack([x[first] for x in xs])
-    return PathTable(labels, first, values, weights, nvals, g.level_denominator(level))
+    return PathTable(labels, first, values, weights, g.level_denominator(level))
 
 
 @dataclass
@@ -371,22 +390,10 @@ class ProcessModel:
         den, pi = g.level_denominator(n), self.spec.pi.weights
         return tuple(tuple(Fraction(int(num[a, j]), den) / pi[a] for j in range(d)) for a in range(d))
 
-    def joint_law(self, ks=None):
-        """Exact joint distribution of (X_k)_{k in ks} read off the model."""
-        return self.paths.joint_law(range(self.K + 1) if ks is None else ks)
-
     def measure_preservation_check(self) -> bool:
         return all(
             self.rep.state_preservation_check(0, m) for m in range(self.K)
         )
-
-    def first_coordinate_masses_check(self) -> bool:
-        """The range of iota_0 carries the chain's state: the level mass of
-        each base fiber is pi exactly (this is iota_0 iota_0* = E_0)."""
-        g = self.gspace
-        x0 = np.arange(g.level_size(self.K), dtype=np.int64) // g.nc**self.K
-        sums = kern.group_sum(x0, g.level_weights(self.K), g.d)
-        return bool(np.array_equal(sums, g.base_num * g.noise_den**self.K))
 
 
 def build_markov_dilation(
@@ -428,15 +435,10 @@ class PathLaw:
 
     def marginal(self, ks):
         """Sum out all coordinates except those in ks (kept in given order)."""
-        return tensor_marginal(self.num, ks), self.den
-
-
-def tensor_marginal(num, ks):
-    """Sum out every axis of num not in ks; the kept axes come in ks order."""
-    kept = sorted(ks)
-    out = num.sum(axis=tuple(t for t in range(num.ndim) if t not in kept))
-    # after summing, the kept axes sit in sorted order
-    return np.transpose(out, axes=[kept.index(k) for k in ks])
+        kept = sorted(ks)
+        out = self.num.sum(axis=tuple(t for t in range(self.num.ndim) if t not in kept))
+        # after summing, the kept axes sit in sorted order
+        return np.transpose(out, axes=[kept.index(k) for k in ks]), self.den
 
 
 def path_law(spec: ChainSpec, horizon: int) -> PathLaw:
@@ -472,8 +474,8 @@ def dilation_property_check(model: ProcessModel) -> DilationReport:
     denominator of T.  The weights sum to the level denominator, so where
     every path of the support passes the chain puts no mass off it.  The
     failures are the first five failing paths, ((0, .., K), path), in
-    first-atom order.  Measure preservation and the range projection are
-    decided by the model's own methods."""
+    first-atom order.  Measure preservation is decided by the model's own
+    method."""
     spec, K = model.spec, model.K
     power_ok = {
         n: all(x * den == y for row, nrow in zip(model.compressed_power(n), num) for x, y in zip(row, nrow))

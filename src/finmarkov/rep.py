@@ -486,10 +486,10 @@ def intertwining_identities_check(rep: PointRep):
 
 @dataclass(frozen=True)
 class TowerReport:
-    """`cells[(m, n, k)]`: the cell commutes; `intersections[n]`: M_{n+1} ∩
-    alpha_0(M_{n+1}) = alpha_0(M_n).  A cell is True by the lemma that
-    (q0, q1, q0) with q0 ⊂ q1 commutes, once tail tests show it is its head
-    cell scaled, or by the four conditions on the atoms."""
+    """`cells[(m, n, k)]`: the cell commutes; `intersections[n]`, n < L-1:
+    M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).  A cell is True by the lemma
+    that (q0, q1, q0) with q0 ⊂ q1 commutes, once tail tests show it is its
+    head cell scaled, or by the four conditions on the atoms."""
 
     cells: dict
     intersections: dict
@@ -532,12 +532,13 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
     to commuting_square_check on the level's atoms, which also refuses a
     cell whose p0 is not coarser than p1 and p2.  The tail tests are
     reshapes and compares of the level labels.  The intersections keep
-    their atom-level meets."""
+    their atom-level meets for n < L-1; at n = L-1 both sides are the top
+    of level L-1 pulled back, so that one holds on every PointRep."""
     g = rep.gspace
     level = g.K - 1
     cells = {}
     intersections = {}
-    towers = {t: rep.intersected_fixed_points(t, level) for t in range(level + 1)}
+    towers = {t: rep.intersected_fixed_points(t, level) for t in range(level)}
     shifted: dict[tuple[int, int], Partition] = {}
     heads: dict[tuple[int, int, int, int], Partition | None] = {}
 
@@ -564,7 +565,7 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
                     g.level_weights(level), alpha_shift(m, k), towers[h], alpha_shift(n, k)
                 ).is_commuting_square
 
-    for n in range(level):
+    for n in range(level - 1):
         lhs = towers[n + 1].meet(alpha_shift(n + 1, 1))
         intersections[n] = lhs == alpha_shift(n, 1)
     return TowerReport(cells, intersections)

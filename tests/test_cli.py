@@ -63,7 +63,7 @@ def test_dilate(capsys):
     assert "dilation-powers" in out
 
 
-DILATE_ENTRIES = ["dilation-powers", "moments-vs-path-law", "measure-preservation", "range-projection"]
+DILATE_ENTRIES = ["dilation-powers", "moments-vs-path-law", "measure-preservation"]
 
 
 def _no_bijection_chain(tmp_path):
@@ -107,13 +107,9 @@ def _fail_measure(monkeypatch):
     monkeypatch.setattr(rep.PointRep, "state_preservation_check", lambda self, n, m: m != 2 and orig(self, n, m))
 
 
-def _fail_projection(monkeypatch):
-    monkeypatch.setattr(dilation.ProcessModel, "first_coordinate_masses_check", lambda self: False)
-
-
 @pytest.mark.parametrize(
     "entry, mutate",
-    list(zip(DILATE_ENTRIES, (_fail_powers, _fail_moments, _fail_measure, _fail_projection))),
+    list(zip(DILATE_ENTRIES, (_fail_powers, _fail_moments, _fail_measure))),
 )
 def test_dilate_fails_each_decided_entry(entry, mutate, monkeypatch, capsys, tmp_path):
     """Each of dilate's entries reads its own decision: made to fail, it
@@ -274,25 +270,40 @@ def test_one_atom_noise_runs_deep(d, argv, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "d, budget, argv, horizon",
+    "d, budget, argv",
     [
-        (40, 2_000_000, ["--suite", "hierarchy", "--depth", "5"], 5),
-        (40, 2_000_000, ["--suite", "hierarchy", "--depth", "9"], 5),
-        (40, 2_000_000, ["--suite", "all", "--depth", "4"], 4),
-        (4, 4095, ["--suite", "hierarchy", "--depth", "5"], 5),
+        (40, 2_000_000, ["--suite", "hierarchy", "--depth", "5"]),
+        (40, 2_000_000, ["--suite", "hierarchy", "--depth", "9"]),
+        (40, 2_000_000, ["--suite", "all", "--depth", "4"]),
+        (4, 4095, ["--suite", "hierarchy", "--depth", "5"]),
     ],
 )
-def test_hierarchy_law_over_budget_refused_before_the_model(d, budget, argv, horizon, monkeypatch, capsys, tmp_path):
-    """The hierarchy's dense law holds d^(min(depth, 5)+1) cells; past the
-    budget it is refused with one error line, before any model is built."""
-
-    def no_model(*args, **kwargs):
-        raise AssertionError("model built")
-
-    monkeypatch.setattr(dilation, "build_markov_dilation", no_model)
+def test_cycles_verify_where_a_dense_hierarchy_law_exceeds_the_budget(d, budget, argv, capsys, tmp_path):
+    """A dense law of X_0 .. X_min(depth, 5) would hold d^(min(depth, 5)+1)
+    cells, past the budget; the hierarchy reads the law on its d support
+    paths and decides every entry."""
     code, out, err = run(["--budget", str(budget), "verify", _cycle(tmp_path, d)] + argv, capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: hierarchy law at horizon {horizon} has {d}^{horizon + 1} cells, exceeds budget {budget}\n"
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS") and "FAIL" not in out
+    assert "PASS  exchangeable" in out
+
+
+def test_lazy_cycle_verifies_with_the_defaults(capsys, tmp_path):
+    """The lazy 20-state cycle, T[i][i] = T[i][i+1] = 1/2, holds 320 atoms
+    at level 4, though a dense law of X_0 .. X_4 would hold 20^5 cells:
+    `verify` with the default depth, suite and budget decides every
+    entry, the hierarchy's included."""
+    d = 20
+    rows = [["1/2" if j in (i, (i + 1) % d) else "0" for j in range(d)] for i in range(d)]
+    path = tmp_path / "lazy20.json"
+    path.write_text(json.dumps({"d": d, "T": rows}))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert all(line.startswith("PASS  ") for line in lines)
+    assert [line.split("  ")[1] for line in lines[-4:]] == [
+        "stationary", "spreadable", "exchangeable", "partially-spreadable"
+    ]
 
 
 def test_hierarchy_law_at_the_budget_runs(capsys, tmp_path):
@@ -419,9 +430,9 @@ def test_verify_tower_json_matches_golden(capsys, tmp_path):
 
 
 def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
-    """At depth 9 the tower reads level 8: 84 cells, 8 intersection
+    """At depth 9 the tower reads level 8: 84 cells, 7 intersection
     identities and one meet per step of the folds of levels 0..8
-    (0 + 0 + 1 + ... + 7 = 28), 120 meets in all."""
+    (0 + 0 + 1 + ... + 7 = 28), 119 meets in all."""
     calls = 0
     orig = finprob.meet_labels
 
@@ -433,7 +444,7 @@ def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
     monkeypatch.setattr(finprob, "meet_labels", counted)
     code, _, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
     assert code == 0
-    assert calls <= 120
+    assert calls <= 119
 
 
 def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):

@@ -757,7 +757,7 @@ def reference_triangular_tower_check(rep):
                 assert report.all_agree, (m, n, k)
                 cells[(m, n, k)] = report.is_commuting_square
 
-    for n in range(level):
+    for n in range(level - 1):
         lhs = towers[n + 1].meet(alpha_shift(n + 1, 1))
         intersections[n] = lhs == alpha_shift(n, 1)
     return R.TowerReport(cells, intersections)
