@@ -379,8 +379,8 @@ def hierarchy_check(model: ProcessModel, horizon=None) -> HierarchyReport:
     compares no two marginals and exchangeability means reversibility, so
     the horizon is refused.  The path table is sorted once down to the law
     of X_0 .. X_horizon on its support; each window and index set is read
-    off the law at it and its least missing index, and each adjacent swap
-    off the whole law.  Equal laws on the supports are equal dense laws:
+    off the law at it and one more index (the one before its first, else
+    the least one missing), and each adjacent swap off the whole law.  Equal laws on the supports are equal dense laws:
     every table weight is positive, so zero cells are absent on both sides.
     The partially-spreadable entry reads the monoid relations at `horizon`
     from the model's representation, which decides them once per horizon."""
@@ -398,7 +398,7 @@ def hierarchy_check(model: ProcessModel, horizon=None) -> HierarchyReport:
     def law(ks):  # at increasing indices ks
         if ks == full:
             return model.paths.marginal(full)
-        sup = tuple(sorted({*ks, min(set(full) - set(ks))}))
+        sup = tuple(sorted({*ks, ks[0] - 1 if ks[0] else min(set(full) - set(ks))}))
         return law(sup).marginal([sup.index(k) for k in ks])
 
     def answer(name, holds):

@@ -309,22 +309,21 @@ class SupportLaw:
     def marginal(self, ks) -> "SupportLaw":
         """The law at positions ks, in ks order: columns sorted, equal ones summed."""
         rows = self.values[list(ks)]
-        rows = rows.astype(np.min_scalar_type(rows.max()), copy=False)  # small types sort by radix
         order = np.lexsort(rows[::-1])
         rows = rows[:, order]
-        starts = np.flatnonzero(np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(axis=0))))
+        starts = np.nonzero(np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(axis=0))))[0]
         return SupportLaw(rows[:, starts], np.add.reduceat(self.weights[order], starts), self.den)
 
     def __eq__(self, other) -> bool:
-        same = np.array_equal(self.values, other.values) and np.array_equal(self.weights, other.weights)
-        return same and self.den == other.den
+        same = self.values.shape == other.values.shape and self.den == other.den
+        return same and bool((self.values == other.values).all() and (self.weights == other.weights).all())
 
 
 @dataclass(frozen=True)
 class PathTable:
     """Level K of a process modulo A_[0,K], the algebra generated by X_0 ..
     X_K: one point per path of the support, in first-atom order, weighted
-    by its level-K mass.  Every law of X_0 .. X_K is a marginal of it."""
+    by its level-K mass.  Every law of X_0 .. X_K is its `marginal`."""
 
     labels: np.ndarray  # the block of each level-K atom
     first: np.ndarray  # the first atom of each block
@@ -334,7 +333,8 @@ class PathTable:
 
     def marginal(self, ks) -> SupportLaw:
         """The law of (X_k)_{k in ks} on its support: blocks have positive mass."""
-        return SupportLaw(self.values, self.weights, self.den).marginal(ks)
+        values = self.values.astype(np.min_scalar_type(self.values.max()))  # small types sort by radix
+        return SupportLaw(values, self.weights, self.den).marginal(ks)
 
 
 def path_table(rep: PointRep, value_map, nvals: int, level: int) -> PathTable:
