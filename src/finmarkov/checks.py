@@ -379,10 +379,10 @@ def hierarchy_check(model: ProcessModel, horizon=None) -> HierarchyReport:
     compares no two marginals and exchangeability means reversibility, so
     the horizon is refused.  The path table is sorted once down to the law
     of X_0 .. X_horizon on its support; each window and index set is read
-    off the law at it and one more index (the one before its first, else
-    the least one missing), and each adjacent swap off the whole law.  Equal laws on the supports are equal dense laws:
-    every table weight is positive, so zero cells are absent on both sides.
-    The partially-spreadable entry reads the monoid relations at `horizon`
+    off the law at it and one more index, each adjacent swap off the whole
+    law.  Equal laws on the supports are equal dense laws: every table
+    weight is positive, so zero cells are absent on both sides.  The
+    partially-spreadable entry reads the monoid relations at `horizon`
     from the model's representation, which decides them once per horizon."""
     K = model.K if horizon is None else horizon
     if not 2 <= K <= model.K:
@@ -395,7 +395,7 @@ def hierarchy_check(model: ProcessModel, horizon=None) -> HierarchyReport:
     witnesses = {}
 
     @cache
-    def law(ks):  # at increasing indices ks
+    def law(ks):  # increasing ks, read off ks plus the index before ks[0], else the least one missing
         if ks == full:
             return model.paths.marginal(full)
         sup = tuple(sorted({*ks, ks[0] - 1 if ks[0] else min(set(full) - set(ks))}))
