@@ -174,6 +174,12 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
     pullback identity.  Stationarity (S), iota_n = alpha_0^n iota_0, is how
     ProcessView.x_table defines iota_n, so it holds by construction.
 
+    iota_0 reads the base alone and alpha_n, 1 <= n < K, merges (c_n,
+    c_{n+1}) against the drop of c_K, so by the product lemma of rep every
+    n is decided on the window eta_1 from level 2 onto level 1.  n = 1 is
+    the first to fail, and its window atom (a, c_1, c_2) is lifted to level
+    K with 0 in c_3 … c_K.
+
     The definition quantifies over genuine monoid representations, so the
     represented relations are a premise; a corrupted noise map fails here
     even when it still preserves the state.  They are read from
@@ -182,29 +188,26 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
     rep, K = view.rep, view.K if horizon is None else horizon
     report = VerificationReport()
     report.add("representation-premise", "the maps alpha_n satisfy the monoid relations", *rep.relations(K))
-    level = K - 1
-    x0 = view.x_table(0, level)
-    drop = rep.drop_last(level)
-    ok_all, wit = True, None
-    for n in range(1, K):
-        en = rep.eta(n, level)
-        if not np.array_equal(x0[en], x0[drop]):
-            ok_all = False
-            y = int(np.argmax(x0[en] != x0[drop]))
-            wit = f"alpha_{n} moves iota_0 at atom {y} of level {level + 1}"
-            break
-    report.add("localization", "alpha_n iota_0 = iota_0 for all n >= 1", ok_all, wit)
+    x0 = view.x_table(0, 1)
+    moved = x0[rep.eta(1, 1)] != x0[rep.drop_last(1)]
+    wit = None
+    if moved.any():
+        y = int(np.argmax(moved)) * rep.gspace.nc ** (K - 2)
+        wit = f"alpha_1 moves iota_0 at atom {y} of level {K}"
+    report.add("localization", "alpha_n iota_0 = iota_0 for all n >= 1", wit is None, wit)
     return report
 
 
 def maximal_ps_check(view: ProcessView) -> VerificationReport:
     """Maximality: the range of iota_0 is the whole intersected fixed-point
     algebra M_0 = ∩_{k>=1} fix(alpha_k), after the partial spreadability
-    entries.  The range of iota_0 is A_[0,0] on the level-K atoms, read off
-    the view's path table."""
+    entries.  On level K the range of iota_0 is the partition by the value
+    of the base, and M_0 = fix(1) is discrete(a) × G(c_1); both are one
+    block on c_2 … c_K.  So they are compared on level 1, where the block
+    counts are those of level K."""
     report = partial_spreadability_check(view)
-    range_part = view.interval_partition(0, 0)
-    m0 = view.rep.intersected_fixed_points(0, view.K)
+    range_part = Partition(view.x_table(0, 1))
+    m0 = view.rep.intersected_fixed_points(0, 1)
     ok = range_part == m0
     wit = None
     if not ok:
@@ -243,9 +246,9 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
     order, so the first atom of the first failing block is the first failing
     atom."""
     K = view.K
+    report = VerificationReport()  # first, so the path table's build is charged to markov-sequence
     q = view.quotient
     w = q.weights
-    report = VerificationReport()
 
     seq_ok, wit = True, None
     for n in range(K):

@@ -2,9 +2,12 @@
 
 Exit codes: 0 when every requested check passes, 1 on a check failure (the
 witness is printed), 2 on malformed input or a model too large for the atom
-budget or for int64 (both checked before any check runs).  Default output
-carries no wall-clock data, so identical inputs produce byte-identical output;
-timing fields appear only behind --timing.
+budget or for int64 (both checked before any check runs), 3 on an internal
+error, whose traceback is printed.  Input is validated where it is loaded and
+refused as InputError there, so an error raised inside the library is never
+reported as malformed input.  Default output carries no wall-clock data, so
+identical inputs produce byte-identical output; timing fields appear only
+behind --timing.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,6 +29,16 @@ from .rationals import format_rational
 
 class InputError(Exception):
     pass
+
+
+@contextmanager
+def _refused_as_input():
+    """Report a ValueError raised while input is validated as malformed
+    input; the calls it wraps raise it for nothing else."""
+    try:
+        yield
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _load_chainspec(path):
@@ -47,10 +61,10 @@ def _require_depth(depth: int, least: int, command: str):
 
 
 def _require_levels(gspace, K: int):
-    """Refuse, before any check runs, a model whose level K+1 exceeds the
-    atom budget (fixed points at level K read one level up) or whose level-K
-    weights, the finest any check of the command reads, exceed int64."""
-    gspace.ensure(K + 1)
+    """Refuse, before any check runs, a model whose level-K weights, the
+    finest any check of the command reads, exceed int64.  Level K is the
+    largest level any check reads, and the model was built on it within
+    the atom budget."""
     gspace.ensure_weights(K)
 
 
@@ -76,35 +90,40 @@ def _build_rep(spec, obj, depth, budget):
         raise InputError(f"explicit c_map/delta_map tables need a {e} field") from None
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad noise, c_map or delta_map table: {e}") from None
-    return rp.build_fplus_rep(spec.pi, noise, c_map, delta, depth, budget)
+    with _refused_as_input():  # shapes, atom ranges and state preservation
+        return rp.build_fplus_rep(spec.pi, noise, c_map, delta, depth, budget)
 
 
 def cmd_normalize(args) -> int:
-    w = mon.Word.parse(args.word)
-    print(mon.normal_form_fplus(w))
+    with _refused_as_input():
+        out = mon.normal_form_fplus(mon.Word.parse(args.word))
+    print(out)
     return 0
 
 
 def cmd_word_eq(args) -> int:
-    w1, w2 = mon.Word.parse(args.word1), mon.Word.parse(args.word2)
-    if args.monoid == "fplus":
-        equal = mon.words_equal_fplus(w1, w2)
-    else:
-        equal = mon.words_equal_splus(w1, w2)
+    with _refused_as_input():
+        w1, w2 = mon.Word.parse(args.word1), mon.Word.parse(args.word2)
+        if args.monoid == "fplus":
+            equal = mon.words_equal_fplus(w1, w2)
+        else:
+            equal = mon.words_equal_splus(w1, w2)
     print("equal" if equal else "not equal")
     return 0 if equal else 1
 
 
 def cmd_shift(args) -> int:
-    w = mon.Word.parse(args.word)
-    out = mon.shift_mn(args.m, args.n, w)
-    print(out, "=", mon.normal_form_fplus(out))
+    with _refused_as_input():
+        out = mon.shift_mn(args.m, args.n, mon.Word.parse(args.word))
+        normal = mon.normal_form_fplus(out)
+    print(out, "=", normal)
     return 0
 
 
 def cmd_derive(args) -> int:
     try:
-        trace = mon.extended_relation_check(args.monoid, args.k, args.l)
+        with _refused_as_input():
+            trace = mon.extended_relation_check(args.monoid, args.k, args.l)
     except mon.DerivationNotFound as e:
         print(f"FAIL  {e}", file=sys.stderr)
         return 1
@@ -280,9 +299,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, mon.DerivationNotFound, rp.AtomBudgetError, OverflowError) as e:
+    except (InputError, mon.DerivationNotFound, rp.AtomBudgetError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only on this path, to keep it out of start-up
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -69,6 +69,8 @@ class ChainSpec:
         solved for, so a chain whose stationary state is not unique is
         refused even when `pi` is given; a given `pi` must equal it."""
         rows = tuple(tuple(parse_rational(x) for x in r) for r in rows)
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("transition matrix must be square")
         solved = stationary_distribution(rows)
         if pi is not None and tuple(parse_rational(p) for p in pi) != solved:
             raise ValueError("given pi is not the stationary distribution of T")
@@ -340,19 +342,22 @@ class PathTable:
 def path_table(rep: PointRep, value_map, nvals: int, level: int) -> PathTable:
     """The path table of f(X_0) .. f(X_K), f = value_map taking the base
     atoms to nvals values: X_k is read off one running pullback through
-    eta_0, and A_[0,K] refined by it with one canonicalize call."""
+    eta_0, and A_[0,K] refined by it with one canonicalize call.  The K+1
+    value arrays of the level are held in the smallest unsigned type until
+    they are read on the blocks."""
     g = rep.gspace
+    small_map = np.asarray(value_map).astype(np.min_scalar_type(max(nvals - 1, 0)))
     ids = np.arange(g.level_size(level), dtype=np.int64)
     labels = np.zeros(len(ids), dtype=np.int64)
     xs = []
     for k in range(level + 1):
         if k:
             ids = rep.eta(0, level - k)[ids]
-        xs.append(value_map[g.base_coord(ids, level - k)])
+        xs.append(small_map[g.base_coord(ids, level - k)])
         labels, nblocks = kern.canonicalize(labels * nvals + xs[-1])
     first = Partition._from_canonical(labels, nblocks).first
     weights = block_weight_sums(labels, nblocks, g.level_weights(level))
-    values = np.stack([x[first] for x in xs])
+    values = np.stack([x[first] for x in xs]).astype(np.int64)
     return PathTable(labels, first, values, weights, g.level_denominator(level))
 
 

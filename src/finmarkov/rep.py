@@ -20,6 +20,7 @@ the S+ representation pulled back along F+ ->> S+.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,8 +115,8 @@ class PointRep:
     _eta_cache: dict = field(default_factory=dict, repr=False)
     _fix_cache: dict = field(default_factory=dict, repr=False)
     _tower_cache: dict = field(default_factory=dict, repr=False)
-    _classes_cache: dict = field(default_factory=dict, repr=False)  # delta_hat bytes -> G
     _relations_cache: dict = field(default_factory=dict, repr=False)  # horizon -> (ok, witness)
+    _window_cache: dict = field(default_factory=dict, repr=False)  # window -> its verdict
 
     def __post_init__(self):
         g = self.gspace
@@ -229,45 +230,39 @@ class PointRep:
 
             fix(n) = discrete(a, c_1 … c_{n-1}) × G(c_n) × one block on (c_{n+1} … c_L),
 
-        where G is the classes of {delta(u, v) ~ u} on the noise atoms.
-        The closed form is read off the cached eta_n table once a compare
-        shows that the table is (head, delta_hat(x, y), tail) for an onto
-        delta_hat; any other table, and n = 0 or n > level, is glued by
-        union-find.
+        where G is the classes of {delta(u, v) ~ u} on the noise atoms.  It
+        is built from delta and the level sizes alone and reads no eta
+        table, so fix(n) at level L never builds level L+1.  n = 0, n >
+        level, and a delta that is not onto (edited after the constructor
+        validated it) are glued by union-find on the eta_n table.
         """
         key = (min(n, level + 1), level)
         if key not in self._fix_cache:
-            u = self.eta(n, level)
-            part = self._closed_form_fixed_points(u, n, level) if 1 <= n <= level else None
-            if part is None:
-                v = self.drop_last(level)
+            if 1 <= n <= level and self.noise_classes is not None:
+                part = self._closed_form_fixed_points(n, level)
+            else:
                 part = Partition._from_canonical(
-                    *kern.union_components(self.gspace.level_size(level), u, v)
+                    *kern.union_components(self.gspace.level_size(level), self.eta(n, level), self.drop_last(level))
                 )
             self._fix_cache[key] = part
         return self._fix_cache[key]
 
-    def _closed_form_fixed_points(self, table, n: int, level: int) -> Partition | None:
-        """fix(n) at the level as discrete(head) × G(c_n) × one tail block,
-        or None where the eta_n table does not factor as the lemma reads it."""
+    @cached_property
+    def noise_classes(self):
+        """G as (canonical labels, count), or None where delta is not onto."""
+        nc = self.gspace.nc
+        if set(self.delta.reshape(-1).tolist()) != set(range(nc)):
+            return None
+        return _noise_classes(self.delta)
+
+    def _closed_form_fixed_points(self, n: int, level: int) -> Partition:
+        """fix(n) at the level as discrete(head) × G(c_n) × one tail block."""
         g = self.gspace
-        nc = g.nc
-        heads, tail = g.level_size(n - 1), nc ** (level - n)
-        cube = table.reshape(heads, nc, nc, tail)
-        dhat = cube[0, :, :, 0] // tail
-        if set(dhat.reshape(-1).tolist()) != set(range(nc)):  # onto the noise atoms
-            return None
-        if not np.array_equal(table, _merged(heads, dhat, tail)):
-            return None
-        # every eta_n table of a built model factors through the same delta_hat,
-        # so G is found once; a planted or corrupted table keys its own entry
-        key = dhat.tobytes()
-        if key not in self._classes_cache:
-            self._classes_cache[key] = _noise_classes(dhat)
-        classes, nclasses = self._classes_cache[key]
+        heads, tail = g.level_size(n - 1), g.nc ** (level - n)
+        classes, nclasses = self.noise_classes
         labels = np.arange(heads, dtype=np.int64)[:, None, None] * nclasses + classes[:, None]
         return Partition._from_canonical(
-            np.broadcast_to(labels, (heads, nc, tail)).reshape(-1), heads * nclasses
+            np.broadcast_to(labels, (heads, g.nc, tail)).reshape(-1), heads * nclasses
         )
 
     def intersected_fixed_points(self, n: int, level: int) -> Partition:
@@ -323,6 +318,46 @@ def _noise_classes(dhat):
 
 
 # ---------------------------------------------------------------------------
+# windows
+# ---------------------------------------------------------------------------
+#
+# The product lemma.  Level L is the product of its slots (a, c_1 … c_L)
+# under a product state.  Suppose both sides of an identity touch only the
+# slot set W: every eta table it reads carries each slot outside W,
+# unchanged, to one slot of its image, and every partition it reads is, on
+# such a slot, the same factor on both sides, discrete or one block (as in
+# fix(n)'s closed form).  Then every count and weight the identity compares
+# on the level is its value on W times a positive factor of the other
+# slots, the same on both sides, so the identity holds on the level iff it
+# holds on W.  Its failing atoms are those of W with every other slot free,
+# so its first failing atom in the mixed-radix order of the level is the
+# first failing atom of W with 0 in every other slot (_lift_atom), and its
+# first failing block is the block of the lifted first atom of W's.  The
+# closed form needs delta onto, which the constructor validates.
+#
+# Each identity below is decided on the smallest instance with its slot
+# pattern, which touches W alone, and each window's verdict is kept per
+# representation in PointRep._window_cache.
+
+
+def _window(rep: PointRep, key, decide):
+    """The verdict of the window `key`, decided once per representation."""
+    if key not in rep._window_cache:
+        rep._window_cache[key] = decide()
+    return rep._window_cache[key]
+
+
+def _lift_atom(atom: int, slots, small: int, level: int, nc: int) -> int:
+    """The level-`level` atom whose base is that of the level-`small` atom
+    `atom`, whose noise slots `slots` hold its noise slots c_1 … c_small,
+    and whose other slots hold 0."""
+    out = atom // nc**small * nc**level
+    for i, s in enumerate(slots, 1):
+        out += atom // nc ** (small - i) % nc * nc ** (level - s)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
@@ -365,39 +400,43 @@ def delta_first_coordinate(noise: FinSpace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _relation_window(k: int, l: int, m: int):
+    """The smallest instance (k', l', m') with the slot pattern of relation
+    (k, l) on level m+2.  eta_k merges (a, c_1) for k = 0 and (c_k,
+    c_{k+1}) otherwise; eta_{l+1} merges (c_{l+1}, c_{l+2}) while l <= m;
+    a generator beyond its level drops the last slot.  Both sides pass
+    every other slot through alike."""
+    k1 = min(k, 1)
+    if l <= m:
+        return k1, k1 + 1, k1 + 1
+    if k <= m:
+        return k1, k1 + 1, k1
+    return (1, 2, 0) if k == m + 1 else (2, 3, 0)
+
+
 def monoid_relations_check(rep: PointRep, K: int):
     """Decide alpha_k alpha_l = alpha_{l+1} alpha_k for 0 <= k < l <= K as
     point maps level_{m+2} -> level_m for every m < K - 1.  Returns (ok,
     witness) naming the first failing instance.  Below horizon 2 no level
-    is decided, so the horizon is refused.  For k < l, eta_k and eta_{l+1}
+    is decided, so the horizon is refused.
+
+    Each instance is decided by relation_check on its window
+    (_relation_window), at most level 4.  Each window is the first instance
+    of its class in this loop order, so the first failing instance is a
+    window and its witness atom is its own.  For k < l, eta_k and eta_{l+1}
     merge disjoint slot pairs, so the relations hold for every
     state-preserving (c_map, delta) the CLI accepts; the check is kept as
-    an implementation check on the eta tables every other check reads."""
+    an implementation check on the eta tables of the windows."""
     if K < 2:
         raise ValueError(f"the monoid relations need horizon >= 2; got {K}")
     for k in range(K):
         for l in range(k + 1, K + 1):
             for m in range(K - 1):
-                good, atom = rep.relation_check(k, l, m)
+                small = _relation_window(k, l, m)
+                good, atom = _window(rep, ("relation", *small), lambda: rep.relation_check(*small))
                 if not good:
                     return False, f"alpha_{k} alpha_{l} != alpha_{l+1} alpha_{k} at level-{m+2} atom {atom}"
     return True, None
-
-
-def _reads_head_levels(rep: PointRep, k: int, n: int, tail: int) -> bool:
-    """True where eta_k from level K onto K-1 is eta_k from level n+1 onto n
-    times the identity on the `tail` = nc^(K-1-n) points of c_{n+2} … c_K,
-    and fix(n) at level K-1 and fix(n+1) at level K are their head-level
-    partitions, constant along the tail."""
-    K = rep.gspace.K
-    full = rep.eta(k, K - 1).reshape(-1, tail)
-    if not np.array_equal(full, rep.eta(k, n)[:, None] * tail + np.arange(tail)):
-        return False
-    return all(
-        (rep.fixed_point_partition(t, level).labels.reshape(-1, tail)
-         == rep.fixed_point_partition(t, t).labels[:, None]).all()
-        for t, level in ((n, K - 1), (n + 1, K))
-    )
 
 
 def intertwining_check(rep: PointRep, k: int, n: int):
@@ -406,29 +445,38 @@ def intertwining_check(rep: PointRep, k: int, n: int):
     Q_n is the conditional expectation onto the fixed-point algebra of the
     n-th represented generator.  Returns (ok, witness_or_None).
 
-    The identity is decided on levels (n, n+1).  For k < n, eta_k reads
-    only (a, c_1 … c_{k+1}), and fix(n) at level L is fix(n) at level n
-    times one block on c_{n+1} … c_L (see fixed_point_partition).  The
-    level weights are head weights times tail weights, so every count and
-    weight the check compares on levels (K-1, K) is its head-level value
-    times a positive factor of the tail, the same on both sides.  The
-    identity holds on (K-1, K) iff it holds on (n, n+1), and head atom h
-    is the first failing atom h·T of the full level, T = nc^(K-1-n), as
-    blocks keep their first-atom order.  Compares of the cached tables
-    show the factoring on every call; where it fails, levels K-1 and K are
-    read.
+    The identity compares eta_k from level K onto K-1 with fix(n) at level
+    K-1 and fix(n+1) at level K.  By fix(n)'s closed form the slots before
+    c_k and c_{k+2} … c_n of level K are discrete in both partitions and
+    c_{n+2} … c_K one block in both, and eta_k passes them through.  So by
+    the product lemma the identity is decided on the window (a, c_k,
+    c_{k+1}, c_{n+1}), or (a, c_1, c_{n+1}) for k = 0: the pair (1, 2), or
+    (0, 1), on its own levels (n', n'+1).  Its witness atom is lifted to
+    level K, and a witness block is the level-K block of the lifted first
+    atom of the window's block.
     """
     K = rep.gspace.K
     if not 0 <= k < n:
         raise ValueError("the intertwining identity is only claimed for k < n")
     if n > K - 1:
         raise ValueError("n must stay below the horizon")
+    kw = min(k, 1)
+    fail = _window(rep, ("intertwining", kw), lambda: _intertwining_failure(rep, kw, kw + 1))
+    if fail is None:
+        return True, None
+    text, atom, in_block = fail
+    atom = _lift_atom(atom, (1, n + 1) if kw == 0 else (k, k + 1, n + 1), kw + 2, K, rep.gspace.nc)
+    if in_block:
+        atom = int(rep.fixed_point_partition(n + 1, K).labels[atom])
+    return False, f"{text} {atom}"
+
+
+def _intertwining_failure(rep: PointRep, k: int, n: int):
+    """alpha_k Q_n = Q_{n+1} alpha_k on levels (n, n+1): None where it
+    holds, else (message, first failing atom of level n+1, whether the
+    witness is the Q_{n+1}-block of that atom)."""
     g = rep.gspace
-    lo, scale = K - 1, 1
-    tail = g.nc ** (K - 1 - n)
-    if tail > 1 and _reads_head_levels(rep, k, n, tail):
-        lo, scale = n, tail
-    hi = lo + 1
+    lo, hi = n, n + 1
     w_lo = g.level_weights(lo)
     w_hi = g.level_weights(hi)
     bn = rep.fixed_point_partition(n, lo)
@@ -442,7 +490,7 @@ def intertwining_check(rep: PointRep, k: int, n: int):
     beta_of_block = beta[bn1.first]
     if not np.array_equal(beta, beta_of_block[bn1.labels]):
         y = int(np.argmax(beta != beta_of_block[bn1.labels]))
-        return False, f"left side is not measurable along the right at atom {y * scale}"
+        return "left side is not measurable along the right at atom", y, False
 
     w_bn = kern.group_sum(bn.labels, w_lo, bn.nblocks)
     w_bn1 = kern.group_sum(bn1.labels, w_hi, bn1.nblocks)
@@ -459,12 +507,12 @@ def intertwining_check(rep: PointRep, k: int, n: int):
     seen = kern.group_count(b_of_t, bn1.nblocks)
     if not np.array_equal(seen, blk_sizes[beta_of_block]):
         b = int(np.argmax(seen != blk_sizes[beta_of_block]))
-        return False, f"some source atom reaches no mass in target block {b}"
+        return "some source atom reaches no mass in target block", int(bn1.first[b]), True
 
     idx = _products_equal(j, w_bn[bn.labels[x_of_t]], w_lo[x_of_t], w_bn1[b_of_t])
     if idx is not None:
-        return False, f"projection weights differ at atom {int(first_t[idx]) * scale}"
-    return True, None
+        return "projection weights differ at atom", int(first_t[idx]), False
+    return None
 
 
 def intertwining_identities_check(rep: PointRep):
@@ -487,9 +535,8 @@ def intertwining_identities_check(rep: PointRep):
 @dataclass(frozen=True)
 class TowerReport:
     """`cells[(m, n, k)]`: the cell commutes; `intersections[n]`, n < L-1:
-    M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).  A cell is True by the lemma
-    that (q0, q1, q0) with q0 ⊂ q1 commutes, once tail tests show it is its
-    head cell scaled, or by the four conditions on the atoms."""
+    M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).  Each is decided on its
+    window (triangular_tower_check)."""
 
     cells: dict
     intersections: dict
@@ -499,21 +546,6 @@ class TowerReport:
         return all(self.cells.values()) and all(self.intersections.values())
 
 
-def _head_factor(part: Partition, nc: int, level: int, h: int, s: int) -> Partition | None:
-    """The partition q of the head (a, c_1 … c_h) with part = q × (the
-    discrete partition of c_{h+1} … c_s) on the given level, constant
-    beyond c_s; None where part does not factor so.  Reshapes and compares
-    test it, and only the head-sized column is canonicalized."""
-    cube = part.labels.reshape(-1, nc ** (s - h), nc ** (level - s))
-    if not np.array_equal(cube, np.broadcast_to(cube[:, :, :1], cube.shape)):
-        return None
-    grid = cube[:, :, 0]
-    q = Partition(grid[:, 0])
-    if part.nblocks != q.nblocks * grid.shape[1]:
-        return None
-    return q if np.array_equal(grid, grid[q.first][q.labels]) else None
-
-
 def triangular_tower_check(rep: PointRep) -> TowerReport:
     """Verify that every cell (M_{m+k} ⊃ alpha_0^k(M_m); M_{n+k} ⊃
     alpha_0^k(M_n)) in the shifted tower is a commuting square, plus the
@@ -521,54 +553,58 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
     Generation by the M_n holds by construction (M_L is discrete at level L).
 
     Cell (m, n, k) reads p0 = alpha_0^k(M_m), p1 = M_{m+k} and p2 =
-    alpha_0^k(M_n) on level L = K-1, with head (a, c_1 … c_h), h = m + k.
-    The level weights are the level-h weights times those of the tail
-    slots.  So where the tail tests pass (p0 = q0 and p1 = q1 constant
-    along the tail; p2 = q2 × the discrete partition of c_{h+1} … c_{n+k},
-    constant beyond), each commuting-square condition on the level is its
-    condition on the head triple (q0, q1, q2) times one tail factor.  Where
-    also q2 = q0 ⊂ q1, the head triple (q0, q1, q0) is a commuting square,
-    as E_{q1} E_{q0} = E_{q0}, and the cell is True.  Every other cell goes
-    to commuting_square_check on the level's atoms, which also refuses a
-    cell whose p0 is not coarser than p1 and p2.  The tail tests are
-    reshapes and compares of the level labels.  The intersections keep
-    their atom-level meets for n < L-1; at n = L-1 both sides are the top
-    of level L-1 pulled back, so that one holds on every PointRep."""
-    g = rep.gspace
-    level = g.K - 1
-    cells = {}
-    intersections = {}
-    towers = {t: rep.intersected_fixed_points(t, level) for t in range(level)}
-    shifted: dict[tuple[int, int], Partition] = {}
-    heads: dict[tuple[int, int, int, int], Partition | None] = {}
+    alpha_0^k(M_n) on level L = K-1.  By fix(n)'s closed form (M_t =
+    fix(t+1)) and the product lemma:
 
-    def alpha_shift(t: int, k: int) -> Partition:
-        if (t, k) not in shifted:
-            low = rep.intersected_fixed_points(t, level - k)
-            shifted[(t, k)] = rep.shifted_partition(low, k, level)
-        return shifted[(t, k)]
+    * c_{k+1} … c_{k+m} are discrete in all three, and are dropped;
+    * each slot past c_{k+m} carries a triple that commutes on its own,
+      (G, G, discrete), (one, one, discrete), (one, one, G) or (one, one,
+      one), so the cell commutes iff its head triple does;
+    * the head (a, c_1 … c_k) is level k, where M_t of level 0 is the
+      discrete base for every t.
 
-    def on_head(t: int, k: int, h: int, s: int) -> Partition | None:
-        """alpha_0^k(M_t), or M_t for k = 0, factored as in _head_factor."""
-        if (t, k, h, s) not in heads:
-            part = alpha_shift(t, k) if k else towers[t]
-            heads[(t, k, h, s)] = _head_factor(part, g.nc, level, h, s)
-        return heads[(t, k, h, s)]
+    So every cell with the same k has the window (q0, q1, q2) =
+    (alpha_0^k(M_0), M_k, alpha_0^k(M_1)) on level k, decided by
+    _head_triple_commutes; commuting_square_check, where it is reached,
+    also refuses a triple whose q0 is not coarser than q1 and q2.
 
-    for m in range(level + 1):
-        for n in range(m + 1, level + 1):
-            for k in range(1, level - n + 1):
-                h = m + k
-                q0, q1, q2 = on_head(m, k, h, h), on_head(h, 0, h, h), on_head(n, k, h, n + k)
-                lemma = q0 is not None and q1 is not None and q0 == q2 and q0.coarsens(q1)
-                cells[(m, n, k)] = lemma or commuting_square_check(
-                    g.level_weights(level), alpha_shift(m, k), towers[h], alpha_shift(n, k)
-                ).is_commuting_square
-
-    for n in range(level - 1):
-        lhs = towers[n + 1].meet(alpha_shift(n + 1, 1))
-        intersections[n] = lhs == alpha_shift(n, 1)
+    Intersection n has the window of intersection 0 on level 3 (level 2
+    where n = L-2): c_2 … c_{n+1} are discrete in all three partitions and
+    c_{n+4} … c_L one block in all three."""
+    level = rep.gspace.K - 1
+    cells = {
+        (m, n, k): _window(rep, ("tower-cell", k), lambda: _tower_cell_on_head(rep, k))
+        for m in range(level + 1)
+        for n in range(m + 1, level + 1)
+        for k in range(1, level - n + 1)
+    }
+    intersections = {
+        n: _window(rep, ("tower-intersection", min(3, level - n)), lambda: _tower_intersection(rep, min(3, level - n)))
+        for n in range(level - 1)
+    }
     return TowerReport(cells, intersections)
+
+
+def _tower_cell_on_head(rep: PointRep, k: int) -> bool:
+    """The head triple of the tower cells with shift k, on level k."""
+    q0, q2 = (rep.shifted_partition(rep.intersected_fixed_points(t, 0), k, k) for t in (0, 1))
+    return _head_triple_commutes(rep.gspace.level_weights(k), q0, rep.intersected_fixed_points(k, k), q2)
+
+
+def _head_triple_commutes(wnum, q0: Partition, q1: Partition, q2: Partition) -> bool:
+    """True where q2 = q0 ⊂ q1, as E_{q1} E_{q0} = E_{q0}; any other triple
+    is decided by commuting_square_check on its atoms."""
+    if q0 == q2 and q0.coarsens(q1):
+        return True
+    return commuting_square_check(wnum, q0, q1, q2).is_commuting_square
+
+
+def _tower_intersection(rep: PointRep, level: int) -> bool:
+    """M_1 ∩ alpha_0(M_1) = alpha_0(M_0) on the given level."""
+    def shifted(t: int) -> Partition:
+        return rep.shifted_partition(rep.intersected_fixed_points(t, level - 1), 1, level)
+
+    return rep.intersected_fixed_points(1, level).meet(shifted(1)) == shifted(0)
 
 
 @dataclass(frozen=True)
@@ -590,7 +626,6 @@ def filtration_from_rep(rep: PointRep, horizon: int | None = None, m: int = 0, n
     (m,n)-shifted variant, which relabels the generators it reads as
     g_0 -> g_m and g_k -> g_{n+k}."""
     K = rep.gspace.K if horizon is None else horizon
-    rep.gspace.ensure(K + 1)  # fixed points at level K read one level up
     parts = {}
     for a in range(K + 1):
         for b in range(a, K + 1):

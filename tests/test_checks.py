@@ -507,16 +507,42 @@ def test_hierarchy_runs_on_the_four_cycle_past_the_dense_budget():
 
 
 def test_hierarchy_fails_on_a_corrupted_eta_1():
-    """A wrong implementation fails: the cached eta_1 table sends atom 0 of
-    level K to an atom of another base value, so alpha_1 moves iota_0."""
+    """A wrong implementation fails: the cached eta_1 table from level 2
+    onto level 1, the window every alpha_n iota_0 = iota_0 is decided on,
+    sends atom 0 to an atom of another base value, so alpha_1 moves
+    iota_0."""
     K = 4
     model = D.build_markov_dilation(PAPER, K)
     g = model.gspace
-    table = model.rep.eta(1, K - 1)
-    table[0] = (table[0] + g.nc ** (K - 1)) % g.level_size(K - 1)
+    table = model.rep.eta(1, 1)
+    table[0] = (table[0] + g.nc) % g.level_size(1)
     h = C.hierarchy_check(model)
     assert not h.partially_spreadable
     assert {e.check for e in h.report.failures()} == {"partially-spreadable"}
+    entry = C.partial_spreadability_check(C.ProcessView.from_model(model)).entries[1]
+    assert (entry.ok, entry.witness) == (False, "alpha_1 moves iota_0 at atom 0 of level 4")
+
+
+def test_localization_witness_is_lifted_from_its_window():
+    """Atom 4 of level 2, (a, c_1, c_2) = (0, 1, 1), sent by the window's
+    eta_1 to another base value, is atom 4·3² = 36 of level 4: the first
+    atom that the full-level eta_1 the window stands for, corrupted alike on
+    every (c_3, c_4), moves."""
+    K = 4
+    model = D.build_markov_dilation(PAPER, K)
+    nc = model.gspace.nc
+    table = model.rep.eta(1, 1)
+    table[4] = (table[4] + nc) % model.gspace.level_size(1)
+    entry = C.partial_spreadability_check(C.ProcessView.from_model(model)).entries[1]
+    assert (entry.ok, entry.witness) == (False, "alpha_1 moves iota_0 at atom 36 of level 4")
+
+    full = D.build_markov_dilation(PAPER, K).rep
+    tail = nc ** (K - 2)
+    full.eta(1, K - 1).reshape(-1, tail)[4] = table[4] * tail + np.arange(tail)
+    x0 = full.x_table(0, K - 1)
+    moved = [n for n in range(1, K) if not np.array_equal(x0[full.eta(n, K - 1)], x0[full.drop_last(K - 1)])]
+    assert moved == [1]
+    assert int(np.argmax(x0[full.eta(1, K - 1)] != x0[full.drop_last(K - 1)])) == 36
 
 
 def _idempotent(rows):
@@ -775,7 +801,8 @@ def test_definetti_suite_scans_each_labels_array_once(monkeypatch):
 def test_definetti_suite_glues_and_meets_no_level_and_intertwines_on_head_levels(monkeypatch):
     """On the coin at K=8: fixed_point_partition makes no union-find call,
     intersected_fixed_points makes no meet, and intertwining_check(k, n)
-    with n+1 < K hands no kernel an array larger than level n+1."""
+    hands no kernel an array larger than the upper level of its window,
+    level 2 for k = 0 and level 3 otherwise."""
     inside = []
     kernel_calls, meets = [], []
 
@@ -798,7 +825,7 @@ def test_definetti_suite_glues_and_meets_no_level_and_intertwines_on_head_levels
         return wrapper
 
     def head_level(rep, k, n):
-        return rep.gspace.level_size(n + 1) if n + 1 < rep.gspace.K else None
+        return rep.gspace.level_size(min(k, 1) + 2)
 
     for name in ("canonicalize", "pair_canon", "union_components", "group_sum", "group_count"):
         monkeypatch.setattr(kern, name, recorded(name, getattr(kern, name)))

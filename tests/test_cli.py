@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finmarkov import _kernels as kern
 from finmarkov import checks, dilation, finprob, rep
@@ -205,8 +210,8 @@ def test_bad_lump_map_exit_2(capsys):
     ],
 )
 def test_over_budget_refused_before_work_exit_2(argv):
-    # the coin's level 4 holds 162 atoms and level 5 holds 486; these read level 5
-    cmd = [sys.executable, "-m", "finmarkov.cli", "--budget", "200"] + argv
+    # the coin's level 4 holds 162 atoms; no check reads a level above the depth
+    cmd = [sys.executable, "-m", "finmarkov.cli", "--budget", "100"] + argv
     r = subprocess.run(cmd, capture_output=True, text=True)
     assert r.returncode == 2
     assert r.stdout == ""
@@ -240,6 +245,37 @@ def test_depth_deciding_nothing_refused_exit_2(argv, code):
     if code == 2:
         assert r.stdout == ""
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def record_levels(monkeypatch):
+    """Record every level a GradedSpace checks against its budget: every
+    eta table, level weight and model is built through that check."""
+    levels = []
+    orig = rep.GradedSpace.ensure
+    monkeypatch.setattr(rep.GradedSpace, "ensure", lambda self, m: levels.append(m) or orig(self, m))
+    return levels
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", COIN, "--depth", "5", "--suite", "all"],
+        ["lump", LUMPED, "--map", "0,0,1", "--depth", "5"],
+        ["rep-check", COIN, "--depth", "5"],
+        ["rep-check", str(FIXTURES / "coin_with_tables.json"), "--depth", "5"],
+    ],
+)
+def test_no_level_above_the_depth_is_built(argv, monkeypatch, capsys):
+    """verify --suite all, lump and rep-check at depth K build level K and
+    no level above it, and neither does definetti_suite: no eta table is
+    cached from level K+1."""
+    levels = record_levels(monkeypatch)
+    code, _, _ = run(argv, capsys)
+    assert code in (0, 1) and max(levels) == 5, argv
+    levels.clear()
+    model = dilation.build_markov_dilation(dilation.ChainSpec.from_dict(json.loads(Path(COIN).read_text())), 6)
+    assert checks.definetti_checks(model).passed
+    assert max(levels) == 6 and max(m for _, m in model.rep._eta_cache) == 5
 
 
 @pytest.mark.parametrize("suite", ["tower", "hierarchy"])
@@ -375,13 +411,15 @@ def test_rep_check_builds_the_model_verify_builds(monkeypatch, capsys):
 
 
 def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys, tmp_path):
-    """With two relation instances and two intertwining pairs made to fail,
+    """With two relation windows and two intertwining pairs made to fail,
     verify --suite definetti and rep-check fail the same entries with the
-    same witness, naming the first failing instance of each."""
+    same witness, naming the first failing instance of each.  Each relation
+    instance is decided on its window, and the first instance of a window
+    is the window itself."""
     orig_relation, orig_intertwining = rep.PointRep.relation_check, rep.intertwining_check
 
     def relation_check(self, k, l, m):
-        return (False, 5) if (k, l, m) in ((0, 2, 1), (1, 3, 0)) else orig_relation(self, k, l, m)
+        return (False, 5) if (k, l, m) in ((0, 1, 1), (1, 2, 0)) else orig_relation(self, k, l, m)
 
     def intertwining_check(r, k, n):
         return (False, "patched") if (k, n) in ((1, 2), (0, 3)) else orig_intertwining(r, k, n)
@@ -389,7 +427,7 @@ def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys
     monkeypatch.setattr(rep.PointRep, "relation_check", relation_check)
     monkeypatch.setattr(rep, "intertwining_check", intertwining_check)
     expected = {
-        "monoid-relations": "alpha_0 alpha_2 != alpha_3 alpha_0 at level-3 atom 5",
+        "monoid-relations": "alpha_0 alpha_1 != alpha_2 alpha_0 at level-3 atom 5",
         "intertwining": "k=1, n=2: patched",
     }
     dest = tmp_path / "report.json"
@@ -430,9 +468,10 @@ def test_verify_tower_json_matches_golden(capsys, tmp_path):
 
 
 def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
-    """At depth 9 the tower reads level 8: 84 cells, 7 intersection
-    identities and one meet per step of the folds of levels 0..8
-    (0 + 0 + 1 + ... + 7 = 28), 119 meets in all."""
+    """At depth 9 the tower has 84 cells and 7 intersection identities on
+    level 8.  The cells meet nothing, the intersections take two windows,
+    levels 3 and 2, with one meet each, and the closed-form folds nest, so
+    they meet nothing: 2 meets in all (the atom-level route took 119)."""
     calls = 0
     orig = finprob.meet_labels
 
@@ -444,24 +483,23 @@ def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
     monkeypatch.setattr(finprob, "meet_labels", counted)
     code, _, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
     assert code == 0
-    assert calls <= 119
+    assert calls == 2
 
 
 def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
-    """At depth 9 each of the 84 cells (m, n, k) passes its tail tests on
-    level 8 and has the head triple (q0, q1, q0) with q0 ⊂ q1 on the
-    2·3^{m+k} points of its head, so the lemma decides it: no cell reaches
-    commuting_square_check, and the tail tests relabel head columns only,
-    never a full level of 13,122 atoms."""
+    """At depth 9 each of the 84 cells (m, n, k) is decided on its head
+    (a, c_1 … c_k), level k <= 7, by the lemma: no cell reaches
+    commuting_square_check, and the tower relabels heads and intersection
+    windows only, never a full level of 13,122 atoms."""
     calls, canon = [], []
-    orig_factor, orig_check, orig_canon = rep._head_factor, rep.commuting_square_check, kern.canonicalize
+    orig_tower, orig_check, orig_canon = rep.triangular_tower_check, rep.commuting_square_check, kern.canonicalize
     deciding = False
 
-    def factored(*args):
+    def tower(*args):
         nonlocal deciding
         deciding = True
         try:
-            return orig_factor(*args)
+            return orig_tower(*args)
         finally:
             deciding = False
 
@@ -470,14 +508,16 @@ def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
             canon.append(len(labels))
         return orig_canon(labels)
 
-    monkeypatch.setattr(rep, "_head_factor", factored)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "finmarkov" and getattr(mod, "triangular_tower_check", None) is orig_tower:
+            monkeypatch.setattr(mod, "triangular_tower_check", tower)
     monkeypatch.setattr(rep, "commuting_square_check", lambda *args: calls.append(args) or orig_check(*args))
     monkeypatch.setattr(kern, "canonicalize", canonicalize)
     code, out, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
     assert code == 0
     assert out.count("tower-cell-") == 84
     assert calls == []
-    assert canon and max(canon) < 13_122
+    assert canon and max(canon) <= 2 * 3**7
 
 
 def count_relation_decisions(monkeypatch):
@@ -675,3 +715,89 @@ def test_rep_check_rejects_bad_tables(capsys, tmp_path):
         bad.write_text(json.dumps({**tables, **broken}))
         code, out, err = run(["rep-check", str(bad), "--depth", "3"], capsys)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, broken
+
+
+ENTRY = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/4", "3/4", "-1/2", "3/2", "1/0", "0.5", "x", "", "1/1000000007"]),
+    st.integers(-2, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.booleans(),
+)
+TABLE = st.one_of(st.lists(st.lists(st.one_of(st.integers(-1, 4), st.floats(0, 2), st.text(max_size=2)), max_size=4), max_size=4), ENTRY)
+FIELDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "T": st.one_of(st.lists(st.lists(ENTRY, max_size=4), max_size=4), ENTRY),
+        "d": st.one_of(st.integers(-1, 5), ENTRY),
+        "pi": st.one_of(st.lists(ENTRY, max_size=4), ENTRY),
+        "noise": st.one_of(st.lists(ENTRY, max_size=4), ENTRY),
+        "c_map": TABLE,
+        "delta_map": TABLE,
+    },
+)
+VALID = [json.loads(Path(p).read_text()) for p in (COIN, LUMPED, str(FIXTURES / "coin_with_tables.json"))]
+SPECS = st.one_of(
+    st.builds(lambda base, edits: {**base, **edits}, st.sampled_from(VALID), FIELDS),
+    FIELDS,
+    st.one_of(st.lists(ENTRY, max_size=3), ENTRY),
+)
+WORD = st.one_of(st.sampled_from(["g0 g1", "h0 h1", "g1 g0 g2", "g-1", "x3", "", "g0 h1", "g99999999999999999999"]), st.text(max_size=6))
+
+
+@st.composite
+def malformed_argv(draw):
+    """A subcommand with a spec, word or map that may be malformed; the
+    spec is returned to be written to the file the argv names."""
+    depth = str(draw(st.integers(0, 4)))
+    cmd = draw(st.sampled_from(["stationary", "dilate", "rep-check", "lump", "verify", "normalize", "word-eq", "shift", "derive"]))
+    if cmd in ("normalize", "word-eq"):
+        return None, [cmd] + [draw(WORD) for _ in range(1 if cmd == "normalize" else 2)]
+    if cmd == "shift":
+        return None, [cmd, str(draw(st.integers(-1, 3))), str(draw(st.integers(-1, 3))), draw(WORD)]
+    if cmd == "derive":
+        return None, [cmd, draw(st.sampled_from(["EF+", "ES+", "FF+"])), str(draw(st.integers(-1, 3))), str(draw(st.integers(-1, 3)))]
+    spec = draw(SPECS)
+    argv = [cmd, "SPEC"]
+    if cmd == "lump":
+        argv += ["--map", draw(st.one_of(st.sampled_from(["0,1", "0,1,0", "0,0,1", "1,1", "0,7", "a,b", "", "0,,1", "-1,0"]), st.text(max_size=5)))]
+    if cmd == "verify":
+        argv += ["--suite", draw(st.sampled_from(["all", "definetti", "tower", "hierarchy"]))]
+    if cmd != "stationary":
+        argv += ["--depth", depth]
+    return spec, argv
+
+
+@given(malformed_argv(), st.booleans())
+@example(({"T": [[]]}, ["stationary", "SPEC"]), False)  # not square: once an IndexError
+@settings(max_examples=200, deadline=None)
+def test_malformed_input_never_gives_a_traceback(case, raw):
+    """Every subcommand, driven with malformed chain specs (zero rows,
+    floats, strings, huge denominators, bad explicit tables, bad maps,
+    words and indices), exits 0, 1 or 2 and prints no traceback."""
+    spec, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        if spec is not None:
+            path.write_text("{not json" if raw and not spec else json.dumps(spec))
+        argv = [str(path) if a == "SPEC" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses an argv
+                code = exc.code
+    assert code in (0, 1, 2), (argv, spec, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_internal_error_exits_3_with_its_traceback(monkeypatch, capsys):
+    """An error raised inside the library, even a ValueError, is not
+    reported as malformed input: it exits 3 with its traceback."""
+    def broken(rep):
+        raise ValueError("labels are not canonical")
+
+    monkeypatch.setattr(rep, "intertwining_identities_check", broken)
+    code, out, err = run(["rep-check", COIN, "--depth", "3"], capsys)
+    assert code == 3 and out == ""
+    assert "Traceback" in err and err.rstrip().endswith("ValueError: labels are not canonical")

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmarkov import _kernels as kern
 from finmarkov import checks as C
 from finmarkov import dilation as D
+from finmarkov.finprob import Partition, block_weight_sums
 
 
 # -- stationary distributions -------------------------------------------------
@@ -457,3 +459,37 @@ def test_model_default_noise_stays_compact():
     model = D.build_markov_dilation(spec, 4)
     assert model.gspace.noise_den <= 60
     assert D.dilation_property_check(model).passed
+
+
+def int64_path_table(rep, value_map, nvals, level):
+    """path_table holding its K+1 value arrays of the level in int64."""
+    g = rep.gspace
+    ids = np.arange(g.level_size(level), dtype=np.int64)
+    labels = np.zeros(len(ids), dtype=np.int64)
+    xs = []
+    for k in range(level + 1):
+        if k:
+            ids = rep.eta(0, level - k)[ids]
+        xs.append(np.asarray(value_map, dtype=np.int64)[g.base_coord(ids, level - k)])
+        labels, nblocks = kern.canonicalize(labels * nvals + xs[-1])
+    first = Partition._from_canonical(labels, nblocks).first
+    weights = block_weight_sums(labels, nblocks, g.level_weights(level))
+    return D.PathTable(labels, first, np.stack([x[first] for x in xs]), weights, g.level_denominator(level))
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 5), st.data())
+@settings(max_examples=25, deadline=None)
+def test_path_table_with_small_value_arrays_equals_the_int64_build(seed, d, K, data):
+    """The path table, built with its value arrays in the smallest unsigned
+    type, is the table built with int64 arrays, dtypes included, for the
+    model and for a lumped view."""
+    spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
+    model = D.build_markov_dilation(spec, K)
+    f = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d)))
+    for value_map, nvals in ((np.arange(d), d), (f, d)):
+        got = D.path_table(model.rep, value_map, nvals, K)
+        want = int64_path_table(model.rep, value_map, nvals, K)
+        for name in ("labels", "first", "values", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.den == want.den

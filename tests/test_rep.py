@@ -296,16 +296,19 @@ def test_fixed_points_closed_form_equals_union_find(case, monkeypatch):
         assert rep.fixed_point_partition(K, K).nblocks == 2 * rep.gspace.level_size(K - 1)
 
 
-# factors through a delta_hat that is not onto, whose classes G are one
-# block though fix(n) at level n+1 has two blocks per head
+# not onto: no atom is sent to 1 or 3; its classes G are one block though
+# fix(n) at level n+1 has two blocks per head
 NOT_ONTO = np.array([[0, 0, 0, 0], [0, 0, 0, 2], [2, 2, 2, 2], [2, 2, 2, 2]])
 
 
 @pytest.mark.parametrize("mutation", ["swap", "not-onto"])
 def test_fixed_points_fall_back_to_union_find_on_a_corrupted_eta(mutation, monkeypatch):
-    """An eta_n table corrupted before its first use is glued by union-find:
-    one that no longer factors (two entries swapped), and one that factors
-    through NOT_ONTO, where the closed form would be wrong."""
+    """The closed form reads delta, so the corruption is planted there,
+    after the constructor validated it and before any table is built; the
+    eta tables are then built from the corrupted delta.  Two swapped
+    entries keep delta onto, so the closed form still holds and no
+    union-find runs; a delta that is not onto (NOT_ONTO) falls back to
+    union-find, where the closed form would be wrong."""
     rng = random.Random(14)
     K = 4
     calls = count_union_find(monkeypatch)
@@ -313,30 +316,26 @@ def test_fixed_points_fall_back_to_union_find_on_a_corrupted_eta(mutation, monke
     for level in range(1, K + 1):
         for n in range(1, level + 1):
             rep = two_class_rep(K)
-            nc = rep.gspace.nc
-            table = rep.eta(n, level)
             if mutation == "swap":
-                i, j = rng.sample(range(len(table)), 2)
-                while table[i] == table[j]:
-                    i, j = rng.sample(range(len(table)), 2)
-                table[i], table[j] = table[j], table[i]
+                flat = rep.delta.reshape(-1)
+                i, j = rng.sample(range(len(flat)), 2)
+                while flat[i] == flat[j]:
+                    i, j = rng.sample(range(len(flat)), 2)
+                flat[i], flat[j] = flat[j], flat[i]
             else:
-                tail = nc ** (level - n)
-                cube = table.reshape(-1, nc, nc, tail)
-                heads = np.arange(len(cube))[:, None, None, None]
-                cube[:] = (heads * nc + NOT_ONTO[:, :, None]) * tail + np.arange(tail)
+                rep.delta[...] = NOT_ONTO
             calls.clear()
             got = rep.fixed_point_partition(n, level)
-            assert calls == [rep.gspace.level_size(level)], (n, level)
+            assert calls == ([] if mutation == "swap" else [rep.gspace.level_size(level)]), (n, level)
             assert got == union_find_fixed_points(rep, n, level), (n, level)
             closed_form_wrong += got.nblocks != rep.gspace.level_size(n - 1)
     assert mutation == "swap" or closed_form_wrong
 
 
 def test_fixed_points_find_the_noise_classes_once_per_delta_hat(monkeypatch):
-    """G is found once per delta_hat: every eta_n table of a built model
-    factors through the same one.  A table planted to factor through another
-    onto delta_hat gets its own classes, and still equals union-find."""
+    """G is found once per representation, from delta: every fixed-point
+    partition of every level reads it.  A planted eta table changes no
+    fixed-point partition, since the closed form reads no eta table."""
     calls = []
     orig = R._noise_classes
     monkeypatch.setattr(R, "_noise_classes", lambda dhat: calls.append(1) or orig(dhat))
@@ -348,20 +347,16 @@ def test_fixed_points_find_the_noise_classes_once_per_delta_hat(monkeypatch):
                 assert rep.fixed_point_partition(n, level) == union_find_fixed_points(rep, n, level)
         assert len(calls) == 1
 
+    want = two_class_rep(4).fixed_point_partition(2, 3)
     rep = two_class_rep(4)
     nc = rep.gspace.nc
-    rep.fixed_point_partition(1, 1)
     table = rep.eta(2, 3)
-    tail = nc ** (3 - 2)
-    cube = table.reshape(-1, nc, nc, tail)
+    cube = table.reshape(-1, nc, nc, nc)
     heads = np.arange(len(cube))[:, None, None, None]
-    cube[:] = (heads * nc + np.arange(nc)[:, None]) * tail + np.arange(tail)  # delta_hat(u, v) = v
-    calls.clear()
+    cube[:] = (heads * nc + np.arange(nc)[:, None]) * nc + np.arange(nc)  # delta_hat(u, v) = v
     uf = count_union_find(monkeypatch)
-    got = rep.fixed_point_partition(2, 3)
-    assert uf == [] and len(calls) == 1
-    assert got == union_find_fixed_points(rep, 2, 3)
-    assert got.nblocks == rep.gspace.level_size(1)  # one class: delta_hat(u, v) = v glues every u to every v
+    assert rep.fixed_point_partition(2, 3) == want and uf == []
+    assert union_find_fixed_points(rep, 2, 3) != want
 
 
 def discrete_start_fold(rep, n, level):
@@ -464,16 +459,17 @@ def test_intertwining_refuses_bad_indices():
     [
         (2, "projection weights differ at atom 0"),
         (10, "some source atom reaches no mass in target block 0"),
-        (18, "left side is not measurable along the right at atom 1"),
+        (6, "left side is not measurable along the right at atom 3"),
     ],
 )
 def test_intertwining_fails_on_a_corrupted_eta(swap, witness):
     """A wrong implementation fails: swapping two entries of the cached
-    eta_0 table at level 2 fails one branch each, the weights,
-    completeness and measurability.  No accepted (c_map, delta) fails the
-    intertwining identities."""
+    eta_0 table at level 1, which the window of (0, 1) reads, fails one
+    branch each, the weights, completeness and measurability.  The window
+    atom 1 of level 2 is atom 3 of level 3.  No accepted (c_map, delta)
+    fails the intertwining identities."""
     model = D.build_markov_dilation(PAPER, 3)
-    table = model.rep.eta(0, 2)
+    table = model.rep.eta(0, 1)
     orig = table.copy()
     table[0], table[swap] = orig[swap], orig[0]
     try:
@@ -486,8 +482,8 @@ def test_intertwining_fails_on_a_corrupted_eta(swap, witness):
 
 
 def _intertwining_reference(rep, k, n):
-    """intertwining_check as it stood with its block-crossing test, which
-    the measurability test implies."""
+    """intertwining_check on all atoms of levels K-1 and K, with its
+    block-crossing test, which the measurability test implies."""
     K = rep.gspace.K
     g = rep.gspace
     lo, hi = K - 1, K
@@ -523,144 +519,173 @@ def _intertwining_reference(rep, k, n):
     return True, None
 
 
+def corrupt_intertwining_tables(rep, rng, k, n, kind):
+    """Swap two entries of eta_k from level n+1 onto n (kind 0), or split
+    one atom off its block (kind 1) or merge two blocks (kind 2) of fix(n)
+    at level n or fix(n+1) at level n+1, in place in the caches."""
+    if kind == 0:
+        table = rep.eta(k, n)
+        i, j = rng.sample(range(len(table)), 2)
+        table[i], table[j] = table[j], table[i]
+        return
+    key = rng.choice([(n, n), (n + 1, n + 1)])
+    part = rep.fixed_point_partition(*key)
+    labels = part.labels.copy()
+    if kind == 1:
+        labels[rng.randrange(len(labels))] = part.nblocks
+    else:
+        a, b = rng.sample(range(part.nblocks), 2)
+        labels[labels == b] = a
+    rep._fix_cache[key] = Partition(labels)
+
+
 def test_intertwining_matches_reference_on_corruptions():
-    # seeded eta swaps and fixed-point block splits and merges: the check
-    # and the reference with the block-crossing test agree on every verdict
-    # and witness
+    """Seeded eta swaps and fixed-point block splits and merges, planted in
+    the tables the windows read: pair (0, 1) at K = 2 and pair (1, 2) at
+    K = 3 are their own windows.  The check and the reference with the
+    block-crossing test agree on every verdict and witness."""
     rng = random.Random(8)
-    model = D.build_markov_dilation(PAPER, 4)
-    rep = model.rep
-    K = rep.gspace.K
-    pairs = [(k, n) for n in range(1, K) for k in range(n)]
-    for k, n in pairs:  # fill the caches the corruptions edit
-        R.intertwining_check(rep, k, n)
     failures = 0
     for trial in range(300):
-        k, n = rng.choice(pairs)
-        kind = trial % 3
-        if kind == 0:
-            table = rep.eta(k, K - 1)
-            i, j = rng.sample(range(len(table)), 2)
-            saved = table.copy()
-            table[i], table[j] = saved[j], saved[i]
-        else:
-            key = rng.choice([(n, K - 1), (n + 1, K)])
-            saved = rep._fix_cache[key]
-            labels = saved.labels.copy()
-            if kind == 1:  # split one atom off its block
-                labels[rng.randrange(len(labels))] = saved.nblocks
-            else:  # merge two blocks
-                a, b = rng.sample(range(saved.nblocks), 2)
-                labels[labels == b] = a
-            rep._fix_cache[key] = Partition(labels)
-        try:
-            got = R.intertwining_check(rep, k, n)
-            assert got == _intertwining_reference(rep, k, n), (trial, k, n)
-            failures += not got[0]
-        finally:
-            if kind == 0:
-                table[:] = saved
-            else:
-                rep._fix_cache[key] = saved
+        k = trial % 2
+        rep = D.build_markov_dilation(PAPER, k + 2).rep
+        corrupt_intertwining_tables(rep, rng, k, k + 1, trial % 3)
+        got = R.intertwining_check(rep, k, k + 1)
+        assert got == _intertwining_reference(rep, k, k + 1), (trial, k)
+        failures += not got[0]
     assert failures > 100
-    assert all(R.intertwining_check(rep, k, n) == (True, None) for k, n in pairs)
 
 
-def head_pairs(rep):
-    """The (k, n) pairs whose check reads levels (n, n+1), with their tail
-    sizes nc^(K-1-n)."""
-    K, nc = rep.gspace.K, rep.gspace.nc
-    return [(k, n, nc ** (K - 1 - n)) for n in range(1, K - 1) for k in range(n) if nc > 1]
+def window_keys(rep):
+    return {key for key in rep._window_cache if key[0] == "intertwining"}
 
 
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(3, 6))
 @settings(max_examples=20, deadline=None)
 def test_intertwining_on_head_levels_matches_reference(seed, d, K):
-    """Every pair with a tail takes the head levels and gives the verdict
-    and witness of the reference on levels K-1 and K.  K is lowered until
-    level K+1 holds at most 50,000 atoms."""
+    """Every pair is decided on the window of (0, 1) or (1, 2) and gives
+    the verdict and witness of the reference on levels K-1 and K.  K is
+    lowered until level K+1 holds at most 50,000 atoms."""
     spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
     nc = D.build_first_order_dilation(spec)[0].n
     while K > 3 and d * nc ** (K + 1) > 50_000:
         K -= 1
     rep = D.build_markov_dilation(spec, K).rep
-    for k, n, tail in head_pairs(rep):
-        assert R._reads_head_levels(rep, k, n, tail), (k, n)
     for n in range(1, K):
         for k in range(n):
             assert R.intertwining_check(rep, k, n) == _intertwining_reference(rep, k, n), (k, n)
+    assert window_keys(rep) == {("intertwining", 0), ("intertwining", 1)}
 
 
 def test_intertwining_on_a_corrupted_coupling_matches_reference():
     """The equal-mass coupling swap of the dilation tests changes eta_0 on
-    the head only, so every table still factors and every pair is decided
-    on its head levels.  It passes there as on levels K-1 and K: for k < n
-    the identity holds for any head map, since Q_n and Q_{n+1} average the
-    same noise classes and tail slots, which eta_k only shifts."""
+    the head only; every pair is decided on its window.  It passes there as
+    on levels K-1 and K: for k < n the identity holds for any head map,
+    since Q_n and Q_{n+1} average the same noise classes and tail slots,
+    which eta_k only shifts."""
     spec = D.ChainSpec.coin(F(1, 2), F(1, 4))
     _, cpl = D.build_first_order_dilation(spec)
     bad_target = cpl.target.copy()
     bad_target[0, 2], bad_target[1, 0] = bad_target[1, 0], bad_target[0, 2]
     rep = D.build_markov_dilation(spec, 5, D.CouplingMap(cpl.base, cpl.noise, bad_target)).rep
-    assert all(R._reads_head_levels(rep, k, n, tail) for k, n, tail in head_pairs(rep))
     for n in range(1, 5):
         for k in range(n):
             assert R.intertwining_check(rep, k, n) == _intertwining_reference(rep, k, n) == (True, None)
+    assert window_keys(rep) == {("intertwining", 0), ("intertwining", 1)}
 
 
-def lift(labels, tail):
-    return Partition(np.repeat(labels, tail))
+def slot_digits(rep, level):
+    """digits[s] holds slot s of every atom of the level: the base for s = 0,
+    c_s for s >= 1."""
+    g = rep.gspace
+    ids = np.arange(g.level_size(level), dtype=np.int64)
+    return [ids // g.nc**level] + [ids // g.nc ** (level - s) % g.nc for s in range(1, level + 1)]
+
+
+def from_digits(digits, nc):
+    out = digits[0]
+    for digit in digits[1:]:
+        out = out * nc + digit
+    return out
+
+
+def window_atoms(rep, level, slots):
+    """The window atom, the base and the noise slots `slots`, of every atom."""
+    digits = slot_digits(rep, level)
+    return from_digits([digits[0]] + [digits[s] for s in slots], rep.gspace.nc)
+
+
+def lift_partition(rep, small, level, slots, discrete):
+    """`small` on the window slots, discrete on `discrete`, one block on
+    every other slot of the level."""
+    digits = slot_digits(rep, level)
+    labels = small.labels[window_atoms(rep, level, slots)]
+    for s in discrete:
+        labels = labels * rep.gspace.nc + digits[s]
+    return Partition(labels)
+
+
+def lift_eta(rep, table, level, in_slots, out_slots, passive):
+    """A map from the level onto level-1: `table` from the window's noise
+    slots `in_slots` onto `out_slots`, and passive[s] = t copying slot s to
+    slot t."""
+    nc = rep.gspace.nc
+    digits = slot_digits(rep, level)
+    small = table[window_atoms(rep, level, in_slots)]
+    width = len(out_slots)
+    out = [small // nc**width] + [None] * (level - 1)
+    for i, s in enumerate(out_slots, 1):
+        out[s] = small // nc ** (width - i) % nc
+    for s, t in passive.items():
+        out[t] = digits[s]
+    return from_digits(out, nc)
+
+
+def lift_intertwining_tables(window, full, k, n):
+    """Plant in `full` the level-(K-1) and level-K tables of pair (k, n)
+    that the window tables of `window` stand for."""
+    K = full.gspace.K
+    kw = min(k, 1)
+    ek, bn, bn1 = window.eta(kw, kw + 1), window.fixed_point_partition(kw + 1, kw + 1), window.fixed_point_partition(kw + 2, kw + 2)
+    lo_disc = [*range(1, k), *range(k + 1, n)]
+    hi_disc = [*range(1, k), *range(k + 2, n + 1)]
+    hi, lo = ((k, k + 1, n + 1), (k, n)) if kw else ((1, n + 1), (n,))
+    passive = {s: s for s in range(1, k)} | {s: s - 1 for s in (*range(k + 2, n + 1), *range(n + 2, K + 1))}
+    full.eta(k, K - 1)[:] = lift_eta(full, ek, K, hi, lo, passive)
+    full._fix_cache[(n, K - 1)] = lift_partition(full, bn, K - 1, lo, lo_disc)
+    full._fix_cache[(n + 1, K)] = lift_partition(full, bn1, K, hi, hi_disc)
 
 
 def test_intertwining_on_head_levels_matches_reference_on_factored_corruptions():
-    """Seeded corruptions planted alike on the head and the full levels, so
-    that every compare of the head path still passes: two head entries of
-    eta_k swapped with the matching rows of the level-K table, or a block
-    of fix(n) or fix(n+1) split or merged on the head and lifted.  The
-    check, decided on the head levels, gives the verdict and the witness
-    atom of the reference on levels K-1 and K."""
+    """Seeded corruptions planted in the window tables, and in the full
+    tables they stand for by the product lemma: two entries of the window's
+    eta_k swapped, or a block of its fix(n) or fix(n+1) split or merged.
+    Every pair (k, n) at K = 5 gives the verdict and the witness of the
+    reference on levels K-1 and K.  Uncorrupted, the lifted tables are the
+    model's own."""
     rng = random.Random(14)
-    model = D.build_markov_dilation(PAPER, 5)
-    rep = model.rep
-    K = rep.gspace.K
-    pairs = head_pairs(rep)
-    for k, n, _ in pairs:  # fill the caches the corruptions edit
-        R.intertwining_check(rep, k, n)
+    K = 5
+    pairs = [(k, n) for n in range(1, K) for k in range(n)]
+    built = D.build_markov_dilation(PAPER, K).rep
+    for k, n in pairs:
+        full = D.build_markov_dilation(PAPER, K).rep
+        want = (full.eta(k, K - 1).copy(), full.fixed_point_partition(n, K - 1), full.fixed_point_partition(n + 1, K))
+        lift_intertwining_tables(built, full, k, n)
+        assert np.array_equal(full.eta(k, K - 1), want[0]), (k, n)
+        assert (full.fixed_point_partition(n, K - 1), full.fixed_point_partition(n + 1, K)) == want[1:], (k, n)
     failures = set()
     for trial in range(150):
-        k, n, tail = rng.choice(pairs)
-        kind = trial % 3
-        if kind == 0:
-            head, full = rep.eta(k, n), rep.eta(k, K - 1)
-            saved = head.copy(), full.copy()
-            i, j = rng.sample(range(len(head)), 2)
-            head[i], head[j] = saved[0][j], saved[0][i]
-            full[:] = (head[:, None] * tail + np.arange(tail)).reshape(-1)
-        else:
-            t = rng.choice([n, n + 1])
-            keys = (t, t), (t, t + K - 1 - n)
-            saved = tuple(rep._fix_cache[key] for key in keys)
-            labels = saved[0].labels.copy()
-            if kind == 1:  # split one atom off its block
-                labels[rng.randrange(len(labels))] = saved[0].nblocks
-            else:  # merge two blocks
-                a, b = rng.sample(range(saved[0].nblocks), 2)
-                labels[labels == b] = a
-            rep._fix_cache[keys[0]] = Partition(labels)
-            rep._fix_cache[keys[1]] = lift(rep._fix_cache[keys[0]].labels, tail)
-        try:
-            assert R._reads_head_levels(rep, k, n, tail), trial
-            got = R.intertwining_check(rep, k, n)
-            assert got == _intertwining_reference(rep, k, n), (trial, k, n)
-            if not got[0]:
-                failures.add(got[1].split(" at ")[0].split(" in ")[0])
-        finally:
-            if kind == 0:
-                head[:], full[:] = saved
-            else:
-                rep._fix_cache[keys[0]], rep._fix_cache[keys[1]] = saved
+        k, n = rng.choice(pairs)
+        kw = min(k, 1)
+        rep = D.build_markov_dilation(PAPER, K).rep
+        corrupt_intertwining_tables(rep, rng, kw, kw + 1, trial % 3)
+        full = D.build_markov_dilation(PAPER, K).rep
+        lift_intertwining_tables(rep, full, k, n)
+        got = R.intertwining_check(rep, k, n)
+        assert got == _intertwining_reference(full, k, n), (trial, k, n)
+        if not got[0]:
+            failures.add(got[1].split(" at ")[0].split(" in ")[0])
     assert len(failures) == 3, failures
-    assert all(R.intertwining_check(rep, k, n) == (True, None) for k, n, _ in pairs)
 
 
 def test_single_entry_delta_corruption_rejected():
@@ -700,6 +725,86 @@ def test_shared_decisions_refuse_a_horizon_deciding_nothing():
         R.intertwining_identities_check(rep)
     assert R.monoid_relations_check(paper_rep(2), 2) == (True, None)
     assert R.intertwining_identities_check(paper_rep(2)) == (True, None)
+
+
+# -- windows against the atom-level references ---------------------------------------
+
+
+def relations_reference(rep, K):
+    """monoid_relations_check deciding every instance on its own levels."""
+    for k in range(K):
+        for l in range(k + 1, K + 1):
+            for m in range(K - 1):
+                good, atom = rep.relation_check(k, l, m)
+                if not good:
+                    return False, f"alpha_{k} alpha_{l} != alpha_{l+1} alpha_{k} at level-{m+2} atom {atom}"
+    return True, None
+
+
+def maximality_reference(view):
+    """Localization on levels K-1 and K and maximality on level K, the range
+    of iota_0 read off the view's path table, as entries (check, ok,
+    witness)."""
+    rep, K = view.rep, view.K
+    level = K - 1
+    x0 = view.x_table(0, level)
+    drop = rep.drop_last(level)
+    wit = None
+    for n in range(1, K):
+        en = rep.eta(n, level)
+        if not np.array_equal(x0[en], x0[drop]):
+            wit = f"alpha_{n} moves iota_0 at atom {int(np.argmax(x0[en] != x0[drop]))} of level {level + 1}"
+            break
+    range_part = view.interval_partition(0, 0)
+    m0 = rep.intersected_fixed_points(0, K)
+    max_wit = None
+    if range_part != m0:
+        rel = "strictly coarser than" if range_part.coarsens(m0) else "different from"
+        max_wit = f"iota_0 range has {range_part.nblocks} blocks, M_0 has {m0.nblocks} ({rel} M_0)"
+    return [("localization", wit is None, wit), ("maximality", max_wit is None, max_wit)]
+
+
+def window_case(kind, seed, K):
+    """A fresh representation: a random chain's model, random explicit
+    (c_map, delta) tables, S+, or a model whose delta entries are shuffled
+    or whose c_map is redrawn after the constructor validated it (delta
+    stays onto)."""
+    if kind == "splus":
+        return splus_rep(K)
+    if kind == "tables":
+        return random_delta_rep(seed, K)
+    rng = random.Random(seed)
+    spec = D.random_irreducible_chain(rng, rng.choice([2, 3]), max_den=4)
+    rep = D.build_markov_dilation(spec, K).rep
+    if kind == "delta":
+        flat = rep.delta.reshape(-1)
+        flat[:] = rng.sample(flat.tolist(), len(flat))
+    elif kind == "c_map":
+        rep.c_map[...] = np.array([[rng.randrange(spec.d) for _ in range(rep.gspace.nc)] for _ in range(spec.d)])
+    return rep
+
+
+@given(st.sampled_from(["chain", "tables", "splus", "delta", "c_map"]), st.integers(0, 10_000), st.integers(3, 6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_windows_match_the_atom_level_references(kind, seed, K, data):
+    """Every identity decided on its window gives the verdict and witness
+    of its atom-level reference on the full levels: the monoid relations,
+    every intertwining pair, the tower, and localization and maximality on
+    the model's view and on a lumped view.  K is lowered until level K
+    holds at most 20,000 atoms."""
+    while K > 3 and window_case(kind, seed, 2).gspace.level_size(K) > 20_000:
+        K -= 1
+    rep, ref = window_case(kind, seed, K), window_case(kind, seed, K)
+    assert R.monoid_relations_check(rep, K) == relations_reference(ref, K)
+    for n in range(1, K):
+        for k in range(n):
+            assert R.intertwining_check(rep, k, n) == _intertwining_reference(ref, k, n), (k, n)
+    assert tower_or_refusal(R.triangular_tower_check, rep) == tower_or_refusal(reference_triangular_tower_check, ref)
+    d = rep.gspace.d
+    f = data.draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    for make in (lambda r: C.ProcessView(r, r.gspace.base, np.arange(d), K), lambda r: C.ProcessView(r, r.gspace.base, np.arange(d), K).lump(f)):
+        got = [(e.check, e.ok, e.witness) for e in C.maximal_ps_check(make(rep)).entries[1:]]
+        assert got == maximality_reference(make(ref))
 
 
 # -- triangular tower ---------------------------------------------------------------
@@ -763,16 +868,6 @@ def reference_triangular_tower_check(rep):
     return R.TowerReport(cells, intersections)
 
 
-def tower_cells(level):
-    return [
-        (m, n, k)
-        for m in range(level + 1)
-        for n in range(m + 1, level + 1)
-        for k in range(1, level + 1)
-        if n + k <= level
-    ]
-
-
 def record_cell_sizes(monkeypatch):
     """Record the points each tower cell hands to commuting_square_check."""
     sizes = []
@@ -830,176 +925,149 @@ def tower_or_refusal(check, rep):
         return str(exc)
 
 
-def transposed_eta_rep(spec, K, n, m, i, j):
-    """The model's rep with entries i and j of the cached eta(n, m) swapped,
-    a wrong implementation: some of its tower cells fail, or a cell is
-    refused as not nested."""
+def corrupted_generator_rep(spec, K, table, i, j):
+    """The model's rep with entries i and j of its c_map or delta swapped
+    after the constructor validated it and before any eta table is built,
+    so that every eta table, at every level, is built from the corrupted
+    table."""
     rep = D.build_markov_dilation(spec, K).rep
-    table = rep.eta(n, m)
-    table[i], table[j] = table[j], table[i]
+    flat = getattr(rep, table).reshape(-1)
+    flat[i], flat[j] = flat[j], flat[i]
     return rep
 
 
-@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(4, 5), st.data())
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(4, 5), st.sampled_from(["c_map", "delta"]), st.data())
 @settings(max_examples=25, deadline=None)
-def test_tower_matches_atom_level_reference_on_corrupted_eta(seed, d, K, data):
+def test_tower_matches_atom_level_reference_on_corrupted_eta(seed, d, K, table, data):
+    """The corruption is planted in c_map or delta, which every eta table
+    the windows and the reference read is built from."""
     spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
-    n = data.draw(st.integers(0, K - 1))
-    m = data.draw(st.integers(0, K - 2))
-    size = D.build_markov_dilation(spec, K).rep.gspace.level_size(m + 1)
+    size = getattr(D.build_markov_dilation(spec, K).rep, table).size
     i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-    got = tower_or_refusal(R.triangular_tower_check, transposed_eta_rep(spec, K, n, m, i, j))
-    want = tower_or_refusal(reference_triangular_tower_check, transposed_eta_rep(spec, K, n, m, i, j))
+    got = tower_or_refusal(R.triangular_tower_check, corrupted_generator_rep(spec, K, table, i, j))
+    want = tower_or_refusal(reference_triangular_tower_check, corrupted_generator_rep(spec, K, table, i, j))
     assert got == want
 
 
 def test_tower_matches_atom_level_reference_on_seeded_eta_swaps(monkeypatch):
-    """Forty seeded swaps of two eta entries: every report or refusal equals
-    the atom-level reference's, some reports fail, and some cells fail a
-    tail test and are decided on the atoms."""
+    """Forty seeded swaps of two entries of eta_0 from level 2 onto level
+    1.  At K = 3 the tower reads level 2, where the intersection n = 0 is
+    its own window: its verdict equals the atom-level reference's, and
+    some fail.  The cells read eta_0 on their heads only, so they pass,
+    and none reaches commuting_square_check."""
     rng = random.Random(0)
     sizes = record_cell_sizes(monkeypatch)
-    fallbacks = failures = 0
+    failures = 0
     for trial in range(40):
         spec = D.random_irreducible_chain(rng, rng.choice([2, 3]), max_den=4)
-        K = rng.choice([4, 5])
-        n, m = rng.randrange(K), rng.randrange(K - 1)
-        size = D.build_markov_dilation(spec, K).rep.gspace.level_size(m + 1)
+        reps = [D.build_markov_dilation(spec, 3).rep for _ in range(2)]
+        size = reps[0].gspace.level_size(2)
         i, j = rng.randrange(size), rng.randrange(size)
-        rep = transposed_eta_rep(spec, K, n, m, i, j)
-        sizes.clear()
-        got = tower_or_refusal(R.triangular_tower_check, rep)
-        want = tower_or_refusal(reference_triangular_tower_check, transposed_eta_rep(spec, K, n, m, i, j))
-        assert got == want, trial
-        failures += not isinstance(got, str) and not got.passed
-        if rep.gspace.nc > 1:  # with one noise atom every head is the level
-            fallbacks += sizes.count(rep.gspace.level_size(K - 1))
-    assert failures and fallbacks
+        for rep in reps:
+            table = rep.eta(0, 1)
+            table[i], table[j] = table[j], table[i]
+        got = R.triangular_tower_check(reps[0])
+        want = tower_or_refusal(reference_triangular_tower_check, reps[1])
+        assert isinstance(want, str) or got.intersections == want.intersections, trial
+        assert all(got.cells.values())
+        failures += not got.intersections[0]
+    assert failures and sizes == []
 
 
-def weight_sensitive_tower_rep():
-    """The paper rep at K=4 with its towers replaced.  At level 3, with
-    atoms (a, c0, c1, c2) and noise weights (1/4, 1/4, 1/2): M_1 = {S, not
-    S}, where S holds c1 < 2 where c2 = 2 and c1 = 2 elsewhere; alpha_0(M_1)
-    = {c2 = 2, c2 < 2}; M_2 is their join.  S has half the mass on either
-    side of c2 but a third of the atoms on one and two thirds on the other."""
+def weight_sensitive_triple():
+    """Level 3 of the paper rep, atoms (a, c0, c1, c2) with noise weights
+    (1/4, 1/4, 1/2), as a head: q0 trivial, q1 = {S, not S}, where S holds
+    c1 < 2 where c2 = 2 and c1 = 2 elsewhere, and q2 = {c2 = 2, c2 < 2}.  S
+    has half the mass on either side of c2 but a third of the atoms on one
+    and two thirds on the other."""
     rep = paper_rep(4)
     ids3 = np.arange(rep.gspace.level_size(3))
-    ids2 = np.arange(rep.gspace.level_size(2))
     c1, c2 = ids3 // 3 % 3, ids3 % 3
     s = np.where(c2 == 2, c1 < 2, c1 == 2)
-    rep._tower_cache = {
-        3: [Partition.discrete(54), Partition(2 * s + (c2 == 2)), Partition(s), Partition.trivial(54)],
-        2: [Partition.discrete(18), Partition(ids2 % 3 == 2), Partition.trivial(18)],
-        1: [Partition.discrete(6), Partition.trivial(6)],
-    }
-    return rep
+    return rep.gspace.level_weights(3), Partition.trivial(54), Partition(s), Partition(c2 == 2)
 
 
-def test_tower_cell_verdict_reads_the_block_weights():
-    """Cell (0, 1, 1) lies inside M_2, which has four blocks, and commutes:
-    M_1 and alpha_0(M_1) are independent under the state.  Under the atom
-    counts of the blocks they would not be.  M_1 reads c2, beyond the
-    cell's head (a, c0), so the cell is decided on the atoms."""
-    rep = weight_sensitive_tower_rep()
-    report = R.triangular_tower_check(rep)
-    assert report == reference_triangular_tower_check(weight_sensitive_tower_rep())
-    assert report.cells[(0, 1, 1)]
-    assert rep.intersected_fixed_points(2, 3).nblocks == 4
+def test_tower_cell_verdict_reads_the_block_weights(monkeypatch):
+    """This head triple commutes: q1 and q2 are independent under the
+    state.  Under the atom counts of the blocks they would not be.  q2 is
+    not q0, so the triple is decided on the atoms."""
+    sizes = record_cell_sizes(monkeypatch)
+    w, q0, q1, q2 = weight_sensitive_triple()
+    assert R._head_triple_commutes(w, q0, q1, q2)
+    assert commuting_square_check(w, q0, q1, q2).all_agree and sizes == [54]
 
 
 @pytest.mark.parametrize("K", [4, 5, 6])
-def test_tower_matches_atom_level_reference_on_splus(K):
+def test_tower_matches_atom_level_reference_on_splus(K, monkeypatch):
+    """The S+ tower has 4, 10 and 20 cells at K = 4, 5 and 6.  Its M_t reads
+    one slot more than the F+ tower's, a slot that is discrete in all three
+    algebras of a cell; every cell is decided on its head by the lemma,
+    with no call of commuting_square_check, and equals the reference."""
     rep = splus_rep(K)
-    assert R.triangular_tower_check(rep) == reference_triangular_tower_check(rep)
+    sizes = record_cell_sizes(monkeypatch)
+    report = R.triangular_tower_check(rep)
+    assert sizes == [] and len(report.cells) == {4: 4, 5: 10, 6: 20}[K]
+    assert report == reference_triangular_tower_check(rep)
 
 
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_tower_falls_back_to_atoms_where_containment_fails(K, monkeypatch):
-    """The scrambled fixed-point partitions read the atom index mod 6, so
-    they vary along the last slot of every tail; such a cell is decided on
-    all atoms of the level although its head and M_{n+k} are smaller, and
-    both checks refuse the same non-nested cell alike."""
-    with pytest.raises(ValueError) as want:
-        reference_triangular_tower_check(scrambled_rep(K))
+    """The scrambled fixed-point partitions read the atom index mod 6 and
+    are not nested.  Taken as a head triple, they are not (q0, q1, q0) with
+    q0 ⊂ q1, so they go to commuting_square_check on the atoms, which
+    refuses them as the atom-level check alone refuses them."""
     rep = scrambled_rep(K)
+    level = K - 1
+    w = rep.gspace.level_weights(level)
+    q0, q1, q2 = (rep._fix_cache[(t, level)] for t in (1, 2, 3))
+    with pytest.raises(ValueError) as want:
+        commuting_square_check(w, q0, q1, q2)
     sizes = record_cell_sizes(monkeypatch)
     with pytest.raises(ValueError) as got:
-        R.triangular_tower_check(rep)
+        R._head_triple_commutes(w, q0, q1, q2)
     assert str(got.value) == str(want.value)
-    level = K - 1
-    atoms = rep.gspace.level_size(level)
-    fallbacks = [
-        (m, n, k)
-        for (m, n, k), size in zip(tower_cells(level), sizes)
-        if size == atoms
-        and rep.gspace.level_size(m + k) < atoms
-        and rep.intersected_fixed_points(n + k, level).nblocks < atoms
-    ]
-    assert fallbacks
-
-
-class TableTowerRep:
-    """Stands in for a PointRep in triangular_tower_check: it hands out
-    given partitions of level 3 (atoms (a, c1, c2, c3), base weights
-    (1/3, 2/3), noise weights (1/4, 1/4, 1/2)), M_t = towers[t] and
-    alpha_0^k(M_t) = shifts[(t, k)], discrete where none is given."""
-
-    def __init__(self, towers, shifts):
-        base, noise = FinSpace.from_rationals(["1/3", "2/3"]), FinSpace.from_rationals(["1/4", "1/4", "1/2"])
-        self.gspace = R.GradedSpace(base, noise, 4)
-        self.towers, self.shifts = towers, shifts
-
-    def part(self, labels):
-        return Partition(labels) if labels is not None else Partition.discrete(54)
-
-    def intersected_fixed_points(self, t, level):
-        # below level 3 only the index is passed on, to shifted_partition
-        return self.part(self.towers.get(t)) if level == 3 else t
-
-    def shifted_partition(self, t, k, level):
-        return self.part(self.shifts.get((t, k)))
+    assert sizes == [rep.gspace.level_size(level)]
 
 
 IDS = np.arange(54)
 HEAD1, C2, C3 = IDS // 9, IDS // 3 % 3, IDS % 3  # HEAD1 = a * 3 + c1, 6 points
 B, R1 = (HEAD1 % 3 == 2).astype(np.int64), (HEAD1 // 3 == 1).astype(np.int64)  # c1 = 2; a = 1
+# a head (a, c1, c2, c3) of level 3: base weights (1/3, 2/3), noise weights (1/4, 1/4, 1/2)
+HEAD_WEIGHTS = R.GradedSpace(
+    FinSpace.from_rationals(["1/3", "2/3"]), FinSpace.from_rationals(["1/4", "1/4", "1/2"]), 3
+).level_weights(3)
 
 
-def cell_011_rep(p1, p2):
-    """Cell (0, 1, 1) with p0 trivial, p1 = M_1 and p2 = alpha_0(M_1): its
-    head is (a, c1), c2 is the slot p2 pairs with it and c3 lies beyond."""
-    trivial = np.zeros(54, dtype=np.int64)
-    return TableTowerRep({1: p1}, {(0, 1): trivial, (0, 2): trivial, (1, 1): p2})
+def head_triple_verdict(q0, q1, q2, monkeypatch):
+    """The head triple's verdict, and the atom counts it was decided on."""
+    sizes = record_cell_sizes(monkeypatch)
+    ok = R._head_triple_commutes(HEAD_WEIGHTS, Partition(q0), Partition(q1), Partition(q2))
+    return ok, sizes
 
 
 def test_tower_planted_cell_is_decided_on_the_atoms(monkeypatch):
-    """p1 = {S, not S} with S = {(a, c1) = (0, 2), (1, 0)} and q2 = {c1 = 2}
-    are independent under the state (S holds a third of the mass on either
-    side of c1 = 2), but not under the head's point counts.  p2 = q2 × c2
-    passes the tail tests, but q2 is not the trivial q0, so the lemma does
-    not decide the cell: it is decided on the 54 atoms, where only the
-    weights make it commute."""
+    """q1 = {S, not S} with S = {(a, c1) = (0, 2), (1, 0)} and q2 = {c1 =
+    2} × c2 are independent under the state (S holds a third of the mass on
+    either side of c1 = 2), but not under the head's point counts.  q2 is
+    not the trivial q0, so the lemma does not decide the triple: it is
+    decided on the 54 atoms, where only the weights make it commute, as
+    the atom-level check finds."""
     s = np.isin(HEAD1, [2, 3]).astype(np.int64)
-    rep = cell_011_rep(s, B * 3 + C2)
-    sizes = record_cell_sizes(monkeypatch)
-    report = R.triangular_tower_check(rep)
-    assert report == reference_triangular_tower_check(rep)
-    assert report.cells[(0, 1, 1)] and sizes[0] == 54
+    ok, sizes = head_triple_verdict(np.zeros(54), s, B * 3 + C2, monkeypatch)
+    assert ok and sizes == [54]
+    w = HEAD_WEIGHTS
+    assert commuting_square_check(w, Partition.trivial(54), Partition(s), Partition(B * 3 + C2)).all_agree
 
 
-def test_tower_refuses_a_non_nested_cell_whose_head_triple_is_q0_q1_q0():
-    """Cells (0, 1, 1) and (0, 2, 1) have p0 = {a = 1}, p1 = M_1 trivial,
-    and p2 = p0 × c2 and p0 × c2 × c3.  Both pass the tail tests with q2 =
-    q0, but q0 is not coarser than q1: the lemma does not apply, and the
-    first is refused as the reference refuses it.  Every other cell is
-    nested."""
-    trivial = np.zeros(54, dtype=np.int64)
-    shifts = {(0, 1): R1, (0, 2): trivial, (1, 1): R1 * 3 + C2, (2, 1): R1 * 9 + C2 * 3 + C3}
-    rep = TableTowerRep({1: trivial}, shifts)
-    got = tower_or_refusal(R.triangular_tower_check, rep)
-    assert got == tower_or_refusal(reference_triangular_tower_check, rep)
-    assert "p0 coarser than p1" in got
+def test_tower_refuses_a_non_nested_cell_whose_head_triple_is_q0_q1_q0(monkeypatch):
+    """q0 = q2 = {a = 1} but q1 trivial: q0 is not coarser than q1, so the
+    lemma does not apply, and the triple is refused as the atom-level check
+    refuses it."""
+    with pytest.raises(ValueError, match="p0 coarser than p1") as got:
+        head_triple_verdict(R1, np.zeros(54), R1, monkeypatch)
+    with pytest.raises(ValueError) as want:
+        commuting_square_check(HEAD_WEIGHTS, Partition(R1), Partition.trivial(54), Partition(R1))
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -1020,15 +1088,11 @@ def test_tower_refuses_a_non_nested_cell_whose_head_triple_is_q0_q1_q0():
     ids=["p1-reads-the-tail", "p2-reads-beyond-n+k", "p2-not-a-product", "p2-rows-differ"],
 )
 def test_tower_tail_tests_send_what_does_not_factor_to_the_atoms(p1, p2, commutes, monkeypatch):
-    """Four cells (0, 1, 1), each spoiled so that only one tail test sees
-    it, and each with the opposite verdict on the head read at tail
-    position 0.  The cell is decided on the atoms and equals the
-    reference."""
-    rep = cell_011_rep(p1, p2)
-    sizes = record_cell_sizes(monkeypatch)
-    report = R.triangular_tower_check(rep)
-    assert report == reference_triangular_tower_check(rep)
-    assert report.cells[(0, 1, 1)] == commutes and sizes[0] == 54
+    """Four head triples with q0 trivial that are not (q0, q1, q0): each is
+    decided on the atoms, with the verdict of the atom-level check."""
+    ok, sizes = head_triple_verdict(np.zeros(54), p1, p2, monkeypatch)
+    assert ok == commutes and sizes == [54]
+    assert commuting_square_check(HEAD_WEIGHTS, Partition.trivial(54), Partition(p1), Partition(p2)).is_commuting_square == commutes
 
 
 # -- filtrations ---------------------------------------------------------------------
