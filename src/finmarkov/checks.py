@@ -31,7 +31,7 @@ from .dilation import (
     path_table,
 )
 from .finprob import FinSpace, Partition, _products_equal, cexp_product_equals
-from .rep import PointRep, intertwining_identities_check
+from .rep import PointRep, intertwining_identities_check, monoid_relations_check, triangular_tower_check
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,14 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     """Named verdicts in order.  Each entry is stamped with the wall time
-    since the report's previous entry, or since the report was created,
-    plus any `spent_ns` of work done for it before the report existed."""
+    since the report's previous entry, or since the report was created."""
 
     entries: list = field(default_factory=list)
     _clock: int = field(default_factory=time.perf_counter_ns, init=False, repr=False, compare=False)
 
-    def add(self, check: str, anchor: str, ok: bool, witness=None, spent_ns: int = 0):
+    def add(self, check: str, anchor: str, ok: bool, witness=None):
         now = time.perf_counter_ns()
-        self.entries.append(CheckResult(check, anchor, bool(ok), witness, (now - self._clock + spent_ns) // 1000))
+        self.entries.append(CheckResult(check, anchor, bool(ok), witness, (now - self._clock) // 1000))
         self._clock = now
         return ok
 
@@ -182,12 +181,13 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
 
     The definition quantifies over genuine monoid representations, so the
     represented relations are a premise; a corrupted noise map fails here
-    even when it still preserves the state.  They are read from
-    view.rep.relations, which decides them once per horizon.
+    even when it still preserves the state.  Their windows are decided once
+    per representation (rep._window_cache), so a premise read after the
+    monoid-relations entry decides nothing again.
     """
     rep, K = view.rep, view.K if horizon is None else horizon
     report = VerificationReport()
-    report.add("representation-premise", "the maps alpha_n satisfy the monoid relations", *rep.relations(K))
+    report.add("representation-premise", "the maps alpha_n satisfy the monoid relations", *monoid_relations_check(rep, K))
     x0 = view.x_table(0, 1)
     moved = x0[rep.eta(1, 1)] != x0[rep.drop_last(1)]
     wit = None
@@ -385,8 +385,8 @@ def hierarchy_check(model: ProcessModel, horizon=None) -> HierarchyReport:
     off the law at it and one more index, each adjacent swap off the whole
     law.  Equal laws on the supports are equal dense laws: every table
     weight is positive, so zero cells are absent on both sides.  The
-    partially-spreadable entry reads the monoid relations at `horizon`
-    from the model's representation, which decides them once per horizon."""
+    partially-spreadable entry reads the monoid relations at `horizon` on
+    the representation's windows, each decided once per representation."""
     K = model.K if horizon is None else horizon
     if not 2 <= K <= model.K:
         raise ValueError(f"the hierarchy needs horizon >= 2 and at most the model's {model.K}; got {K}")
@@ -501,20 +501,15 @@ def definetti_suite(spec: ChainSpec, horizon: int, budget: int = 2_000_000) -> V
 
 
 def definetti_checks(model: ProcessModel) -> VerificationReport:
-    """The de Finetti suite's checks on a built model.  The tower verdicts
-    come from model.tower and the monoid relations from
-    model.rep.relations(K), so a later suite on the same model reads the
-    same two decisions.  Below horizon 3 the tower has no cell, so the
-    model is refused.  The tower is built before the report; its build time
-    is charged to the triangular-tower entry."""
+    """The de Finetti suite's checks on a built model.  Below horizon 3 the
+    tower has no cell, so the model is refused.  Every relation, tower cell
+    and intersection and intertwining pair is decided on its window and kept
+    in the representation's window cache, so a later suite on the same model
+    decides none of them again.  The tower is decided just before its
+    triangular-tower entry, so --timing charges its cost there."""
     K = model.K
     if K < 3:
         raise ValueError(f"the de Finetti suite needs horizon >= 3; got {K}")
-    # built first, so the tower's temporaries peak before the path table and
-    # the Markov checks' partitions are held, not on top of them
-    start = time.perf_counter_ns()
-    tower = model.tower
-    tower_ns = time.perf_counter_ns() - start
     report = VerificationReport()
     report.add(
         "construction",
@@ -522,7 +517,7 @@ def definetti_checks(model: ProcessModel) -> VerificationReport:
         model.measure_preservation_check(),
     )
 
-    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *model.rep.relations(K))
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *monoid_relations_check(model.rep, K))
 
     view = ProcessView.from_model(model)
     report.extend(maximal_ps_check(view))
@@ -535,11 +530,11 @@ def definetti_checks(model: ProcessModel) -> VerificationReport:
         dil.power_ok[1],
     )
 
+    tower = triangular_tower_check(model.rep)
     report.add(
         "triangular-tower",
         "every shifted fixed-point tower cell is a commuting square",
         tower.passed,
-        spent_ns=tower_ns,
     )
     report.add(
         "tower-intersections",

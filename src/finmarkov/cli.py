@@ -60,14 +60,6 @@ def _require_depth(depth: int, least: int, command: str):
         raise InputError(f"{command} needs --depth >= {least}; got {depth}")
 
 
-def _require_levels(gspace, K: int):
-    """Refuse, before any check runs, a model whose level-K weights, the
-    finest any check of the command reads, exceed int64.  Level K is the
-    largest level any check reads, and the model was built on it within
-    the atom budget."""
-    gspace.ensure_weights(K)
-
-
 def _emit(report: chk.VerificationReport, args) -> int:
     for line in report.lines():
         print(line)
@@ -159,9 +151,9 @@ def cmd_rep_check(args) -> int:
     spec, obj = _load_chainspec(args.chainspec)
     K = args.depth
     rep = _build_rep(spec, obj, K, args.budget)
-    _require_levels(rep.gspace, K)
+    rep.gspace.ensure_weights(K)  # refuse level-K weights past int64 before any check reads them
     report = chk.VerificationReport()
-    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *rep.relations(K))
+    report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *rp.monoid_relations_check(rep, K))
     ok = all(
         rep.state_preservation_check(n, m) for n in range(K + 1) for m in range(K)
     )
@@ -181,7 +173,7 @@ def cmd_lump(args) -> int:
     if len(f) != spec.d or any(not 0 <= x < spec.d for x in f):
         raise InputError("lumping map must assign a class to every state")
     model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
-    _require_levels(model.gspace, args.depth)
+    model.gspace.ensure_weights(args.depth)  # refuse level-K weights past int64 before any check reads them
     lumped = chk.ProcessView.from_model(model).lump(f)
     report = chk.maximal_ps_check(lumped)
     report.extend(chk.markov_sequence_check(lumped))
@@ -189,10 +181,11 @@ def cmd_lump(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Build one model and run every requested suite on it.  The model
-    holds its tower report and its representation holds the monoid
-    relations per horizon, so each is decided once however many suites
-    read it; the hierarchy reads its capped horizon off that model."""
+    """Build one model and run every requested suite on it.  Its
+    representation keeps every relation, tower cell and intersection and
+    intertwining verdict it decided, window by window, so a later suite on
+    the model decides none of them again; the hierarchy reads its capped
+    horizon off that model."""
     suites = ("definetti", "tower", "hierarchy") if args.suite == "all" else (args.suite,)
     # below depth 3 the tower has no cell; below depth 2 spreadability
     # compares no two marginals
@@ -200,19 +193,19 @@ def cmd_verify(args) -> int:
     spec, _ = _load_chainspec(args.chainspec)
     K = min(args.depth, 5) if suites == ("hierarchy",) else args.depth
     model = dil.build_markov_dilation(spec, K, budget=args.budget)
-    if "definetti" in suites:
-        _require_levels(model.gspace, K)
     report = chk.VerificationReport()
     if "definetti" in suites:
+        model.gspace.ensure_weights(K)  # refuse level-K weights past int64 before any check reads them
         report.extend(chk.definetti_checks(model))
     if "tower" in suites:
-        for (m, n, k), ok in sorted(model.tower.cells.items()):
+        tower = rp.triangular_tower_check(model.rep)
+        for (m, n, k), ok in sorted(tower.cells.items()):
             report.add(
                 f"tower-cell-m{m}-n{n}-k{k}",
                 "the cell (M_{m+k} ⊃ a0^k(M_m); M_{n+k} ⊃ a0^k(M_n)) commutes",
                 ok,
             )
-        for n, ok in sorted(model.tower.intersections.items()):
+        for n, ok in sorted(tower.intersections.items()):
             report.add(
                 f"tower-intersection-n{n}",
                 "M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n)",
@@ -299,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, mon.DerivationNotFound, rp.AtomBudgetError, OverflowError) as e:
+    except (InputError, rp.AtomBudgetError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -34,10 +34,8 @@ from .rationals import parse_rational
 from .rep import (
     GradedSpace,
     PointRep,
-    TowerReport,
     build_fplus_rep,
     delta_second_coordinate,
-    triangular_tower_check,
 )
 
 
@@ -379,12 +377,6 @@ class ProcessModel:
     def paths(self) -> PathTable:
         """The path table of X_0 .. X_K, built on first use."""
         return path_table(self.rep, np.arange(self.spec.d), self.spec.d, self.K)
-
-    @cached_property
-    def tower(self) -> TowerReport:
-        """The triangular tower report of the representation, built on
-        first use; every suite that reads the tower reads this one."""
-        return triangular_tower_check(self.rep)
 
     def compressed_power(self, n: int) -> tuple:
         """iota* alpha^n iota as an exact d x d matrix, read from (X_0, X_n)

@@ -114,8 +114,6 @@ class PointRep:
     delta: np.ndarray  # (nc, nc) -> noise atom
     _eta_cache: dict = field(default_factory=dict, repr=False)
     _fix_cache: dict = field(default_factory=dict, repr=False)
-    _tower_cache: dict = field(default_factory=dict, repr=False)
-    _relations_cache: dict = field(default_factory=dict, repr=False)  # horizon -> (ok, witness)
     _window_cache: dict = field(default_factory=dict, repr=False)  # window -> its verdict
 
     def __post_init__(self):
@@ -205,14 +203,6 @@ class PointRep:
             return True, None
         return False, int(np.argmax(left != right))
 
-    def relations(self, K: int):
-        """monoid_relations_check(self, K), decided once per horizon and
-        kept: the monoid-relations entry and every representation premise
-        at that horizon read this one decision."""
-        if K not in self._relations_cache:
-            self._relations_cache[K] = monoid_relations_check(self, K)
-        return self._relations_cache[K]
-
     # -- fixed point algebras ------------------------------------------------
 
     def fixed_point_partition(self, n: int, level: int) -> Partition:
@@ -232,13 +222,12 @@ class PointRep:
 
         where G is the classes of {delta(u, v) ~ u} on the noise atoms.  It
         is built from delta and the level sizes alone and reads no eta
-        table, so fix(n) at level L never builds level L+1.  n = 0, n >
-        level, and a delta that is not onto (edited after the constructor
-        validated it) are glued by union-find on the eta_n table.
+        table, so fix(n) at level L never builds level L+1.  n = 0 and n >
+        level are glued by union-find on the eta_n table.
         """
         key = (min(n, level + 1), level)
         if key not in self._fix_cache:
-            if 1 <= n <= level and self.noise_classes is not None:
+            if 1 <= n <= level:
                 part = self._closed_form_fixed_points(n, level)
             else:
                 part = Partition._from_canonical(
@@ -249,10 +238,11 @@ class PointRep:
 
     @cached_property
     def noise_classes(self):
-        """G as (canonical labels, count), or None where delta is not onto."""
-        nc = self.gspace.nc
-        if set(self.delta.reshape(-1).tolist()) != set(range(nc)):
-            return None
+        """G as (canonical labels, count).  The closed form needs delta
+        onto, which the constructor validates; a delta edited after that
+        to be not onto is refused."""
+        if set(self.delta.reshape(-1).tolist()) != set(range(self.gspace.nc)):
+            raise ValueError("delta is not onto the noise atoms")
         return _noise_classes(self.delta)
 
     def _closed_form_fixed_points(self, n: int, level: int) -> Partition:
@@ -269,24 +259,14 @@ class PointRep:
         """The tower algebra M_n = ∩_{k>=n+1} M^{alpha_k} at a level; indices
         beyond the horizon act as the identity and add no constraint.
 
-        A level's tower is folded downward once and cached: M_top is
-        discrete, M_{top-1} = fix(top) and M_n = M_{n+1} ∧ fix(n+1).  Where
-        fix(n+1) coarsens M_{n+1} the meet is fix(n+1) itself and is not
-        computed.  For every PointRep, fix(k) at level L is discrete(a, c_1
-        … c_{k-1}) × G(c_k) × one block on (c_{k+1} … c_L) (proved in
-        fixed_point_partition), which coarsens fix(k+1); so M_n = fix(n+1)
-        and no level is met.  Partitions that are not nested (planted in
-        the cache, say) are met.
+        By fix(k)'s closed form (fixed_point_partition), fix(k) coarsens
+        fix(k+1) at every level, so the intersection is its first term:
+        M_n = fix(n+1) below min(K, level), and the discrete partition
+        from there up.
         """
-        top = min(self.gspace.K, level)
-        if level not in self._tower_cache:
-            self._tower_cache[level] = [Partition.discrete(self.gspace.level_size(level))]
-        tower = self._tower_cache[level]  # tower[i] is M_{top-i}
-        while len(tower) <= top - n:
-            k = top + 1 - len(tower)
-            fix = self.fixed_point_partition(k, level)
-            tower.append(fix if k == top or fix.coarsens(tower[-1]) else tower[-1].meet(fix))
-        return tower[max(top - n, 0)]
+        if n < min(self.gspace.K, level):
+            return self.fixed_point_partition(n + 1, level)
+        return Partition.discrete(self.gspace.level_size(level))
 
     def shifted_partition(self, part: Partition, k: int, level: int) -> Partition:
         """Image algebra alpha_0^k(M) as a partition of the given level;
@@ -535,8 +515,9 @@ def intertwining_identities_check(rep: PointRep):
 @dataclass(frozen=True)
 class TowerReport:
     """`cells[(m, n, k)]`: the cell commutes; `intersections[n]`, n < L-1:
-    M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).  Each is decided on its
-    window (triangular_tower_check)."""
+    M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).  Each is read off its
+    window's verdict (triangular_tower_check), which the representation
+    keeps, so a second report on it decides no window again."""
 
     cells: dict
     intersections: dict

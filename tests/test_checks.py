@@ -720,13 +720,12 @@ def test_lump_process_function_form():
     assert C.markov_sequence_check(lumped).passed
 
 
-def test_definetti_suite_decides_each_model_identity_once(monkeypatch):
-    # measure preservation, the n = 1 power and the monoid relations are
-    # decided once each
-    calls = {"measure": 0, "power1": 0, "relations": 0}
+def test_definetti_suite_decides_each_model_identity_once(monkeypatch, window_decisions):
+    # measure preservation and the n = 1 power are decided once each, and
+    # so is every window of the relations, the tower and intertwining
+    calls = {"measure": 0, "power1": 0}
     orig_measure = D.ProcessModel.measure_preservation_check
     orig_power = D.ProcessModel.compressed_power
-    orig_relations = R.monoid_relations_check
 
     def measure(self):
         calls["measure"] += 1
@@ -736,42 +735,35 @@ def test_definetti_suite_decides_each_model_identity_once(monkeypatch):
         calls["power1"] += n == 1
         return orig_power(self, n)
 
-    def relations(*args):
-        calls["relations"] += 1
-        return orig_relations(*args)
-
     monkeypatch.setattr(D.ProcessModel, "measure_preservation_check", measure)
     monkeypatch.setattr(D.ProcessModel, "compressed_power", power)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "finmarkov" and getattr(mod, "monoid_relations_check", None) is orig_relations:
-            monkeypatch.setattr(mod, "monoid_relations_check", relations)
     assert C.definetti_suite(PAPER, 5).passed
-    assert calls == {"measure": 1, "power1": 1, "relations": 1}
+    assert calls == {"measure": 1, "power1": 1}
+    assert window_decisions.counts() == {
+        "relation_check": 6,
+        "_tower_cell_on_head": 3,
+        "_tower_intersection": 2,
+        "_intertwining_failure": 2,
+    }
 
 
-def test_suites_on_one_model_share_its_relations_and_tower(monkeypatch):
-    """definetti_checks and then hierarchy_check on one model decide the
-    monoid relations once at the model's horizon and build one tower
-    report, with no decision handed from one call to the other."""
-    calls = {"monoid_relations_check": [], "triangular_tower_check": []}
-    for name, log in calls.items():
-        orig = getattr(R, name)
-
-        def counted(*args, _orig=orig, _log=log):
-            _log.append(args[1] if len(args) > 1 else None)
-            return _orig(*args)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "finmarkov" and getattr(mod, name, None) is orig:
-                monkeypatch.setattr(mod, name, counted)
+def test_suites_on_one_model_share_its_relations_and_tower(window_decisions):
+    """definetti_checks and then hierarchy_check on one model decide each
+    relation, tower and intertwining window once: the hierarchy's
+    representation premise, and the relations and tower read again, find
+    every window in the representation's cache."""
     model = D.build_markov_dilation(PAPER, 4)
     suite = C.definetti_checks(model)
+    decided = list(window_decisions)
+    assert window_decisions.counts().keys() == {
+        "relation_check", "_tower_cell_on_head", "_tower_intersection", "_intertwining_failure"
+    }
     h = C.hierarchy_check(model)
     assert suite.passed and h.report.passed
     assert {e.check for e in h.report.entries} >= {"partially-spreadable"}
-    # reading both again decides nothing more
-    assert model.tower.passed and model.rep.relations(4) == (True, None)
-    assert calls == {"monoid_relations_check": [4], "triangular_tower_check": [None]}
+    assert R.triangular_tower_check(model.rep).passed
+    assert R.monoid_relations_check(model.rep, 4) == (True, None)
+    assert window_decisions == decided
 
 
 def test_definetti_suite_scans_each_labels_array_once(monkeypatch):

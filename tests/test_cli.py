@@ -440,22 +440,35 @@ def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys
     assert entries.keys() == {"monoid-relations", "state-preservation", "intertwining"}
 
 
-def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys):
-    calls = {}
-    for owner, name in ((dilation, "build_markov_dilation"), (rep, "triangular_tower_check")):
-        orig = getattr(owner, name)
-        calls[name] = 0
-
-        def counted(*args, _name=name, _orig=orig, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "finmarkov" and getattr(mod, name, None) is orig:
-                monkeypatch.setattr(mod, name, counted)
+def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys, window_decisions):
+    """verify --suite all builds one model, and the definetti and tower
+    suites decide each tower window once: the K-2 cell heads and the
+    intersection windows on levels 3 and 2."""
+    builds = []
+    orig = dilation.build_markov_dilation
+    monkeypatch.setattr(dilation, "build_markov_dilation", lambda *a, **kw: builds.append(1) or orig(*a, **kw))
     code, _, _ = run(["verify", COIN, "--depth", "4", "--suite", "all"], capsys)
     assert code == 0
-    assert calls == {"build_markov_dilation": 1, "triangular_tower_check": 1}
+    assert builds == [1]
+    counts = window_decisions.counts()
+    assert (counts["_tower_cell_on_head"], counts["_tower_intersection"]) == (2, 2)
+
+
+def test_verify_all_decides_each_window_once(capsys, window_decisions):
+    """verify --suite all decides each relation, tower and intertwining
+    window once, for the monoid-relations, representation-premise and
+    hierarchy entries alike, the hierarchy's at its own capped horizon 5
+    included."""
+    for K in (4, 6, 9):
+        window_decisions.clear()
+        code, _, _ = run(["verify", COIN, "--depth", str(K), "--suite", "all"], capsys)
+        assert code == 0
+        assert window_decisions.counts() == {
+            "relation_check": 6,
+            "_tower_cell_on_head": K - 2,
+            "_tower_intersection": 2,
+            "_intertwining_failure": 2,
+        }, K
 
 
 def test_verify_tower_json_matches_golden(capsys, tmp_path):
@@ -469,9 +482,9 @@ def test_verify_tower_json_matches_golden(capsys, tmp_path):
 
 def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
     """At depth 9 the tower has 84 cells and 7 intersection identities on
-    level 8.  The cells meet nothing, the intersections take two windows,
-    levels 3 and 2, with one meet each, and the closed-form folds nest, so
-    they meet nothing: 2 meets in all (the atom-level route took 119)."""
+    level 8.  The cells meet nothing, and the intersections take two
+    windows, levels 3 and 2, with one meet each: 2 meets in all (the
+    atom-level route took 119)."""
     calls = 0
     orig = finprob.meet_labels
 
@@ -518,34 +531,6 @@ def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
     assert out.count("tower-cell-") == 84
     assert calls == []
     assert canon and max(canon) <= 2 * 3**7
-
-
-def count_relation_decisions(monkeypatch):
-    """Count monoid_relations_check calls through every finmarkov module
-    that holds it."""
-    calls = []
-    orig = rep.monoid_relations_check
-
-    def counted(*args):
-        calls.append(args[1])
-        return orig(*args)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "finmarkov" and getattr(mod, "monoid_relations_check", None) is orig:
-            monkeypatch.setattr(mod, "monoid_relations_check", counted)
-    return calls
-
-
-def test_verify_all_decides_monoid_relations_once_per_horizon(monkeypatch, capsys):
-    """verify --suite all decides the relations once at the model's horizon
-    for the monoid-relations, representation-premise and hierarchy entries;
-    the hierarchy decides them again only at its own capped horizon 5."""
-    for depth, horizons in (("4", [4]), ("6", [6, 5])):
-        calls = count_relation_decisions(monkeypatch)
-        code, _, _ = run(["verify", COIN, "--depth", depth, "--suite", "all"], capsys)
-        assert code == 0
-        assert calls == horizons, depth
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize(

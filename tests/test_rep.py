@@ -307,8 +307,8 @@ def test_fixed_points_fall_back_to_union_find_on_a_corrupted_eta(mutation, monke
     after the constructor validated it and before any table is built; the
     eta tables are then built from the corrupted delta.  Two swapped
     entries keep delta onto, so the closed form still holds and no
-    union-find runs; a delta that is not onto (NOT_ONTO) falls back to
-    union-find, where the closed form would be wrong."""
+    union-find runs; a delta that is not onto (NOT_ONTO), where the closed
+    form would be wrong, is refused."""
     rng = random.Random(14)
     K = 4
     calls = count_union_find(monkeypatch)
@@ -322,13 +322,18 @@ def test_fixed_points_fall_back_to_union_find_on_a_corrupted_eta(mutation, monke
                 while flat[i] == flat[j]:
                     i, j = rng.sample(range(len(flat)), 2)
                 flat[i], flat[j] = flat[j], flat[i]
+                calls.clear()
+                got = rep.fixed_point_partition(n, level)
+                assert calls == [], (n, level)
+                assert got == union_find_fixed_points(rep, n, level), (n, level)
             else:
                 rep.delta[...] = NOT_ONTO
-            calls.clear()
-            got = rep.fixed_point_partition(n, level)
-            assert calls == ([] if mutation == "swap" else [rep.gspace.level_size(level)]), (n, level)
-            assert got == union_find_fixed_points(rep, n, level), (n, level)
-            closed_form_wrong += got.nblocks != rep.gspace.level_size(n - 1)
+                with pytest.raises(ValueError, match="delta is not onto"):
+                    rep.fixed_point_partition(n, level)
+                # G(NOT_ONTO) is one block, so the closed form would have
+                # one block per head
+                want = union_find_fixed_points(rep, n, level)
+                closed_form_wrong += want.nblocks != rep.gspace.level_size(n - 1)
     assert mutation == "swap" or closed_form_wrong
 
 
@@ -360,42 +365,33 @@ def test_fixed_points_find_the_noise_classes_once_per_delta_hat(monkeypatch):
 
 
 def discrete_start_fold(rep, n, level):
-    """The tower algebra as intersected_fixed_points once computed it: from
-    the discrete partition, one meet per fixed-point algebra k = n+1..top."""
+    """The tower algebra as an intersection: from the discrete partition,
+    one meet per fixed-point algebra k = n+1..top, each glued by union-find
+    on its eta table."""
     top = min(rep.gspace.K, level)
     acc = Partition.discrete(rep.gspace.level_size(level))
     for k in range(n + 1, top + 1):
-        acc = acc.meet(rep.fixed_point_partition(k, level))
+        acc = acc.meet(union_find_fixed_points(rep, k, level))
     return acc
 
 
-def scrambled_rep(K):
-    """The paper rep with its fixed-point partitions replaced by random
-    coarsenings of the atom index mod 6.  The real fixed-point algebras are
-    nested, so the tower collapses to M_n = fix(n+1) and its meets change
-    nothing; these are not nested, so every meet of the fold counts."""
-    rep = paper_rep(K)
-    rng = random.Random(K)
-    for level in range(K + 1):
-        ids = np.arange(rep.gspace.level_size(level))
-        for k in range(level + 2):
-            groups = np.array([rng.randrange(3) for _ in range(6)])
-            rep._fix_cache[(k, level)] = Partition(groups[ids % 6])
-    return rep
-
-
-@pytest.mark.parametrize("make", [paper_rep, splus_rep, scrambled_rep], ids=["fplus", "splus", "scrambled"])
+@pytest.mark.parametrize(
+    "make",
+    [paper_rep, splus_rep, two_class_rep, lambda K: random_delta_rep(0, K), lambda K: random_delta_rep(5, K)],
+    ids=["fplus", "splus", "two-classes", "random-delta-0", "random-delta-5"],
+)
 @pytest.mark.parametrize("K", [4, 5])
 def test_tower_fold_matches_discrete_start_fold(make, K):
+    """M_n = fix(n+1) equals the intersection of fix(n+1) … fix(top), top
+    = min(K, level), on G one block (fplus, random-delta), discrete (splus)
+    and two classes, and on one level past the horizon."""
     rep = make(K)
-    # a shuffled order makes the cached fold both extend and serve hits
-    queries = [(n, level) for level in range(K + 1) for n in range(level + 2)]
-    random.Random(K).shuffle(queries)
-    for n, level in queries:
-        got = rep.intersected_fixed_points(n, level)
-        want = discrete_start_fold(rep, n, level)
-        assert np.array_equal(got.labels, want.labels), (n, level)
-        assert (got.nblocks, got.n) == (want.nblocks, want.n), (n, level)
+    for level in range(K + 2):
+        for n in range(level + 2):
+            got = rep.intersected_fixed_points(n, level)
+            want = discrete_start_fold(rep, n, level)
+            assert np.array_equal(got.labels, want.labels), (n, level)
+            assert (got.nblocks, got.n) == (want.nblocks, want.n), (n, level)
 
 
 def test_tower_inclusions():
@@ -1008,6 +1004,19 @@ def test_tower_matches_atom_level_reference_on_splus(K, monkeypatch):
     report = R.triangular_tower_check(rep)
     assert sizes == [] and len(report.cells) == {4: 4, 5: 10, 6: 20}[K]
     assert report == reference_triangular_tower_check(rep)
+
+
+def scrambled_rep(K):
+    """The paper rep with its cached fixed-point partitions replaced by
+    random coarsenings of the atom index mod 6, which are not nested."""
+    rep = paper_rep(K)
+    rng = random.Random(K)
+    for level in range(K + 1):
+        ids = np.arange(rep.gspace.level_size(level))
+        for k in range(level + 2):
+            groups = np.array([rng.randrange(3) for _ in range(6)])
+            rep._fix_cache[(k, level)] = Partition(groups[ids % 6])
+    return rep
 
 
 @pytest.mark.parametrize("K", [4, 5, 6])
