@@ -2,8 +2,10 @@
 
 Exit codes: 0 when every requested check passes, 1 on a check failure (the
 witness is printed), 2 on malformed input or a model too large for the atom
-budget or for int64 (both checked before any check runs), 3 on an internal
-error, whose traceback is printed.  Input is validated where it is loaded and
+budget or for int64, 3 on an internal error, whose traceback is printed.
+Every command builds its model or representation before any check runs,
+and the build refuses the budget, int64 and a table that breaks the state,
+so a refused input runs no check.  Input is validated where it is loaded and
 refused as InputError there, so an error raised inside the library is never
 reported as malformed input.  Default output carries no wall-clock data, so
 identical inputs produce byte-identical output; timing fields appear only
@@ -82,6 +84,9 @@ def _build_rep(spec, obj, depth, budget):
         raise InputError(f"explicit c_map/delta_map tables need a {e} field") from None
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad noise, c_map or delta_map table: {e}") from None
+    for key in ("c_map", "delta_map"):  # the int64 conversion truncates 0.9 and reads true and "1"
+        if any(type(x) is not int for x in np.asarray(obj[key], dtype=object).flat):
+            raise InputError(f"{key} entries must be JSON integers")
     with _refused_as_input():  # shapes, atom ranges and state preservation
         return rp.build_fplus_rep(spec.pi, noise, c_map, delta, depth, budget)
 
@@ -142,7 +147,6 @@ def cmd_dilate(args) -> int:
     model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
     report = chk.VerificationReport()
     chk.add_dilation_entries(report, model)
-    report.add("measure-preservation", "alpha preserves the level states", model.measure_preservation_check())
     return _emit(report, args)
 
 
@@ -151,13 +155,8 @@ def cmd_rep_check(args) -> int:
     spec, obj = _load_chainspec(args.chainspec)
     K = args.depth
     rep = _build_rep(spec, obj, K, args.budget)
-    rep.gspace.ensure_weights(K)  # refuse level-K weights past int64 before any check reads them
     report = chk.VerificationReport()
     report.add("monoid-relations", "alpha_k alpha_l = alpha_{l+1} alpha_k for k < l", *rp.monoid_relations_check(rep, K))
-    ok = all(
-        rep.state_preservation_check(n, m) for n in range(K + 1) for m in range(K)
-    )
-    report.add("state-preservation", "every represented generator preserves the state", ok)
     ok, wit = rp.intertwining_identities_check(rep)
     report.add("intertwining", "alpha_k Q_n = Q_{n+1} alpha_k for k < n", ok, wit)
     return _emit(report, args)
@@ -173,7 +172,6 @@ def cmd_lump(args) -> int:
     if len(f) != spec.d or any(not 0 <= x < spec.d for x in f):
         raise InputError("lumping map must assign a class to every state")
     model = dil.build_markov_dilation(spec, args.depth, budget=args.budget)
-    model.gspace.ensure_weights(args.depth)  # refuse level-K weights past int64 before any check reads them
     lumped = chk.ProcessView.from_model(model).lump(f)
     report = chk.maximal_ps_check(lumped)
     report.extend(chk.markov_sequence_check(lumped))
@@ -195,7 +193,6 @@ def cmd_verify(args) -> int:
     model = dil.build_markov_dilation(spec, K, budget=args.budget)
     report = chk.VerificationReport()
     if "definetti" in suites:
-        model.gspace.ensure_weights(K)  # refuse level-K weights past int64 before any check reads them
         report.extend(chk.definetti_checks(model))
     if "tower" in suites:
         tower = rp.triangular_tower_check(model.rep)

@@ -84,7 +84,10 @@ class ChainSpec:
     @staticmethod
     def from_dict(obj) -> "ChainSpec":
         rows = obj["T"]
-        if len(rows) != obj.get("d", len(rows)):
+        d = obj.get("d", len(rows))
+        if type(d) is not int:
+            raise ValueError("field d must be an integer")
+        if len(rows) != d:
             raise ValueError("field d disagrees with the matrix size")
         return ChainSpec.from_rows(rows, obj.get("pi"))
 
@@ -365,7 +368,6 @@ class ProcessModel:
     monoid representation whose 0-th generator is the time evolution."""
 
     spec: ChainSpec
-    coupling: CouplingMap
     rep: PointRep
     K: int
 
@@ -387,11 +389,6 @@ class ProcessModel:
         den, pi = g.level_denominator(n), self.spec.pi.weights
         return tuple(tuple(Fraction(int(num[a, j]), den) / pi[a] for j in range(d)) for a in range(d))
 
-    def measure_preservation_check(self) -> bool:
-        return all(
-            self.rep.state_preservation_check(0, m) for m in range(self.K)
-        )
-
 
 def build_markov_dilation(
     spec: ChainSpec,
@@ -412,7 +409,7 @@ def build_markov_dilation(
         horizon,
         budget=budget,
     )
-    return ProcessModel(spec, coupling, rep, horizon)
+    return ProcessModel(spec, rep, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +468,8 @@ def dilation_property_check(model: ProcessModel) -> DilationReport:
     denominator of T.  The weights sum to the level denominator, so where
     every path of the support passes the chain puts no mass off it.  The
     failures are the first five failing paths, ((0, .., K), path), in
-    first-atom order.  Measure preservation is decided by the model's own
-    method."""
+    first-atom order.  State preservation is decided once, when the
+    model's PointRep is built."""
     spec, K = model.spec, model.K
     power_ok = {
         n: all(x * den == y for row, nrow in zip(model.compressed_power(n), num) for x, y in zip(row, nrow))

@@ -52,12 +52,12 @@ class GradedSpace:
         self.budget = budget
         self.d = base.n
         self.nc = noise.n
-        self.ensure(horizon)
         self.base_num = base.weight_numerators()
         self.base_den = base.denominator
         self.noise_num = noise.weight_numerators()
         self.noise_den = noise.denominator
         self._weights: dict[int, np.ndarray] = {}
+        self.ensure_weights(horizon)  # every level up to the horizon fits the budget and int64
 
     def level_size(self, m: int) -> int:
         return self.d * self.nc**m
@@ -127,6 +127,8 @@ class PointRep:
         for name, table, size in (("c_map", self.c_map, g.d), ("delta", self.delta, g.nc)):
             if table.min() < 0 or table.max() >= size:
                 raise ValueError(f"{name} entries must be atoms in [0, {size})")
+        # state preservation: by the product lemma these two pushforwards
+        # decide it for every eta_n on every level
         pair_num = g.base_num[:, None] * g.noise_num[None, :]
         if not _pushforward_ok(
             self.c_map, pair_num, g.base_den * g.noise_den, g.base_num, g.base_den
@@ -183,14 +185,6 @@ class PointRep:
         return self.gspace.base_coord(ids, level - k)
 
     # -- exact structural checks -------------------------------------------
-
-    def state_preservation_check(self, n: int, m: int) -> bool:
-        """Pushforward of the level-(m+1) state under eta_n is the level-m
-        state.  It holds for every state-preserving (c_map, delta) the CLI
-        accepts; `rep-check` keeps it as an implementation check on eta."""
-        g = self.gspace
-        sums = kern.group_sum(self.eta(n, m), g.level_weights(m + 1), g.level_size(m))
-        return bool(np.array_equal(sums, g.level_weights(m) * g.noise_den))
 
     def relation_check(self, k: int, l: int, m: int):
         """Check alpha_k alpha_l = alpha_{l+1} alpha_k as point maps

@@ -721,30 +721,35 @@ def test_lump_process_function_form():
 
 
 def test_definetti_suite_decides_each_model_identity_once(monkeypatch, window_decisions):
-    # measure preservation and the n = 1 power are decided once each, and
-    # so is every window of the relations, the tower and intertwining
-    calls = {"measure": 0, "power1": 0}
-    orig_measure = D.ProcessModel.measure_preservation_check
+    # the n = 1 power is decided once, and so is every window of the
+    # relations, the tower and intertwining
+    calls = []
     orig_power = D.ProcessModel.compressed_power
 
-    def measure(self):
-        calls["measure"] += 1
-        return orig_measure(self)
-
     def power(self, n):
-        calls["power1"] += n == 1
+        calls.append(n)
         return orig_power(self, n)
 
-    monkeypatch.setattr(D.ProcessModel, "measure_preservation_check", measure)
     monkeypatch.setattr(D.ProcessModel, "compressed_power", power)
     assert C.definetti_suite(PAPER, 5).passed
-    assert calls == {"measure": 1, "power1": 1}
+    assert calls == list(range(6))
     assert window_decisions.counts() == {
         "relation_check": 6,
         "_tower_cell_on_head": 3,
         "_tower_intersection": 2,
         "_intertwining_failure": 2,
     }
+
+
+@pytest.mark.parametrize(
+    "window, entry", [("_tower_cell_on_head", "triangular-tower"), ("_tower_intersection", "tower-intersections")]
+)
+def test_tower_entries_each_read_their_own_windows(window, entry, monkeypatch):
+    """triangular-tower reads the cells and tower-intersections the
+    intersections: made to fail on one kind of window, the suite fails
+    that entry alone."""
+    monkeypatch.setattr(R, window, lambda rep, *args: False)
+    assert [e.check for e in C.definetti_suite(PAPER, 4).failures()] == [entry]
 
 
 def test_suites_on_one_model_share_its_relations_and_tower(window_decisions):

@@ -68,7 +68,7 @@ def test_dilate(capsys):
     assert "dilation-powers" in out
 
 
-DILATE_ENTRIES = ["dilation-powers", "moments-vs-path-law", "measure-preservation"]
+DILATE_ENTRIES = ["dilation-powers", "moments-vs-path-law"]
 
 
 def _no_bijection_chain(tmp_path):
@@ -107,14 +107,9 @@ def _fail_moments(monkeypatch):
     monkeypatch.setattr(dilation.ProcessModel, "paths", property(moved))
 
 
-def _fail_measure(monkeypatch):
-    orig = rep.PointRep.state_preservation_check
-    monkeypatch.setattr(rep.PointRep, "state_preservation_check", lambda self, n, m: m != 2 and orig(self, n, m))
-
-
 @pytest.mark.parametrize(
     "entry, mutate",
-    list(zip(DILATE_ENTRIES, (_fail_powers, _fail_moments, _fail_measure))),
+    list(zip(DILATE_ENTRIES, (_fail_powers, _fail_moments))),
 )
 def test_dilate_fails_each_decided_entry(entry, mutate, monkeypatch, capsys, tmp_path):
     """Each of dilate's entries reads its own decision: made to fail, it
@@ -194,6 +189,11 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     decimal.write_text(json.dumps({"T": [["0.5", "0.5"], ["1/4", "3/4"]]}))
     code, _, err = run(["stationary", str(decimal)], capsys)
     assert code == 2
+    float_d = tmp_path / "float_d.json"
+    float_d.write_text(json.dumps({"d": 2.0, "T": [["1/2", "1/2"], ["1/4", "3/4"]]}))
+    code, out, err = run(["stationary", str(float_d)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad chain spec {float_d}: field d must be an integer\n"
 
 
 def test_bad_lump_map_exit_2(capsys):
@@ -413,9 +413,10 @@ def test_rep_check_builds_the_model_verify_builds(monkeypatch, capsys):
 def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys, tmp_path):
     """With two relation windows and two intertwining pairs made to fail,
     verify --suite definetti and rep-check fail the same entries with the
-    same witness, naming the first failing instance of each.  Each relation
-    instance is decided on its window, and the first instance of a window
-    is the window itself."""
+    same witness, naming the first failing instance of each: the relations
+    are verify's representation-premise and rep-check's monoid-relations.
+    Each relation instance is decided on its window, and the first instance
+    of a window is the window itself."""
     orig_relation, orig_intertwining = rep.PointRep.relation_check, rep.intertwining_check
 
     def relation_check(self, k, l, m):
@@ -426,18 +427,19 @@ def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys
 
     monkeypatch.setattr(rep.PointRep, "relation_check", relation_check)
     monkeypatch.setattr(rep, "intertwining_check", intertwining_check)
-    expected = {
-        "monoid-relations": "alpha_0 alpha_1 != alpha_2 alpha_0 at level-3 atom 5",
-        "intertwining": "k=1, n=2: patched",
-    }
+    relations = "alpha_0 alpha_1 != alpha_2 alpha_0 at level-3 atom 5"
+    intertwining = "k=1, n=2: patched"
     dest = tmp_path / "report.json"
-    for argv in (["verify", COIN, "--depth", "4", "--suite", "definetti"], ["rep-check", COIN, "--depth", "4"]):
+    for argv, relations_entry in (
+        (["verify", COIN, "--depth", "4", "--suite", "definetti"], "representation-premise"),
+        (["rep-check", COIN, "--depth", "4"], "monoid-relations"),
+    ):
         code, _, _ = run(["--json", str(dest)] + argv, capsys)
         assert code == 1
         entries = {e["check"]: e for e in json.loads(dest.read_text())}
-        for check, witness in expected.items():
+        for check, witness in ((relations_entry, relations), ("intertwining", intertwining)):
             assert entries[check]["verdict"] == "fail" and entries[check]["witness"] == witness, argv
-    assert entries.keys() == {"monoid-relations", "state-preservation", "intertwining"}
+    assert list(entries) == ["monoid-relations", "intertwining"]
 
 
 def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys, window_decisions):
@@ -562,16 +564,30 @@ def test_given_pi_must_be_the_stationary_distribution(capsys, tmp_path):
 
 
 def test_int64_overflow_refused_before_work_exit_2(monkeypatch, capsys, tmp_path):
-    """Level-3 weights of this chain exceed int64: verify and lump refuse it
-    before their first check, with one error line and exit 2."""
+    """Level-3 weights of this chain exceed int64: every command that builds
+    a model refuses it there, before its first check and before any
+    dilation power, with one error line and exit 2."""
     spec = tmp_path / "fine.json"
     spec.write_text(json.dumps({"d": 2, "T": [["1/1000003", "1000002/1000003"], ["1/2", "1/2"]]}))
     ran = []
-    monkeypatch.setattr(rep, "triangular_tower_check", lambda *a, **k: ran.append("tower"))
-    monkeypatch.setattr(checks, "maximal_ps_check", lambda *a, **k: ran.append("maximality"))
+    for module, name in (
+        (rep, "triangular_tower_check"),
+        (rep, "monoid_relations_check"),
+        (rep, "intertwining_identities_check"),
+        (checks, "maximal_ps_check"),
+        (checks, "markov_sequence_check"),
+        (checks, "hierarchy_check"),
+        (checks, "dilation_property_check"),
+        (dilation.ProcessModel, "compressed_power"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
     for argv in (
         ["verify", str(spec), "--depth", "3", "--suite", "definetti"],
+        ["verify", str(spec), "--depth", "3", "--suite", "tower"],
+        ["verify", str(spec), "--depth", "3", "--suite", "hierarchy"],
         ["lump", str(spec), "--map", "0,1", "--depth", "3"],
+        ["dilate", str(spec), "--depth", "3"],
+        ["rep-check", str(spec), "--depth", "3"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
@@ -667,10 +683,12 @@ def test_console_script_installed():
 
 
 def test_rep_check_with_explicit_tables(capsys):
+    """rep-check reads the spec's own tables; their state preservation is
+    decided when the representation is built, so no entry restates it."""
     tables = str(FIXTURES / "coin_with_tables.json")
     code, out, _ = run(["rep-check", tables, "--depth", "3"], capsys)
     assert code == 0
-    assert "state-preservation" in out
+    assert [line.split("  ")[:2] for line in out.splitlines()] == [["PASS", "monoid-relations"], ["PASS", "intertwining"]]
 
 
 def test_rep_check_rejects_bad_tables(capsys, tmp_path):
@@ -696,6 +714,12 @@ def test_rep_check_rejects_bad_tables(capsys, tmp_path):
         {**out_of_range, "c_map": [[0, 0, 5], [0, 1, 1]]},
         {**out_of_range, "c_map": [[0, 0, -1], [0, 1, 1]]},
         {**out_of_range, "delta_map": [[0, 1, 2], [0, 9, 2], [0, 1, 2]]},
+        # the int64 conversion would read these as the fixture's own tables
+        {**out_of_range, "c_map": [[0.9, 0.9, 1.9], [0.9, 1.9, 1.9]]},
+        {**out_of_range, "c_map": [[0, 0, True], [0, 1, 1]]},
+        {**out_of_range, "c_map": [[0, 0, "1"], [0, 1, 1]]},
+        {**out_of_range, "delta_map": [[0, 1, 2.0], [0, 1, 2], [0, 1, 2]]},
+        {**out_of_range, "delta_map": [[0, 1, 2], [False, 1, 2], [0, 1, 2]]},
     ):
         bad.write_text(json.dumps({**tables, **broken}))
         code, out, err = run(["rep-check", str(bad), "--depth", "3"], capsys)

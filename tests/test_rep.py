@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,24 +44,24 @@ def random_noise(rng, n):
     return FinSpace(tuple(F(k, den) for k in nums))
 
 
+def weight_preserving_perm(rng, space):
+    """A random permutation of the atoms of space within equal weights."""
+    groups = {}
+    for c, w in enumerate(space.weights):
+        groups.setdefault(w, []).append(c)
+    perm = np.arange(space.n)
+    for members in groups.values():
+        shuffled = members[:]
+        rng.shuffle(shuffled)
+        perm[members] = shuffled
+    return perm
+
+
 def random_delta(rng, noise):
     """A random state-preserving noise pairing: for each first coordinate,
     a measure-preserving self-map of the second (a permutation of equal-mass
     atoms), so the pushforward condition holds by construction."""
-    n = noise.n
-    delta = np.empty((n, n), dtype=np.int64)
-    groups = {}
-    for c, w in enumerate(noise.weights):
-        groups.setdefault(w, []).append(c)
-    for x in range(n):
-        perm = np.arange(n)
-        for members in groups.values():
-            shuffled = members[:]
-            rng.shuffle(shuffled)
-            for a, b in zip(members, shuffled):
-                perm[a] = b
-        delta[x] = perm
-    return delta
+    return np.stack([weight_preserving_perm(rng, noise) for _ in range(noise.n)]).astype(np.int64)
 
 
 # -- point maps and relations --------------------------------------------------
@@ -146,9 +147,6 @@ def test_random_cmap_delta_relations(seed):
         for l in range(k + 1, 4):
             for m in range(2):
                 assert rep.relation_check(k, l, m)[0]
-    for n in range(4):
-        for m in range(3):
-            assert rep.state_preservation_check(n, m)
 
 
 def test_bad_delta_rejected():
@@ -160,13 +158,6 @@ def test_bad_delta_rejected():
         R.build_fplus_rep(base, noise, c_map, delta, 3)
     with pytest.raises(ValueError, match="c_map"):
         R.build_fplus_rep(base, noise, np.zeros((2, 2), np.int64), delta, 3)
-
-
-def test_state_preservation_every_generator():
-    rep = paper_rep()
-    for n in range(5):
-        for m in range(4):
-            assert rep.state_preservation_check(n, m)
 
 
 def digit_eta(rep, n, m):
@@ -187,6 +178,65 @@ def test_eta_tables_match_digit_arithmetic(make):
     for m in range(rep.gspace.K):
         for n in range(m + 3):
             assert np.array_equal(rep.eta(n, m), digit_eta(rep, n, m)), (n, m)
+
+
+# -- state preservation: the constructor decides every level ---------------------
+
+
+def preserves_every_level(g, c_map, delta):
+    """Whether eta_n pushes the level-(m+1) state to the level-m state for
+    every n <= K and m < K, walked on the raw tables by digit arithmetic
+    and group sums of the level weights."""
+    tables = SimpleNamespace(gspace=g, c_map=c_map, delta=delta)
+    return all(
+        np.array_equal(
+            kern.group_sum(digit_eta(tables, n, m), g.level_weights(m + 1), g.level_size(m)),
+            g.level_weights(m) * g.noise_den,
+        )
+        for n in range(g.K + 1)
+        for m in range(g.K)
+    )
+
+
+@pytest.mark.parametrize("c_kind, delta_kind", [("kept", "kept"), ("kept", "random"), ("random", "kept"), ("random", "random")])
+def test_state_preserved_on_every_level_iff_the_constructor_accepts(c_kind, delta_kind):
+    """The product lemma for the state: every level is preserved iff c_map
+    and delta push their pair states to the single states, which is what
+    PointRep's constructor checks.  Kept tables permute equal-weight atoms
+    column by column (c_map) or row by row (delta); random ones mostly
+    break the state."""
+    rng = random.Random(f"{c_kind}-{delta_kind}")
+    accepted = []
+    for _ in range(30):
+        d, nc, K = rng.randint(2, 3), rng.randint(1, 4), rng.randint(2, 4)
+        base, noise = random_noise(rng, d), random_noise(rng, nc)
+        if c_kind == "kept":
+            c_map = np.stack([weight_preserving_perm(rng, base) for _ in range(nc)], axis=1)
+        else:
+            c_map = np.array([[rng.randrange(d) for _ in range(nc)] for _ in range(d)])
+        if delta_kind == "kept":
+            delta = random_delta(rng, noise)
+        else:
+            delta = np.array([[rng.randrange(nc) for _ in range(nc)] for _ in range(nc)])
+        g = R.GradedSpace(base, noise, K)
+        try:
+            R.PointRep(g, c_map, delta)
+            accepted.append(True)
+        except ValueError as e:
+            assert "push the product state" in str(e)
+            accepted.append(False)
+        assert preserves_every_level(g, c_map, delta) == accepted[-1], (c_map, delta)
+    assert all(accepted) if (c_kind, delta_kind) == ("kept", "kept") else not all(accepted)
+
+
+def test_built_tables_preserve_the_state_on_every_level():
+    """The paper's coin, its S+ representation and the models of random
+    chains, whose c_map is the chain's coupling."""
+    rng = random.Random(3)
+    reps = [paper_rep(), splus_rep()]
+    reps += [D.build_markov_dilation(D.random_irreducible_chain(rng, rng.randint(2, 4)), 3).rep for _ in range(20)]
+    for rep in reps:
+        assert preserves_every_level(rep.gspace, rep.c_map, rep.delta)
 
 
 # -- fixed point algebras --------------------------------------------------------
