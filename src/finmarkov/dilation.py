@@ -453,10 +453,6 @@ class DilationReport:
     power_ok: dict
     moment_failures: tuple
 
-    @property
-    def passed(self) -> bool:
-        return all(self.power_ok.values()) and not self.moment_failures
-
 
 def dilation_property_check(model: ProcessModel) -> DilationReport:
     """iota* alpha^n iota = T^n for n <= K, and model moments of basis

@@ -18,6 +18,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 FAMILIES = ("g", "h", "c")
 
 Letter = tuple[str, int]
@@ -169,6 +171,11 @@ def splus_apply(w: Word, x: int) -> int:
     The leftmost letter applies last (operator composition order).
     """
     _require_family(w, "h", "splus_apply")
+    return _splus_eval(w, x)
+
+
+def _splus_eval(w: Word, x: int) -> int:
+    """splus_apply on a word already checked to hold only h-letters."""
     for _, k in reversed(w.letters):
         x = theta(k, x)
     return x
@@ -186,7 +193,7 @@ def words_equal_splus(w1: Word, w2: Word) -> bool:
     _require_family(w2, "h", "words_equal_splus")
     hi = max(w1.max_index(), w2.max_index())
     bound = 1 + hi + max(len(w1), len(w2))
-    return all(splus_apply(w1, x) == splus_apply(w2, x) for x in range(bound + 1))
+    return all(_splus_eval(w1, x) == _splus_eval(w2, x) for x in range(bound + 1))
 
 
 def project_to_splus(w: Word) -> Word:
@@ -299,7 +306,9 @@ def monoid_rules(kind: str):
 
 
 class _PairRewrites:
-    """The rewrites of one search, on words held as tuples of letter ids.
+    """The rewrites of one derivation search (derive_words, its only user),
+    on words held as tuples of letter ids, so that each explored word can
+    keep its BFS parent and rule name.
 
     Each distinct letter gets a small int id when first met.  Each adjacent
     pair of ids maps to its (rule name, new pair) rewrites in rule order,
@@ -329,9 +338,6 @@ class _PairRewrites:
         # produced by a rule, so it is not checked again
         return Word._trusted(tuple(map(self.letters.__getitem__, ids)))
 
-    def max_index(self, ids: tuple[int, ...]) -> int:
-        return max((self.letters[i][1] for i in ids), default=0)
-
     def _fill(self, pair: tuple[int, int]):
         letters = (self.letters[pair[0]], self.letters[pair[1]])
         out = []
@@ -356,6 +362,57 @@ class _PairRewrites:
         return out
 
 
+class _CodeRewrites:
+    """The rewrites of one closure, on words held as mixed-radix codes.
+
+    The alphabet is the start word's families at indices 0..cap, then the
+    start's own letters above the cap; a word of letter ids w_0 .. w_{L-1}
+    has code sum_p w_p radix^(L-1-p).  Every rule keeps the families of the
+    pair it rewrites, so a rewrite within the cap stays in the alphabet (one
+    that left it would raise KeyError).  Each adjacent pair code a*radix + b
+    maps to the code deltas of its within-cap rewrites; the entries are
+    filled for the pair codes a search meets, never for all radix^2 pairs.
+    """
+
+    def __init__(self, rules, cap: int, w: Word):
+        fams = [f for f in FAMILIES if f in w.families()]
+        letters = [(f, i) for f in fams for i in range(cap + 1)]
+        letters += sorted({letter for letter in w.letters if letter[1] > cap})
+        self.rules = rules
+        self.cap = cap
+        self.radix = len(letters)
+        self.ids = {letter: i for i, letter in enumerate(letters)}
+        self.letters = np.fromiter(letters, dtype=object, count=self.radix)
+        self.table: dict[int, tuple[int, ...]] = {}
+        self.keys = np.zeros(0, np.int64)
+        self.deltas = np.zeros((0, 0), np.int64)
+
+    def _fill(self, pair: int):
+        r = self.radix
+        a, b = divmod(pair, r)
+        letters = (self.letters[a], self.letters[b])
+        out = []
+        for _, rule in self.rules:
+            new = rule(letters)
+            if new is not None and max(new[0][1], new[1][1]) <= self.cap:
+                out.append(self.ids[new[0]] * r + self.ids[new[1]] - pair)
+        self.table[pair] = tuple(out)
+
+    def deltas_of(self, pairs: np.ndarray) -> np.ndarray:
+        """The code deltas of every pair code in pairs, shape pairs.shape +
+        (k,), padded with 0 where a pair has fewer than k rewrites."""
+        missing = [p for p in np.unique(pairs).tolist() if p not in self.table]
+        if missing:
+            for p in missing:
+                self._fill(p)
+            keys = sorted(self.table)
+            self.keys = np.array(keys, np.int64)
+            self.deltas = np.zeros((len(keys), max(map(len, self.table.values()))), np.int64)
+            for row, key in zip(self.deltas, keys):
+                row[: len(self.table[key])] = self.table[key]
+        return self.deltas[np.searchsorted(self.keys, pairs)]
+
+
 def rewriting_closure(w: Word, kind: str = "F+", index_cap=None, node_budget=2_000_000):
     """The full bidirectional-rewriting class of w (a finite set).
 
@@ -363,30 +420,46 @@ def rewriting_closure(w: Word, kind: str = "F+", index_cap=None, node_budget=2_0
     index_cap is given; each forward rewrite raises one index by exactly 1
     and words keep their length, so the class stays within the cap.  The
     start word itself may exceed the cap; every other word of the returned
-    set has all its indices at most the cap.
+    set has all its indices at most the cap.  RuntimeError if the class
+    holds more than node_budget words.
+
+    The search runs one breadth-first level at a time on the words'
+    mixed-radix codes (_CodeRewrites): int64 while radix^len < 2^63, Python
+    ints in object arrays beyond.  Each level's codes are decoded into Words
+    as the level is found, so no second copy of the whole class is built.
     """
     cap = index_cap if index_cap is not None else w.max_index() + len(w) + 1
-    pairs = _PairRewrites(monoid_rules(kind), cap)
-    start = pairs.encode(w)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt, _, _ in pairs.rewrites_of(cur):
-            # only the start can carry an index above the cap outside the rewritten pair
-            if nxt in seen or (cur is start and pairs.max_index(nxt) > cap):
-                continue
-            if len(seen) >= node_budget:
-                raise RuntimeError("closure node budget exhausted")
-            seen.add(nxt)
-            queue.append(nxt)
-    # large classes set the peak memory: drop the id set, and each id tuple
-    # as its Word is built, so the two encodings are never both held whole
-    found = list(seen)
-    del seen
+    n = len(w)
+    if n < 2:
+        return {w}
+    codes = _CodeRewrites(monoid_rules(kind), cap, w)
+    r = codes.radix
+    dtype = np.int64 if r**n < 2**63 else object
+    powers = [r ** (n - 1 - p) for p in range(n)]
+    place = np.array(powers, dtype)
+    start = sum(codes.ids[letter] * power for letter, power in zip(w.letters, powers))
+    # only the start can carry an index above the cap outside the rewritten
+    # pair: its rewrite at p is kept iff every such letter sits at p or p+1
+    over = {p for p, (_, i) in enumerate(w.letters) if i > cap}
+    cut = np.array([not over <= {p, p + 1} for p in range(n - 1)]) if over else None
+    seen = front = np.array([start], dtype)
     out = set()
-    while found:
-        out.add(pairs.decode(found.pop()))
+    while len(front):
+        digits = (front[:, None] // place % r).astype(np.int64)
+        # every letter was checked when the start word was built or was
+        # produced by a rule, so it is not checked again
+        out.update(map(Word._trusted, map(tuple, codes.letters[digits].tolist())))
+        deltas = codes.deltas_of(digits[:, :-1] * r + digits[:, 1:])
+        if cut is not None:
+            deltas[:, cut] = 0
+            cut = None
+        nxt = np.unique((front[:, None, None] + deltas * place[1:, None])[deltas != 0])
+        at = np.searchsorted(seen, nxt)
+        fresh = seen[np.minimum(at, len(seen) - 1)] != nxt
+        front = nxt[fresh]
+        if len(seen) + len(front) > node_budget:
+            raise RuntimeError("closure node budget exhausted")
+        seen = np.insert(seen, at[fresh], front)
     return out
 
 

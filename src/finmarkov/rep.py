@@ -516,10 +516,6 @@ class TowerReport:
     cells: dict
     intersections: dict
 
-    @property
-    def passed(self) -> bool:
-        return all(self.cells.values()) and all(self.intersections.values())
-
 
 def triangular_tower_check(rep: PointRep) -> TowerReport:
     """Verify that every cell (M_{m+k} ⊃ alpha_0^k(M_m); M_{n+k} ⊃

@@ -94,7 +94,7 @@ def test_criterion_03_dilation_property_at_scale():
     for spec in corpus():
         model = D.build_markov_dilation(spec, 4)
         report = D.dilation_property_check(model)
-        ok &= report.passed
+        ok &= all(report.power_ok.values()) and not report.moment_failures
     elapsed = time.time() - t0
     _line(3, ok and elapsed < 60, f"20 chains, elapsed {elapsed:.1f}s < 60s", t0)
 
@@ -236,7 +236,7 @@ def test_criterion_10_mutation_sensitivity():
     ok &= bad.compression_rows() != PAPER.rows
     model = D.build_markov_dilation(PAPER, 3, bad)
     report = D.dilation_property_check(model)
-    ok &= not report.passed and not report.power_ok[1]
+    ok &= not report.power_ok[1]
 
     # (b) a single-entry change of the noise pairing is rejected with a
     # witness before any check can be fooled

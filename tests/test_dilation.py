@@ -213,7 +213,8 @@ def test_dilation_property_random(seed):
     rng = random.Random(seed)
     spec = D.random_irreducible_chain(rng, rng.choice([2, 3, 4]))
     model = D.build_markov_dilation(spec, 3)
-    assert D.dilation_property_check(model).passed
+    report = D.dilation_property_check(model)
+    assert all(report.power_ok.values()) and not report.moment_failures
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -244,7 +245,8 @@ def test_dilation_powers_equal_the_kernel_powers(name, monkeypatch):
         assert got == spec.kernel.power(n).rows, n
 
     model = D.build_markov_dilation(spec, 3)
-    assert D.dilation_property_check(model).passed
+    report = D.dilation_property_check(model)
+    assert all(report.power_ok.values()) and not report.moment_failures
     orig = model.compressed_power
     for bad_n in range(4):
 
@@ -281,7 +283,7 @@ def test_dilation_check_points_at_a_moved_cell(monkeypatch):
     moved[2] += 1
     _with_weights(model, monkeypatch, moved)
     report = D.dilation_property_check(model)
-    assert not report.passed
+    assert report.moment_failures
     paths = [tuple(int(v) for v in table.values[:, b]) for b in (2, 5)]
     assert report.moment_failures == tuple(((0, 1, 2, 3), p) for p in paths)
     law = D.path_law(spec, 3)
@@ -368,7 +370,6 @@ def test_corrupted_coupling_detected():
     assert bad.compression_rows() != spec.rows
     model = D.build_markov_dilation(spec, 3, bad)
     report = D.dilation_property_check(model)
-    assert not report.passed
     assert not report.power_ok[1]
 
 
@@ -456,7 +457,8 @@ def test_model_default_noise_stays_compact():
     spec = D.ChainSpec.from_rows([[F(1, 6), F(5, 6)], [F(4, 5), F(1, 5)]])
     model = D.build_markov_dilation(spec, 4)
     assert model.gspace.noise_den <= 60
-    assert D.dilation_property_check(model).passed
+    report = D.dilation_property_check(model)
+    assert all(report.power_ok.values()) and not report.moment_failures
 
 
 def int64_path_table(rep, value_map, nvals, level):

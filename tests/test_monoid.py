@@ -297,10 +297,13 @@ def test_bad_words_rejected():
 
 # -- the searches against a reference on Word objects --------------------------
 
-# The searches in monoid hold words as tuples of letter ids and look rewrites
-# up in a per-call pair table.  The reference below is the same breadth-first
-# search written directly on Word objects, running every rule on every
-# adjacent pair of every word.
+# The closure holds words as mixed-radix codes over the start word's
+# families at indices 0..cap (int64 codes, or Python ints once radix^len
+# reaches 2^63) and searches one breadth-first level at a time, looking each
+# pair code's rewrite deltas up in a per-call table; the derivation search
+# holds words as tuples of letter ids with a per-call pair table.  The
+# references below are the same breadth-first searches written directly on
+# Word objects, running every rule on every adjacent pair of every word.
 
 
 def _ref_neighbours(w, rules):
@@ -380,6 +383,30 @@ def test_closure_with_start_over_the_cap():
     assert got == _ref_closure(w, "F+", index_cap=4)
     assert gword(0, 4, 1) in got and gword(5, 2, 0) not in got
     assert all(u.max_index() <= 4 for u in got - {w})
+
+
+@pytest.mark.parametrize("w, size", [(gword(*[0] * 30), 1), (gword(*[0] * 14, 2, 1), 120)])
+def test_closure_on_python_int_codes(w, size):
+    # radix >= cap + 1 = max index + len + 2, so radix^len >= 2^63 and the
+    # codes are Python ints in object arrays
+    assert (w.max_index() + len(w) + 2) ** len(w) >= 2**63
+    got = M.rewriting_closure(w)
+    assert got == _ref_closure(w, "F+")
+    assert len(got) == size
+
+
+@pytest.mark.parametrize(
+    "w, kind",
+    [
+        (Word((("g", 5), ("c", 1), ("g", 0), ("c", 2), ("g", 1))), "FF+"),
+        (Word((("c", 4), ("g", 0), ("c", 1), ("g", 3), ("c", 0))), "EF+"),
+    ],
+)
+@pytest.mark.parametrize("cap", [60, 75])
+def test_closure_under_a_large_cap(w, kind, cap):
+    # two families under the cap hold 2 * (cap + 1) letters; the pair table
+    # is filled only for the pairs the search meets
+    assert M.rewriting_closure(w, kind, index_cap=cap) == _ref_closure(w, kind, index_cap=cap)
 
 
 def test_closure_node_budget_boundary():

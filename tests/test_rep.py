@@ -859,7 +859,7 @@ def test_windows_match_the_atom_level_references(kind, seed, K, data):
 def test_tower_paper_chain():
     rep = paper_rep(5)
     report = R.triangular_tower_check(rep)
-    assert report.passed
+    assert all(report.cells.values())
     assert all(report.intersections.values())
 
 
@@ -879,7 +879,7 @@ def test_tower_random_chains(seed):
     spec = D.random_irreducible_chain(rng, rng.choice([2, 3]))
     model = D.build_markov_dilation(spec, 4)
     report = R.triangular_tower_check(model.rep)
-    assert report.passed
+    assert all(report.cells.values()) and all(report.intersections.values())
 
 
 def reference_triangular_tower_check(rep):
