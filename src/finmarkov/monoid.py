@@ -68,8 +68,8 @@ class Word:
     def max_index(self) -> int:
         return max((i for _, i in self.letters), default=0)
 
-    def indices(self, family=None):
-        return tuple(i for f, i in self.letters if family is None or f == family)
+    def indices(self):
+        return tuple(i for _, i in self.letters)
 
 
 def gword(*indices: int) -> Word:
@@ -305,63 +305,6 @@ def monoid_rules(kind: str):
     raise ValueError(f"unknown monoid {kind!r}")
 
 
-class _PairRewrites:
-    """The rewrites of one derivation search (derive_words, its only user),
-    on words held as tuples of letter ids, so that each explored word can
-    keep its BFS parent and rule name.
-
-    Each distinct letter gets a small int id when first met.  Each adjacent
-    pair of ids maps to its (rule name, new pair) rewrites in rule order,
-    keeping only new pairs whose indices are at most cap; the entry is filled
-    the first time the pair is seen.
-    """
-
-    def __init__(self, rules, cap: int):
-        self.rules = rules
-        self.cap = cap
-        self.letters: list[Letter] = []
-        self.ids: dict[Letter, int] = {}
-        self.table: dict[tuple[int, int], tuple[tuple[str, tuple[int, int]], ...]] = {}
-
-    def _id(self, letter: Letter) -> int:
-        i = self.ids.get(letter)
-        if i is None:
-            i = self.ids[letter] = len(self.letters)
-            self.letters.append(letter)
-        return i
-
-    def encode(self, w: Word) -> tuple[int, ...]:
-        return tuple(map(self._id, w.letters))
-
-    def decode(self, ids: tuple[int, ...]) -> Word:
-        # every letter was checked when the start word was built or was
-        # produced by a rule, so it is not checked again
-        return Word._trusted(tuple(map(self.letters.__getitem__, ids)))
-
-    def _fill(self, pair: tuple[int, int]):
-        letters = (self.letters[pair[0]], self.letters[pair[1]])
-        out = []
-        for name, rule in self.rules:
-            new = rule(letters)
-            if new is not None and max(new[0][1], new[1][1]) <= self.cap:
-                out.append((name, (self._id(new[0]), self._id(new[1]))))
-        out = self.table[pair] = tuple(out)
-        return out
-
-    def rewrites_of(self, cur: tuple[int, ...]):
-        """(word, rule name, position) of every single-relation rewrite of cur
-        whose new pair stays within the cap, by position and then rule order."""
-        table = self.table
-        out = []
-        for pos, pair in enumerate(zip(cur, cur[1:])):
-            rewrites = table.get(pair)
-            if rewrites is None:
-                rewrites = self._fill(pair)
-            for name, new in rewrites:
-                out.append((cur[:pos] + new + cur[pos + 2 :], name, pos))
-        return out
-
-
 class _CodeRewrites:
     """The rewrites of one closure, on words held as mixed-radix codes.
 
@@ -524,38 +467,46 @@ def derive_words(kind: str, start: Word, target: Word, node_budget=200_000) -> D
     """Breadth-first derivation of target from start inside the given monoid.
 
     All relations are length-preserving, so the search space is finite once
-    indices are capped; the budget bounds explored nodes.
+    indices are capped; the budget bounds explored nodes.  The search runs on
+    tuples of letters and applies every rule of monoid_rules(kind) to each
+    adjacent pair, by position and then rule order.
     """
-    # start lies within the cap, so the pair table's check of each new pair
-    # keeps every explored word within it
+    # start lies within the cap, so checking each new pair keeps every
+    # explored word within it
     cap = max(start.max_index(), target.max_index()) + len(start) + 1
-    pairs = _PairRewrites(monoid_rules(kind), cap)
-    first, goal = pairs.encode(start), pairs.encode(target)
-    prev: dict[tuple[int, ...], tuple[tuple[int, ...], str, int] | None] = {first: None}
-    queue = deque([first])
+    rules = monoid_rules(kind)
+    goal = target.letters
+    prev: dict[tuple[Letter, ...], tuple[tuple[Letter, ...], str, int] | None] = {start.letters: None}
+    queue = deque([start.letters])
     while queue:
         cur = queue.popleft()
         if cur == goal:
             steps = []
-            node = cur
-            while prev[node] is not None:
-                parent, name, pos = prev[node]
-                steps.append(DerivationStep(name, pos, pairs.decode(node)))
-                node = parent
+            while prev[cur] is not None:
+                parent, name, pos = prev[cur]
+                # every letter was checked when start was built or was
+                # produced by a rule, so it is not checked again
+                steps.append(DerivationStep(name, pos, Word._trusted(cur)))
+                cur = parent
             return DerivationTrace(kind, start, tuple(reversed(steps)))
-        for nxt, name, pos in pairs.rewrites_of(cur):
-            if nxt in prev:
-                continue
-            if len(prev) >= node_budget:
-                raise DerivationNotFound(
-                    f"no derivation within {node_budget} nodes: {start} -> {target}"
-                )
-            prev[nxt] = (cur, name, pos)
-            queue.append(nxt)
+        for pos in range(len(cur) - 1):
+            for name, rule in rules:
+                new = rule(cur[pos : pos + 2])
+                if new is None or max(new[0][1], new[1][1]) > cap:
+                    continue
+                nxt = cur[:pos] + new + cur[pos + 2 :]
+                if nxt in prev:
+                    continue
+                if len(prev) >= node_budget:
+                    raise DerivationNotFound(
+                        f"no derivation within {node_budget} nodes: {start} -> {target}"
+                    )
+                prev[nxt] = (cur, name, pos)
+                queue.append(nxt)
     raise DerivationNotFound(f"search space exhausted: {start} -> {target} in {kind}")
 
 
-def extended_relation_check(monoid_kind: str, k: int, l: int, node_budget=200_000) -> DerivationTrace:
+def extended_relation_check(monoid_kind: str, k: int, l: int) -> DerivationTrace:
     """Derive (c_k x_k)(c_l x_l) -> (c_{l+1} x_{l+1})(c_k x_k) in EF+/ES+/FF+.
 
     This witnesses that the elements c_n x_n satisfy the Thompson-monoid
@@ -569,4 +520,4 @@ def extended_relation_check(monoid_kind: str, k: int, l: int, node_budget=200_00
     fam = "h" if kind == "ES+" else "g"
     start = Word((("c", k), (fam, k), ("c", l), (fam, l)))
     target = Word((("c", l + 1), (fam, l + 1), ("c", k), (fam, k)))
-    return derive_words(kind, start, target, node_budget=node_budget)
+    return derive_words(kind, start, target)

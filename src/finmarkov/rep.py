@@ -63,10 +63,10 @@ class GradedSpace:
         return self.d * self.nc**m
 
     def ensure(self, m: int):
-        if self.level_size(m) > self.budget:
-            raise AtomBudgetError(
-                f"level-{m} atom count {self.level_size(m)} exceeds budget {self.budget}"
-            )
+        # with nc >= 2 a level above budget.bit_length() holds at least
+        # 2^m > budget atoms, so its size is never computed
+        if (self.nc >= 2 and m > self.budget.bit_length()) or self.level_size(m) > self.budget:
+            raise AtomBudgetError(f"level-{m} atom count exceeds budget {self.budget}")
 
     def ensure_weights(self, m: int):
         """Refuse level m unless its atoms fit the budget and its weight

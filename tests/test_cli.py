@@ -247,6 +247,27 @@ def test_depth_deciding_nothing_refused_exit_2(argv, code):
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", COIN],
+        ["dilate", COIN],
+        ["rep-check", COIN],
+        ["lump", COIN, "--map", "0,1"],
+    ],
+)
+def test_huge_depth_refused_in_one_line_exit_2(argv):
+    # level 100000 holds 2 * 3^100000 atoms, a number of 47,713 digits: it is
+    # refused without being computed or printed
+    r = subprocess.run(
+        [sys.executable, "-m", "finmarkov.cli"] + argv + ["--depth", "100000"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: level-100000 atom count exceeds budget 2000000\n"
+
+
 def record_levels(monkeypatch):
     """Record every level a GradedSpace checks against its budget: every
     eta table, level weight and model is built through that check."""

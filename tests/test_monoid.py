@@ -301,9 +301,9 @@ def test_bad_words_rejected():
 # families at indices 0..cap (int64 codes, or Python ints once radix^len
 # reaches 2^63) and searches one breadth-first level at a time, looking each
 # pair code's rewrite deltas up in a per-call table; the derivation search
-# holds words as tuples of letter ids with a per-call pair table.  The
-# references below are the same breadth-first searches written directly on
-# Word objects, running every rule on every adjacent pair of every word.
+# holds words as tuples of letters and runs every rule on each adjacent
+# pair.  The references below are the same breadth-first searches written
+# directly on Word objects, validating every word they build.
 
 
 def _ref_neighbours(w, rules):
@@ -426,6 +426,41 @@ def test_derivation_traces_equal_word_reference(kind):
             target = Word((("c", l + 1), (fam, l + 1), ("c", k), (fam, k)))
             want = _ref_derive(kind, start, target)
             assert M.extended_relation_check(kind, k, l).to_json() == want.to_json(), (k, l)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_derivation_equals_word_reference(data):
+    kind = data.draw(st.sampled_from(sorted(KIND_FAMILIES)))
+    letters = data.draw(
+        st.lists(st.tuples(st.sampled_from(KIND_FAMILIES[kind]), st.integers(0, 4)), max_size=5)
+    )
+    w = Word(tuple(letters))
+    target = data.draw(st.sampled_from(sorted(_ref_closure(w, kind), key=str)))
+    assert M.derive_words(kind, w, target).to_json() == _ref_derive(kind, w, target).to_json()
+    if not letters:
+        return
+    # every relation keeps the length and the family of each letter, so a
+    # shorter word and a word holding a family absent from w are unreachable
+    absent = data.draw(st.sampled_from([f for f in M.FAMILIES if f not in w.families()]))
+    for t in (Word(w.letters[1:]), Word(((absent, 0),) + w.letters[1:])):
+        with pytest.raises(M.DerivationNotFound, match="search space exhausted"):
+            M.derive_words(kind, w, t)
+
+
+def test_derivation_node_budget_boundary():
+    w = hword(2, 0, 4, 1, 3)
+    cls = _ref_closure(w, "S+")
+    for target in cls:
+        got = M.derive_words("S+", w, target, node_budget=len(cls))
+        assert got.to_json() == _ref_derive("S+", w, target).to_json()
+    # h1 h0 = h0 h0 is a class of two words: recording the target exceeds a
+    # budget that holds only the start
+    w, target = hword(1, 0), hword(0, 0)
+    assert _ref_closure(w, "S+") == {w, target}
+    with pytest.raises(M.DerivationNotFound) as err:
+        M.derive_words("S+", w, target, node_budget=1)
+    assert str(err.value) == f"no derivation within 1 nodes: {w} -> {target}"
 
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

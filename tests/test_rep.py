@@ -1186,6 +1186,18 @@ def test_budget_guard():
         g.level_weights(5)
 
 
+def test_budget_guard_at_the_bit_length_boundary():
+    # level m holds 2^m atoms; 2^20 fits a budget of 2^20, and a level above
+    # the budget's bit length (21) is refused without its size computed
+    g = R.GradedSpace(FinSpace.uniform(1), FinSpace.uniform(2), 0, budget=2**20)
+    g.ensure(20)
+    for m in (21, 22, 10**7):
+        with pytest.raises(R.AtomBudgetError, match=f"^level-{m} atom count exceeds budget 1048576$"):
+            g.ensure(m)
+    # one noise atom keeps every level at d atoms, however deep
+    R.GradedSpace(FinSpace.uniform(2), FinSpace.uniform(1), 0, budget=2).ensure(10**7)
+
+
 def test_splus_intersected_tower_levelwise():
     # for the slot-deletion maps, M_n = functions of (a, c_0..c_n) at
     # every level, computed by the partition-meet route
