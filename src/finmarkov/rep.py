@@ -374,42 +374,34 @@ def delta_first_coordinate(noise: FinSpace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _relation_window(k: int, l: int, m: int):
-    """The smallest instance (k', l', m') with the slot pattern of relation
-    (k, l) on level m+2.  eta_k merges (a, c_1) for k = 0 and (c_k,
-    c_{k+1}) otherwise; eta_{l+1} merges (c_{l+1}, c_{l+2}) while l <= m;
-    a generator beyond its level drops the last slot.  Both sides pass
-    every other slot through alike."""
-    k1 = min(k, 1)
-    if l <= m:
-        return k1, k1 + 1, k1 + 1
-    if k <= m:
-        return k1, k1 + 1, k1
-    return (1, 2, 0) if k == m + 1 else (2, 3, 0)
-
-
 def monoid_relations_check(rep: PointRep, K: int):
     """Decide alpha_k alpha_l = alpha_{l+1} alpha_k for 0 <= k < l <= K as
     point maps level_{m+2} -> level_m for every m < K - 1.  Returns (ok,
-    witness) naming the first failing instance.  Below horizon 2 no level
-    is decided, so the horizon is refused.
+    witness) naming the first failing instance in the order k, l, m.  Below
+    horizon 2 no level is decided, so the horizon is refused.
 
-    Each instance is decided by relation_check on its window
-    (_relation_window), at most level 4.  Each window is the first instance
-    of its class in this loop order, so the first failing instance is a
-    window and its witness atom is its own.  For k < l, eta_k and eta_{l+1}
-    merge disjoint slot pairs, so the relations hold for every
-    state-preserving (c_map, delta) the CLI accepts; the check is kept as
-    an implementation check on the eta tables of the windows."""
+    Every instance has the verdict of one of six windows, at most level 4,
+    decided by relation_check.  The windows are looped over in the order of
+    their first instances, and each is its class's first instance, so the
+    first failing window is the first failing instance and its witness atom
+    is the window's own.  For k < l, eta_k and eta_{l+1} merge disjoint slot
+    pairs, so the relations hold for every state-preserving (c_map, delta)
+    the CLI accepts; the check is kept as an implementation check on the eta
+    tables of the windows."""
     if K < 2:
         raise ValueError(f"the monoid relations need horizon >= 2; got {K}")
-    for k in range(K):
-        for l in range(k + 1, K + 1):
-            for m in range(K - 1):
-                small = _relation_window(k, l, m)
-                good, atom = _window(rep, ("relation", *small), lambda: rep.relation_check(*small))
-                if not good:
-                    return False, f"alpha_{k} alpha_{l} != alpha_{l+1} alpha_{k} at level-{m+2} atom {atom}"
+    # eta_k merges (a, c_1) for k = 0 and (c_k, c_{k+1}) otherwise; eta_{l+1}
+    # merges (c_{l+1}, c_{l+2}) while l <= m; a generator beyond its level
+    # drops the last slot.  Both sides pass every other slot through alike,
+    # so with k1 = min(k, 1) the instance (k, l, m) has the slot pattern of
+    # (k1, k1+1, k1+1) where l <= m, (k1, k1+1, k1) where k <= m < l,
+    # (1, 2, 0) where k = m+1 and (2, 3, 0) where k > m+1.  A window is
+    # present at K iff it is an instance there.
+    for k, l, m in ((0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1), (1, 2, 2), (2, 3, 0)):
+        if k < K and m < K - 1:
+            good, atom = _window(rep, ("relation", k, l, m), lambda: rep.relation_check(k, l, m))
+            if not good:
+                return False, f"alpha_{k} alpha_{l} != alpha_{l+1} alpha_{k} at level-{m+2} atom {atom}"
     return True, None
 
 
@@ -491,29 +483,33 @@ def _intertwining_failure(rep: PointRep, k: int, n: int):
 
 def intertwining_identities_check(rep: PointRep):
     """Decide alpha_k Q_n = Q_{n+1} alpha_k for every 0 <= k < n < K, the
-    horizon of rep.  Returns (ok, witness) naming the first failing (k, n).
-    Below horizon 2 there is no such pair, so the horizon is refused.  It
+    horizon of rep.  Returns (ok, witness) naming the first failing (k, n)
+    in the order n, k.  Below horizon 2 there is no such pair, so the
+    horizon is refused.  Every pair with k = 0 has the window of (0, 1) and
+    every other pair that of (1, 2) (intertwining_check); each of the two is
+    the first pair of its class, so they are the only pairs decided.  It
     passes on every state-preserving (c_map, delta) the CLI accepts and is
     kept as an implementation check on the eta tables."""
     K = rep.gspace.K
     if K < 2:
         raise ValueError(f"the intertwining identities need horizon >= 2; got {K}")
-    for n in range(1, K):
-        for k in range(n):
-            good, w = intertwining_check(rep, k, n)
-            if not good:
-                return False, f"k={k}, n={n}: {w}"
+    for k, n in ((0, 1), (1, 2))[: K - 1]:  # (1, 2) is a pair from K = 3 on
+        good, w = intertwining_check(rep, k, n)
+        if not good:
+            return False, f"k={k}, n={n}: {w}"
     return True, None
 
 
 @dataclass(frozen=True)
 class TowerReport:
-    """`cells[(m, n, k)]`: the cell commutes; `intersections[n]`, n < L-1:
-    M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).  Each is read off its
-    window's verdict (triangular_tower_check), which the representation
-    keeps, so a second report on it decides no window again."""
+    """`heads[k]`, 1 <= k < L: every tower cell (m, n, k) with shift k
+    commutes; `intersections[n]`, n < L-1: M_{n+1} ∩ alpha_0(M_{n+1}) =
+    alpha_0(M_n).  Each is its window's verdict (triangular_tower_check),
+    which the representation keeps, so a second report on it decides no
+    window again.  The cells are not listed: a report that prints them
+    reads cell (m, n, k) off heads[k]."""
 
-    cells: dict
+    heads: dict
     intersections: dict
 
 
@@ -523,9 +519,9 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
     intersection identities M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).
     Generation by the M_n holds by construction (M_L is discrete at level L).
 
-    Cell (m, n, k) reads p0 = alpha_0^k(M_m), p1 = M_{m+k} and p2 =
-    alpha_0^k(M_n) on level L = K-1.  By fix(n)'s closed form (M_t =
-    fix(t+1)) and the product lemma:
+    Cell (m, n, k), 0 <= m < n and n + k <= L, reads p0 = alpha_0^k(M_m),
+    p1 = M_{m+k} and p2 = alpha_0^k(M_n) on level L = K-1.  By fix(n)'s
+    closed form (M_t = fix(t+1)) and the product lemma:
 
     * c_{k+1} … c_{k+m} are discrete in all three, and are dropped;
     * each slot past c_{k+m} carries a triple that commutes on its own,
@@ -534,26 +530,22 @@ def triangular_tower_check(rep: PointRep) -> TowerReport:
     * the head (a, c_1 … c_k) is level k, where M_t of level 0 is the
       discrete base for every t.
 
-    So every cell with the same k has the window (q0, q1, q2) =
+    So every cell with shift k has the head window (q0, q1, q2) =
     (alpha_0^k(M_0), M_k, alpha_0^k(M_1)) on level k, decided by
-    _head_triple_commutes; commuting_square_check, where it is reached,
-    also refuses a triple whose q0 is not coarser than q1 and q2.
+    _head_triple_commutes, and the report holds one verdict per shift, 1 <=
+    k <= L-1; commuting_square_check, where it is reached, also refuses a
+    triple whose q0 is not coarser than q1 and q2.
 
     Intersection n has the window of intersection 0 on level 3 (level 2
     where n = L-2): c_2 … c_{n+1} are discrete in all three partitions and
     c_{n+4} … c_L one block in all three."""
     level = rep.gspace.K - 1
-    cells = {
-        (m, n, k): _window(rep, ("tower-cell", k), lambda: _tower_cell_on_head(rep, k))
-        for m in range(level + 1)
-        for n in range(m + 1, level + 1)
-        for k in range(1, level - n + 1)
-    }
+    heads = {k: _window(rep, ("tower-head", k), lambda: _tower_cell_on_head(rep, k)) for k in range(1, level)}
     intersections = {
         n: _window(rep, ("tower-intersection", min(3, level - n)), lambda: _tower_intersection(rep, min(3, level - n)))
         for n in range(level - 1)
     }
-    return TowerReport(cells, intersections)
+    return TowerReport(heads, intersections)
 
 
 def _tower_cell_on_head(rep: PointRep, k: int) -> bool:

@@ -499,6 +499,17 @@ def _four_cycle(budget):
     return D.build_markov_dilation(spec, 5, budget=budget)
 
 
+def test_markov_sequence_check_builds_deep_interval_chains_in_a_loop():
+    """The 2-cycle holds 2 atoms at every level, so depth 1500 fits the
+    budget.  The chains A_[m,K] and A_[m,n] it reads are 1500 links long,
+    deeper than Python's recursion limit, and are built in a loop."""
+    model = D.build_markov_dilation(D.ChainSpec.from_dict({"d": 2, "T": [[0, 1], [1, 0]]}), 1500)
+    report = C.markov_sequence_check(C.ProcessView.from_model(model))
+    assert [(e.check, e.ok) for e in report.entries] == [
+        ("markov-sequence", True), ("canonical-filtration-markov", True), ("markov-equivalence", True)
+    ]
+
+
 def test_hierarchy_runs_on_the_four_cycle_past_the_dense_budget():
     # the 4-cycle's levels hold 4 atoms; its law at horizon 5 has 4 points
     # on its support, though a dense tensor would have 4^6 cells
@@ -767,7 +778,7 @@ def test_suites_on_one_model_share_its_relations_and_tower(window_decisions):
     assert suite.passed and h.report.passed
     assert {e.check for e in h.report.entries} >= {"partially-spreadable"}
     tower = R.triangular_tower_check(model.rep)
-    assert all(tower.cells.values()) and all(tower.intersections.values())
+    assert all(tower.heads.values()) and all(tower.intersections.values())
     assert R.monoid_relations_check(model.rep, 4) == (True, None)
     assert window_decisions == decided
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -845,12 +846,103 @@ def test_windows_match_the_atom_level_references(kind, seed, K, data):
     for n in range(1, K):
         for k in range(n):
             assert R.intertwining_check(rep, k, n) == _intertwining_reference(ref, k, n), (k, n)
-    assert tower_or_refusal(R.triangular_tower_check, rep) == tower_or_refusal(reference_triangular_tower_check, ref)
+    assert tower_or_refusal(expanded_tower_check, rep) == tower_or_refusal(reference_triangular_tower_check, ref)
     d = rep.gspace.d
     f = data.draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
     for make in (lambda r: C.ProcessView(r, r.gspace.base, np.arange(d), K), lambda r: C.ProcessView(r, r.gspace.base, np.arange(d), K).lump(f)):
         got = [(e.check, e.ok, e.witness) for e in C.maximal_ps_check(make(rep)).entries[1:]]
         assert got == maximality_reference(make(ref))
+
+
+RELATION_WINDOWS = [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1), (1, 2, 2), (2, 3, 0)]
+
+
+def relation_window(k, l, m):
+    """The smallest instance with the slot pattern of relation (k, l) on
+    level m+2: eta_k merges (a, c_1) for k = 0 and (c_k, c_{k+1})
+    otherwise, eta_{l+1} merges (c_{l+1}, c_{l+2}) while l <= m, and a
+    generator beyond its level drops the last slot."""
+    k1 = min(k, 1)
+    if l <= m:
+        return k1, k1 + 1, k1 + 1
+    if k <= m:
+        return k1, k1 + 1, k1
+    return (1, 2, 0) if k == m + 1 else (2, 3, 0)
+
+
+@pytest.mark.parametrize("K", range(2, 8))
+def test_relation_windows_fail_in_the_order_of_their_first_instances(K, monkeypatch):
+    """relation_check made to fail at every instance of one window's class,
+    or of two windows' classes, with an atom that names the instance: the
+    window loop names the instance and atom that the loop over every (k, l,
+    m) names."""
+    orig = R.PointRep.relation_check
+    failing = set()
+
+    def patched(self, k, l, m):
+        if relation_window(k, l, m) in failing:
+            return False, 100 * k + 10 * l + m
+        return orig(self, k, l, m)
+
+    monkeypatch.setattr(R.PointRep, "relation_check", patched)
+    ref = paper_rep(K)
+    cases = [{w} for w in RELATION_WINDOWS] + [set(pair) for pair in itertools.combinations(RELATION_WINDOWS, 2)]
+    for case in cases:
+        failing.clear()
+        failing.update(case)
+        want = relations_reference(ref, K)
+        assert R.monoid_relations_check(paper_rep(K), K) == want, case
+        assert want[0] == (not any(k < K and m < K - 1 for k, _, m in case)), case
+
+
+@pytest.mark.parametrize("K", range(2, 7))
+@pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}])
+@pytest.mark.parametrize("in_block", [False, True])
+def test_intertwining_windows_fail_in_the_order_of_their_first_pairs(K, failing, in_block, monkeypatch):
+    """_intertwining_failure made to fail on the window of (0, 1), of (1,
+    2) or of both: the two-pair loop names the pair and witness that
+    intertwining_check on every pair, in the order n, then k, names."""
+    orig = R._intertwining_failure
+
+    def patched(rep, k, n):
+        return ("patched failure at", 1, in_block) if k in failing else orig(rep, k, n)
+
+    monkeypatch.setattr(R, "_intertwining_failure", patched)
+
+    def all_pairs(rep):
+        for n in range(1, K):
+            for k in range(n):
+                good, w = R.intertwining_check(rep, k, n)
+                if not good:
+                    return False, f"k={k}, n={n}: {w}"
+        return True, None
+
+    want = all_pairs(paper_rep(K))
+    assert R.intertwining_identities_check(paper_rep(K)) == want
+    assert want[0] == (failing == {1} and K == 2)
+
+
+TWO_CYCLE = D.ChainSpec.from_dict({"d": 2, "T": [[0, 1], [1, 0]]})
+
+
+def test_window_loops_do_work_bounded_by_their_windows(monkeypatch):
+    """The 2-cycle holds 2 atoms at every level, so the budget never bounds
+    its depth.  At K = 300 the relations make at most 6 window lookups
+    (there are 13,499,850 instances), intertwining at most 2
+    intertwining_check calls (44,850 pairs), and the tower returns one
+    verdict per head, K - 2, for its 4,455,100 cells."""
+    K = 300
+    rep = D.build_markov_dilation(TWO_CYCLE, K).rep
+    lookups, checked = [], []
+    orig_window, orig_check = R._window, R.intertwining_check
+    monkeypatch.setattr(R, "_window", lambda rep, key, decide: lookups.append(key) or orig_window(rep, key, decide))
+    monkeypatch.setattr(R, "intertwining_check", lambda rep, k, n: checked.append((k, n)) or orig_check(rep, k, n))
+    assert R.monoid_relations_check(rep, K) == (True, None)
+    assert len(lookups) <= 6
+    assert R.intertwining_identities_check(rep) == (True, None)
+    assert checked == [(0, 1), (1, 2)]
+    report = R.triangular_tower_check(rep)
+    assert sorted(report.heads) == list(range(1, K - 1)) and all(report.heads.values())
 
 
 # -- triangular tower ---------------------------------------------------------------
@@ -859,7 +951,7 @@ def test_windows_match_the_atom_level_references(kind, seed, K, data):
 def test_tower_paper_chain():
     rep = paper_rep(5)
     report = R.triangular_tower_check(rep)
-    assert all(report.cells.values())
+    assert all(report.heads.values())
     assert all(report.intersections.values())
 
 
@@ -879,13 +971,32 @@ def test_tower_random_chains(seed):
     spec = D.random_irreducible_chain(rng, rng.choice([2, 3]))
     model = D.build_markov_dilation(spec, 4)
     report = R.triangular_tower_check(model.rep)
-    assert all(report.cells.values()) and all(report.intersections.values())
+    assert all(report.heads.values()) and all(report.intersections.values())
+
+
+def tower_cells(report):
+    """The cells (m, n, k) of the tower on level L = len(heads) + 1, each
+    with the verdict of its head k, as cmd_verify lists them."""
+    level = len(report.heads) + 1
+    return {
+        (m, n, k): report.heads[k]
+        for m in range(level + 1)
+        for n in range(m + 1, level + 1)
+        for k in range(1, level - n + 1)
+    }
+
+
+def expanded_tower_check(rep):
+    """triangular_tower_check as (cells, intersections), its head verdicts
+    expanded over the cells, for a comparison with the reference."""
+    report = R.triangular_tower_check(rep)
+    return tower_cells(report), report.intersections
 
 
 def reference_triangular_tower_check(rep):
     """The tower check with no reduction: every cell on all atoms of level
     K-1, where the four commuting-square conditions of each cell must
-    agree."""
+    agree.  Returns (cells, intersections)."""
     level = rep.gspace.K - 1
     wnum = rep.gspace.level_weights(level)
     cells = {}
@@ -911,7 +1022,7 @@ def reference_triangular_tower_check(rep):
     for n in range(level - 1):
         lhs = towers[n + 1].meet(alpha_shift(n + 1, 1))
         intersections[n] = lhs == alpha_shift(n, 1)
-    return R.TowerReport(cells, intersections)
+    return cells, intersections
 
 
 def record_cell_sizes(monkeypatch):
@@ -946,7 +1057,7 @@ def assert_tower_matches_reference_by_the_lemma(rep):
     commuting_square_check."""
     with pytest.MonkeyPatch.context() as mp:
         sizes = record_cell_sizes(mp)
-        report = R.triangular_tower_check(rep)
+        report = expanded_tower_check(rep)
     assert report == reference_triangular_tower_check(rep)
     assert sizes == []
 
@@ -990,7 +1101,7 @@ def test_tower_matches_atom_level_reference_on_corrupted_eta(seed, d, K, table, 
     spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
     size = getattr(D.build_markov_dilation(spec, K).rep, table).size
     i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-    got = tower_or_refusal(R.triangular_tower_check, corrupted_generator_rep(spec, K, table, i, j))
+    got = tower_or_refusal(expanded_tower_check, corrupted_generator_rep(spec, K, table, i, j))
     want = tower_or_refusal(reference_triangular_tower_check, corrupted_generator_rep(spec, K, table, i, j))
     assert got == want
 
@@ -1012,11 +1123,11 @@ def test_tower_matches_atom_level_reference_on_seeded_eta_swaps(monkeypatch):
         for rep in reps:
             table = rep.eta(0, 1)
             table[i], table[j] = table[j], table[i]
-        got = R.triangular_tower_check(reps[0])
+        cells, intersections = expanded_tower_check(reps[0])
         want = tower_or_refusal(reference_triangular_tower_check, reps[1])
-        assert isinstance(want, str) or got.intersections == want.intersections, trial
-        assert all(got.cells.values())
-        failures += not got.intersections[0]
+        assert isinstance(want, str) or intersections == want[1], trial
+        assert all(cells.values())
+        failures += not intersections[0]
     assert failures and sizes == []
 
 
@@ -1051,8 +1162,8 @@ def test_tower_matches_atom_level_reference_on_splus(K, monkeypatch):
     with no call of commuting_square_check, and equals the reference."""
     rep = splus_rep(K)
     sizes = record_cell_sizes(monkeypatch)
-    report = R.triangular_tower_check(rep)
-    assert sizes == [] and len(report.cells) == {4: 4, 5: 10, 6: 20}[K]
+    report = expanded_tower_check(rep)
+    assert sizes == [] and len(report[0]) == {4: 4, 5: 10, 6: 20}[K]
     assert report == reference_triangular_tower_check(rep)
 
 
