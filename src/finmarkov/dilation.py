@@ -29,7 +29,7 @@ from math import lcm
 import numpy as np
 
 from . import _kernels as kern
-from .finprob import FinSpace, MarkovKernel, Partition, block_weight_sums
+from .finprob import FinSpace, MarkovKernel, Partition
 from .rationals import parse_rational
 from .rep import (
     GradedSpace,
@@ -324,42 +324,82 @@ class SupportLaw:
 
 @dataclass(frozen=True)
 class PathTable:
-    """Level K of a process modulo A_[0,K], the algebra generated by X_0 ..
-    X_K: one point per path of the support, in first-atom order, weighted
-    by its level-K mass.  Every law of X_0 .. X_K is its `marginal`."""
+    """The law of X_0 .. X_K, or of a lumped f(X_0) .. f(X_K), on its
+    support: one point per path, in the order of its first level-K atom
+    (the least atom on which the process takes that path), weighted by its
+    level-K mass.  Every law of X_0 .. X_K is its `marginal`.  It is built
+    slot by slot from c_map and lambda (_state_paths), never from level K."""
 
-    labels: np.ndarray  # the block of each level-K atom
-    first: np.ndarray  # the first atom of each block
-    values: np.ndarray  # values[k, b] is X_k on block b
-    weights: np.ndarray  # block weight numerators over den, which they sum to
+    first: np.ndarray  # the first level-K atom of each path
+    values: np.ndarray  # values[k, p] is X_k on path p
+    weights: np.ndarray  # path weight numerators over den, which they sum to
     den: int  # the level-K denominator
 
     def marginal(self, ks) -> SupportLaw:
-        """The law of (X_k)_{k in ks} on its support: blocks have positive mass."""
+        """The law of (X_k)_{k in ks} on its support: paths have positive mass."""
         values = self.values.astype(np.min_scalar_type(self.values.max()))  # small types sort by radix
         return SupportLaw(values, self.weights, self.den).marginal(ks)
 
 
 def path_table(rep: PointRep, value_map, nvals: int, level: int) -> PathTable:
     """The path table of f(X_0) .. f(X_K), f = value_map taking the base
-    atoms to nvals values: X_k is read off one running pullback through
-    eta_0, and A_[0,K] refined by it with one canonicalize call.  The K+1
-    value arrays of the level are held in the smallest unsigned type until
-    they are read on the blocks."""
+    atoms to nvals values.  f groups the paths of X (_state_paths) by one
+    canonicalize call per time over the support and one group_sum.  Each
+    group keeps the least first atom of its paths, which come in first-atom
+    order, so the groups do too."""
+    states = _state_paths(rep, level)
+    values = np.asarray(value_map, dtype=np.int64)[states.values]
+    labels = np.zeros(values.shape[1], dtype=np.int64)
+    for row in values:
+        labels, ngroups = kern.canonicalize(labels * nvals + row)
+    lead = Partition._from_canonical(labels, ngroups).first
+    weights = kern.group_sum(labels, states.weights, ngroups)
+    return PathTable(states.first[lead], values[:, lead], weights, states.den)
+
+
+def _state_paths(rep: PointRep, level: int) -> PathTable:
+    """The path table of the states X_0 .. X_level, one noise slot at a time.
+
+    X_k = c_map(X_{k-1}, c_k) reads slot c_k alone and never delta, so by
+    the product lemma the atoms of a path (a, b_1 .. b_level) are the
+    product of the slot sets {c : c_map(b_{k-1}, c) = b_k}.  Its weight is
+    pi(a) times the step masses S(b_{k-1}, b_k), the lambda mass of that
+    set, and its first atom takes the least c of each set.  Each step
+    extends every path by the successors of its last state in the order of
+    their least c, so the paths stay in first-atom order.  The states of
+    each step are kept in the smallest unsigned type and read back along
+    the parent links at the end."""
     g = rep.gspace
-    small_map = np.asarray(value_map).astype(np.min_scalar_type(max(nvals - 1, 0)))
-    ids = np.arange(g.level_size(level), dtype=np.int64)
-    labels = np.zeros(len(ids), dtype=np.int64)
-    xs = []
-    for k in range(level + 1):
+    d, nc = g.d, g.nc
+    rows, slots = np.repeat(np.arange(d), nc), np.tile(np.arange(nc), d)
+    cols = rep.c_map.reshape(-1)
+    step = kern.group_sum(rows * d + cols, g.noise_num[slots], d * d).reshape(d, d)
+    least = np.full((d, d), nc, dtype=np.int64)  # nc where b is no successor of a
+    np.minimum.at(least, (rows, cols), slots)
+    small = np.min_scalar_type(max(d - 1, 0))
+    succ = np.argsort(least, axis=1).astype(small)  # successors first, by least c
+    nsucc = (least < nc).sum(axis=1)
+    last = np.arange(d).astype(small)
+    first = np.arange(d, dtype=np.int64)
+    weights = g.base_num.astype(np.int64)
+    states, parents = [last], []
+    for _ in range(level):
+        count = nsucc[last]
+        parent = np.repeat(np.arange(len(last)), count)
+        rank = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
+        prev = last[parent]
+        last = succ[prev, rank]
+        first = first[parent] * nc + least[prev, last]
+        weights = weights[parent] * step[prev, last]
+        states.append(last)
+        parents.append(parent)
+    values = np.empty((level + 1, len(last)), dtype=np.int64)
+    path = np.arange(len(last))
+    for k in range(level, -1, -1):
+        values[k] = states[k][path]
         if k:
-            ids = rep.eta(0, level - k)[ids]
-        xs.append(small_map[g.base_coord(ids, level - k)])
-        labels, nblocks = kern.canonicalize(labels * nvals + xs[-1])
-    first = Partition._from_canonical(labels, nblocks).first
-    weights = block_weight_sums(labels, nblocks, g.level_weights(level))
-    values = np.stack([x[first] for x in xs]).astype(np.int64)
-    return PathTable(labels, first, values, weights, g.level_denominator(level))
+            path = parents[k - 1][path]
+    return PathTable(first, values, weights, g.level_denominator(level))
 
 
 @dataclass
@@ -378,16 +418,16 @@ class ProcessModel:
     @cached_property
     def paths(self) -> PathTable:
         """The path table of X_0 .. X_K, built on first use."""
-        return path_table(self.rep, np.arange(self.spec.d), self.spec.d, self.K)
+        return _state_paths(self.rep, self.K)
 
     def compressed_power(self, n: int) -> tuple:
-        """iota* alpha^n iota as an exact d x d matrix, read from (X_0, X_n)
-        at level n, apart from the path table."""
-        d, g = self.spec.d, self.gspace
-        key = self.rep.x_table(0, n) * d + self.rep.x_table(n, n)
-        num = kern.group_sum(key, g.level_weights(n), d * d).reshape(d, d)
-        den, pi = g.level_denominator(n), self.spec.pi.weights
-        return tuple(tuple(Fraction(int(num[a, j]), den) / pi[a] for j in range(d)) for a in range(d))
+        """iota* alpha^n iota as an exact d x d matrix, read off the law of
+        (X_0, X_n) on the path table by one group_sum."""
+        d, table = self.spec.d, self.paths
+        key = table.values[0] * d + table.values[n]
+        num = kern.group_sum(key, table.weights, d * d).reshape(d, d)
+        pi = self.spec.pi.weights
+        return tuple(tuple(Fraction(int(num[a, j]), table.den) / pi[a] for j in range(d)) for a in range(d))
 
 
 def build_markov_dilation(

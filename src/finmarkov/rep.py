@@ -56,7 +56,7 @@ class GradedSpace:
         self.base_den = base.denominator
         self.noise_num = noise.weight_numerators()
         self.noise_den = noise.denominator
-        self._weights: dict[int, np.ndarray] = {}
+        self._weights: dict[int, np.ndarray] = {0: self.base_num.astype(np.int64)}
         self.ensure_weights(horizon)  # every level up to the horizon fits the budget and int64
 
     def level_size(self, m: int) -> int:
@@ -83,13 +83,13 @@ class GradedSpace:
         return self.base_den * self.noise_den**m
 
     def level_weights(self, m: int) -> np.ndarray:
-        """Integer weight numerators over level_denominator(m)."""
-        if m not in self._weights:
+        """Integer weight numerators over level_denominator(m).  The cache
+        holds levels 0 .. top: each level is built from the one below it,
+        so reading every level up to K costs K products."""
+        if m >= len(self._weights):
             self.ensure_weights(m)
-            w = self.base_num.astype(np.int64)
-            for _ in range(m):
-                w = (w[:, None] * self.noise_num[None, :]).reshape(-1)
-            self._weights[m] = w
+            for k in range(len(self._weights), m + 1):
+                self._weights[k] = (self._weights[k - 1][:, None] * self.noise_num[None, :]).reshape(-1)
         return self._weights[m]
 
     def base_coord(self, ids, m: int):

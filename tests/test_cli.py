@@ -92,16 +92,23 @@ def _fail_powers(monkeypatch):
     monkeypatch.setattr(dilation.ProcessModel, "compressed_power", lambda self, n: orig(self, 1 if n == 2 else n))
 
 
+# four support paths of the no-bijection chain at depth 3 around a
+# rectangle (x0, A, B), (x0, A', B'), (x0, A, B'), (x0, A', B): one unit
+# moved from the last two to the first two keeps every (X_0, X_n) law
+RECTANGLE = {(1, 0, 1, 0): 1, (1, 1, 1, 1): 1, (1, 0, 1, 1): -1, (1, 1, 1, 0): -1}
+
+
 def _fail_moments(monkeypatch):
-    """Move one numerator unit of the model's path table from its last path
-    to its first."""
+    """Move one numerator unit of the model's path table around RECTANGLE,
+    so that every marginal dilation-powers reads stays as it was."""
     orig = dilation.ProcessModel.paths.func
 
     def moved(self):
         table = orig(self)
         weights = table.weights.copy()
-        weights[0] += 1
-        weights[-1] -= 1
+        paths = [tuple(p) for p in table.values.T.tolist()]
+        for path, unit in RECTANGLE.items():
+            weights[paths.index(path)] += unit
         return dataclasses.replace(table, weights=weights)
 
     monkeypatch.setattr(dilation.ProcessModel, "paths", property(moved))
@@ -123,7 +130,8 @@ def test_dilate_fails_each_decided_entry(entry, mutate, monkeypatch, capsys, tmp
 def test_dilate_moments_witness_names_the_first_failing_path(monkeypatch, capsys, tmp_path):
     chain = _no_bijection_chain(tmp_path)
     spec = dilation.ChainSpec.from_dict(json.loads(Path(chain).read_text()))
-    first = tuple(int(v) for v in dilation.build_markov_dilation(spec, 3).paths.values[:, 0])
+    paths = [tuple(p) for p in dilation.build_markov_dilation(spec, 3).paths.values.T.tolist()]
+    first = min(RECTANGLE, key=paths.index)
     _fail_moments(monkeypatch)
     code, out, _ = run(["dilate", chain, "--depth", "3"], capsys)
     assert code == 1
@@ -288,15 +296,16 @@ def record_levels(monkeypatch):
 )
 def test_no_level_above_the_depth_is_built(argv, monkeypatch, capsys):
     """verify --suite all, lump and rep-check at depth K build level K and
-    no level above it, and neither does definetti_suite: no eta table is
-    cached from level K+1."""
+    no level above it.  definetti_suite at K = 6 caches no eta table onto a
+    level above 3: the path table and the powers read no eta table, and the
+    tower heads, on levels up to K-2 = 4, pull back onto level 3 at most."""
     levels = record_levels(monkeypatch)
     code, _, _ = run(argv, capsys)
     assert code in (0, 1) and max(levels) == 5, argv
     levels.clear()
     model = dilation.build_markov_dilation(dilation.ChainSpec.from_dict(json.loads(Path(COIN).read_text())), 6)
     assert checks.definetti_checks(model).passed
-    assert max(levels) == 6 and max(m for _, m in model.rep._eta_cache) == 5
+    assert max(levels) == 6 and max(m for _, m in model.rep._eta_cache) == 3
 
 
 @pytest.mark.parametrize("suite", ["tower", "hierarchy"])

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from finmarkov import _kernels as kern
 from finmarkov import checks as C
 from finmarkov import dilation as D
-from finmarkov.finprob import Partition, block_weight_sums
+from finmarkov import rep as R
+from finmarkov.finprob import FinSpace, Partition, block_weight_sums
+
+from test_checks import reference_interval_partition
 
 
 # -- stationary distributions -------------------------------------------------
@@ -461,8 +464,10 @@ def test_model_default_noise_stays_compact():
     assert all(report.power_ok.values()) and not report.moment_failures
 
 
-def int64_path_table(rep, value_map, nvals, level):
-    """path_table holding its K+1 value arrays of the level in int64."""
+def reference_path_table(rep, value_map, nvals, level):
+    """The path table by a scan of level K: X_k is read off one running
+    pullback through eta_0, and A_[0,K] refined by it with one canonicalize
+    call per k, which numbers the blocks in first-atom order."""
     g = rep.gspace
     ids = np.arange(g.level_size(level), dtype=np.int64)
     labels = np.zeros(len(ids), dtype=np.int64)
@@ -474,22 +479,56 @@ def int64_path_table(rep, value_map, nvals, level):
         labels, nblocks = kern.canonicalize(labels * nvals + xs[-1])
     first = Partition._from_canonical(labels, nblocks).first
     weights = block_weight_sums(labels, nblocks, g.level_weights(level))
-    return D.PathTable(labels, first, np.stack([x[first] for x in xs]), weights, g.level_denominator(level))
+    return D.PathTable(first, np.stack([x[first] for x in xs]), weights, g.level_denominator(level))
+
+
+def assert_tables_equal(got, want):
+    for name in ("first", "values", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.den == want.den
+
+
+def tables_rep(level):
+    obj = json.loads((FIXTURES / "coin_with_tables.json").read_text())
+    spec = D.ChainSpec.from_dict(obj)
+    noise = FinSpace.from_rationals(obj["noise"])
+    return R.build_fplus_rep(spec.pi, noise, obj["c_map"], obj["delta_map"], level)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_slotwise_path_table_equals_the_level_scan(seed, d, K, data):
+    """The path table built one noise slot at a time is the level scan's,
+    field by field and dtypes included, on random chains, on random lumps
+    of them and on the explicit tables of coin_with_tables.json."""
+    spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
+    model = D.build_markov_dilation(spec, K)
+    f = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d)))
+    for value_map in (np.arange(d), f):
+        got = D.path_table(model.rep, value_map, d, K)
+        assert_tables_equal(got, reference_path_table(model.rep, value_map, d, K))
+    assert_tables_equal(model.paths, reference_path_table(model.rep, np.arange(d), d, K))
+    rep = tables_rep(K)
+    for value_map in ([0, 1], [0, 0]):
+        assert_tables_equal(D.path_table(rep, value_map, 2, K), reference_path_table(rep, value_map, 2, K))
 
 
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 5), st.data())
 @settings(max_examples=25, deadline=None)
 def test_path_table_with_small_value_arrays_equals_the_int64_build(seed, d, K, data):
-    """The path table, built with its value arrays in the smallest unsigned
-    type, is the table built with int64 arrays, dtypes included, for the
-    model and for a lumped view."""
+    """The path table, built with its states in the smallest unsigned type,
+    is the int64 level scan's, dtypes included, for the model and for a
+    lumped view; the level scan's per-atom blocks are read through
+    interval_partition."""
     spec = D.random_irreducible_chain(random.Random(seed), d, max_den=4)
     model = D.build_markov_dilation(spec, K)
     f = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d)))
     for value_map, nvals in ((np.arange(d), d), (f, d)):
         got = D.path_table(model.rep, value_map, nvals, K)
-        want = int64_path_table(model.rep, value_map, nvals, K)
-        for name in ("labels", "first", "values", "weights"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert got.den == want.den
+        want = reference_path_table(model.rep, value_map, nvals, K)
+        assert_tables_equal(got, want)
+        view = C.ProcessView(model.rep, model.spec.pi, value_map, K)
+        for m in range(K + 1):
+            for n in range(m, K + 1):
+                assert view.interval_partition(m, n) == reference_interval_partition(view, m, n), (m, n)

@@ -1051,6 +1051,27 @@ def test_level_weights_are_head_weights_times_the_tail(fixture):
         assert np.array_equal(tails, g.level_weights(h) * g.noise_den ** (L - h)), h
 
 
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4), st.integers(0, 6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_level_weights_built_from_the_level_below_are_the_outer_products(seed, d, nc, K, data):
+    """Each level's weights, built from the cached level below it, are the
+    from-scratch outer product of the base weights with K copies of the
+    noise weights, whatever order the levels are read in."""
+    rng = random.Random(seed)
+
+    def space(n):
+        nums = [rng.randint(1, 5) for _ in range(n)]
+        return FinSpace(tuple(F(x, sum(nums)) for x in nums))
+
+    g = R.GradedSpace(space(d), space(nc), K)
+    for m in data.draw(st.permutations(range(K + 1))):
+        want = g.base_num.astype(np.int64)
+        for _ in range(m):
+            want = np.multiply.outer(want, g.noise_num).reshape(-1)
+        got = g.level_weights(m)
+        assert got.dtype == np.int64 and np.array_equal(got, want), m
+
+
 def assert_tower_matches_reference_by_the_lemma(rep):
     """The tower report equals the atom-level reference, and every cell of
     the built model is decided by the (q0, q1, q0) lemma: none reaches
