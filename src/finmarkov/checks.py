@@ -30,7 +30,7 @@ from .dilation import (
     path_table,
 )
 from .finprob import FinSpace, Partition, _products_equal, cexp_product_equals
-from .rep import PointRep, intertwining_identities_check, monoid_relations_check, triangular_tower_check
+from .rep import PointRep, intertwining_identities_check, monoid_relations_check, tower_head_lemma, triangular_tower_check
 
 
 @dataclass(frozen=True)
@@ -527,12 +527,14 @@ def definetti_checks(model: ProcessModel) -> VerificationReport:
     decided once, by the PointRep constructor, which refuses a c_map or
     delta that breaks it; by the product lemma of rep that decides every
     level.  The monoid relations are the representation premise of the
-    partial spreadability entries.  The relations, the tower and
-    intertwining are decided on their windows alone, which the
-    representation's window cache keeps, so a later suite on the same model
-    decides none of them again; triangular-tower reads the tower's head
-    verdicts, one per shift, which decide every cell.  The tower is decided
-    just before that entry, so --timing charges its cost there."""
+    partial spreadability entries.  The relations, the tower
+    intersections and intertwining are decided on their windows alone,
+    which the representation's window cache keeps, so a later suite on the
+    same model decides none of them again.  triangular-tower decides no
+    cell: every cell commutes by the head lemma (triangular_tower_check),
+    whose premise tower_head_lemma decides on level 0.  The intersections
+    are decided just before their entry, so --timing charges the tower's
+    cost there."""
     K = model.K
     if K < 3:
         raise ValueError(f"the de Finetti suite needs horizon >= 3; got {K}")
@@ -542,16 +544,15 @@ def definetti_checks(model: ProcessModel) -> VerificationReport:
     report.extend(markov_sequence_check(view))
     add_dilation_entries(report, model)
 
-    tower = triangular_tower_check(model.rep)
     report.add(
         "triangular-tower",
         "every shifted fixed-point tower cell is a commuting square",
-        all(tower.heads.values()),
+        tower_head_lemma(model.rep),
     )
     report.add(
         "tower-intersections",
         "M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n)",
-        all(tower.intersections.values()),
+        all(triangular_tower_check(model.rep).values()),
     )
 
     ok, wit = intertwining_identities_check(model.rep)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure (the
-witness is printed), 2 on malformed input or a model too large for the atom
-budget or for int64, 3 on an internal error, whose traceback is printed.
+witness is printed), 2 on malformed input (an unreadable chain spec or an
+unwritable --json path included) or a model too large for the atom budget
+or for int64, 3 on an internal error, whose traceback is printed.
 Every command builds its model or representation before any check runs,
 and the build refuses the budget, int64 and a table that breaks the state,
 so a refused input runs no check.  Input is validated where it is loaded and
@@ -47,7 +48,7 @@ def _load_chainspec(path):
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read chain spec {path}: {e}") from None
     try:
         return dil.ChainSpec.from_dict(obj), obj
@@ -62,13 +63,21 @@ def _require_depth(depth: int, least: int, command: str):
         raise InputError(f"{command} needs --depth >= {least}; got {depth}")
 
 
+def _write_json(path, text: str):
+    """Write a --json report; a path that cannot be written is malformed
+    input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as e:
+        raise InputError(f"cannot write --json {path}: {e}") from None
+
+
 def _emit(report: chk.VerificationReport, args) -> int:
     for line in report.lines():
         print(line)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json(include_timing=args.timing))
-            fh.write("\n")
+        _write_json(args.json, report.to_json(include_timing=args.timing))
     return 0 if report.passed else 1
 
 
@@ -129,8 +138,7 @@ def cmd_derive(args) -> int:
         return 1
     print(trace.to_json())
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(trace.to_json() + "\n")
+        _write_json(args.json, trace.to_json())
     return 0
 
 
@@ -180,12 +188,13 @@ def cmd_lump(args) -> int:
 
 def cmd_verify(args) -> int:
     """Build one model and run every requested suite on it.  Its
-    representation keeps every relation, tower head and intersection and
+    representation keeps every relation, tower intersection and
     intertwining verdict it decided, window by window, so a later suite on
     the model decides none of them again; the hierarchy reads its capped
     horizon off that model.  --suite tower prints one line per tower cell
-    (m, n, k), in that order, each with the verdict of its head window k;
-    this is the only place the cells are listed."""
+    (m, n, k), in that order, each with the verdict of the head lemma's
+    premise (rp.tower_head_lemma); this is the only place the cells are
+    listed."""
     suites = ("definetti", "tower", "hierarchy") if args.suite == "all" else (args.suite,)
     # below depth 3 the tower has no cell; below depth 2 spreadability
     # compares no two marginals
@@ -197,13 +206,13 @@ def cmd_verify(args) -> int:
     if "definetti" in suites:
         report.extend(chk.definetti_checks(model))
     if "tower" in suites:
-        tower, level = rp.triangular_tower_check(model.rep), K - 1
+        level, lemma = K - 1, rp.tower_head_lemma(model.rep)
         cell = "the cell (M_{m+k} ⊃ a0^k(M_m); M_{n+k} ⊃ a0^k(M_n)) commutes"
         for m in range(level + 1):
             for n in range(m + 1, level + 1):
                 for k in range(1, level - n + 1):
-                    report.add(f"tower-cell-m{m}-n{n}-k{k}", cell, tower.heads[k])
-        for n, ok in sorted(tower.intersections.items()):
+                    report.add(f"tower-cell-m{m}-n{n}-k{k}", cell, lemma)
+        for n, ok in sorted(rp.triangular_tower_check(model.rep).items()):
             report.add(f"tower-intersection-n{n}", "M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n)", ok)
     if "hierarchy" in suites:
         report.extend(chk.hierarchy_check(model, min(args.depth, 5)).report)

@@ -28,7 +28,6 @@ from . import _kernels as kern
 from .finprob import (
     FinSpace,
     Partition,
-    commuting_square_check,
     local_filtration_markov_check,
     _products_equal,
 )
@@ -500,66 +499,46 @@ def intertwining_identities_check(rep: PointRep):
     return True, None
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    """`heads[k]`, 1 <= k < L: every tower cell (m, n, k) with shift k
-    commutes; `intersections[n]`, n < L-1: M_{n+1} ∩ alpha_0(M_{n+1}) =
-    alpha_0(M_n).  Each is its window's verdict (triangular_tower_check),
-    which the representation keeps, so a second report on it decides no
-    window again.  The cells are not listed: a report that prints them
-    reads cell (m, n, k) off heads[k]."""
+def triangular_tower_check(rep: PointRep) -> dict:
+    """Decide the intersection identities M_{n+1} ∩ alpha_0(M_{n+1}) =
+    alpha_0(M_n) of the shifted fixed-point tower on level L = K-1, for n <
+    L-1.  Returns {n: ok}.  Intersection n has the window of intersection 0
+    on level 3 (level 2 where n = L-2): c_2 … c_{n+1} are discrete in all
+    three partitions and c_{n+4} … c_L one block in all three.  Generation
+    by the M_n holds by construction (M_L is discrete at level L).
 
-    heads: dict
-    intersections: dict
-
-
-def triangular_tower_check(rep: PointRep) -> TowerReport:
-    """Verify that every cell (M_{m+k} ⊃ alpha_0^k(M_m); M_{n+k} ⊃
-    alpha_0^k(M_n)) in the shifted tower is a commuting square, plus the
-    intersection identities M_{n+1} ∩ alpha_0(M_{n+1}) = alpha_0(M_n).
-    Generation by the M_n holds by construction (M_L is discrete at level L).
-
-    Cell (m, n, k), 0 <= m < n and n + k <= L, reads p0 = alpha_0^k(M_m),
-    p1 = M_{m+k} and p2 = alpha_0^k(M_n) on level L = K-1.  By fix(n)'s
-    closed form (M_t = fix(t+1)) and the product lemma:
+    The head lemma: every cell (M_{m+k} ⊃ alpha_0^k(M_m); M_{n+k} ⊃
+    alpha_0^k(M_n)), 0 <= m < n and n + k <= L, is a commuting square, so
+    no cell is decided on its atoms.  The cell reads p0 = alpha_0^k(M_m),
+    p1 = M_{m+k} and p2 = alpha_0^k(M_n) on level L.  By fix(n)'s closed
+    form (M_t = fix(t+1)) and the product lemma:
 
     * c_{k+1} … c_{k+m} are discrete in all three, and are dropped;
     * each slot past c_{k+m} carries a triple that commutes on its own,
       (G, G, discrete), (one, one, discrete), (one, one, G) or (one, one,
       one), so the cell commutes iff its head triple does;
     * the head (a, c_1 … c_k) is level k, where M_t of level 0 is the
-      discrete base for every t.
+      discrete base for every t and M_k of level k is discrete.
 
-    So every cell with shift k has the head window (q0, q1, q2) =
-    (alpha_0^k(M_0), M_k, alpha_0^k(M_1)) on level k, decided by
-    _head_triple_commutes, and the report holds one verdict per shift, 1 <=
-    k <= L-1; commuting_square_check, where it is reached, also refuses a
-    triple whose q0 is not coarser than q1 and q2.
-
-    Intersection n has the window of intersection 0 on level 3 (level 2
-    where n = L-2): c_2 … c_{n+1} are discrete in all three partitions and
-    c_{n+4} … c_L one block in all three."""
+    So the head triple is (q0, discrete, q0) with q0 = alpha_0^k of the
+    discrete base, and E_discrete E_{q0} = E_{q0}, whatever c_map and delta
+    are.  The one premise, that a generator beyond the level fixes only the
+    discrete partition, is decided by tower_head_lemma."""
     level = rep.gspace.K - 1
-    heads = {k: _window(rep, ("tower-head", k), lambda: _tower_cell_on_head(rep, k)) for k in range(1, level)}
-    intersections = {
+    return {
         n: _window(rep, ("tower-intersection", min(3, level - n)), lambda: _tower_intersection(rep, min(3, level - n)))
         for n in range(level - 1)
     }
-    return TowerReport(heads, intersections)
 
 
-def _tower_cell_on_head(rep: PointRep, k: int) -> bool:
-    """The head triple of the tower cells with shift k, on level k."""
-    q0, q2 = (rep.shifted_partition(rep.intersected_fixed_points(t, 0), k, k) for t in (0, 1))
-    return _head_triple_commutes(rep.gspace.level_weights(k), q0, rep.intersected_fixed_points(k, k), q2)
-
-
-def _head_triple_commutes(wnum, q0: Partition, q1: Partition, q2: Partition) -> bool:
-    """True where q2 = q0 ⊂ q1, as E_{q1} E_{q0} = E_{q0}; any other triple
-    is decided by commuting_square_check on its atoms."""
-    if q0 == q2 and q0.coarsens(q1):
-        return True
-    return commuting_square_check(wnum, q0, q1, q2).is_commuting_square
+def tower_head_lemma(rep: PointRep) -> bool:
+    """The premise of the head lemma (triangular_tower_check): a generator
+    beyond the level acts as the cylinder embedding, its dual eta_n equal
+    to drop_last, so it glues nothing and M_t of level 0 and M_k of level k
+    are discrete, as intersected_fixed_points gives them by truncation.
+    eta_n beyond level m passes (a, c_1 … c_m) through and drops the last
+    slot, so by the product lemma level 0 decides it for every level."""
+    return bool(np.array_equal(rep.eta(1, 0), rep.drop_last(0)))
 
 
 def _tower_intersection(rep: PointRep, level: int) -> bool:

@@ -18,8 +18,7 @@ class WindowLog(list):
 def window_decisions(monkeypatch):
     """Log every window a representation decides: each
     PointRep.relation_check call and each call of the rep functions that
-    decide a tower cell, a tower intersection or an intertwining pair on
-    its window."""
+    decide a tower intersection or an intertwining pair on its window."""
     log = WindowLog()
 
     def logged(name, orig):
@@ -30,6 +29,6 @@ def window_decisions(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(R.PointRep, "relation_check", logged("relation_check", R.PointRep.relation_check))
-    for name in ("_tower_cell_on_head", "_tower_intersection", "_intertwining_failure"):
+    for name in ("_tower_intersection", "_intertwining_failure"):
         monkeypatch.setattr(R, name, logged(name, getattr(R, name)))
     return log

@@ -125,23 +125,23 @@ def test_criterion_04_fplus_relations():
 def test_criterion_05_triangular_tower():
     """All tower cells with indices <= K-1 = 3 are commuting squares,
     including the intersection identity.  Each cell is decided twice: by
-    triangular_tower_check (the (q0, q1, q0) lemma on built models) and by
-    the four commuting-square conditions on the atoms of level 3, which
-    must agree with each other and with the first verdict."""
+    the head lemma (triangular_tower_check), whose premise tower_head_lemma
+    decides, and by the four commuting-square conditions on the atoms of
+    level 3, which must agree with each other and with the first verdict."""
     t0 = time.time()
     ok = True
     for spec in corpus()[:8] + [PAPER]:
         rep = D.build_markov_dilation(spec, 4).rep
-        report = R.triangular_tower_check(rep)
-        ok &= all(report.heads.values())
-        ok &= all(report.intersections.values())
+        lemma = R.tower_head_lemma(rep)
+        ok &= lemma
+        ok &= all(R.triangular_tower_check(rep).values())
         w = rep.gspace.level_weights(3)
-        for m, n, k in product(range(4), range(1, 4), range(1, 3)):  # cell (m, n, k) reads head k
+        for m, n, k in product(range(4), range(1, 4), range(1, 3)):
             if m >= n or n + k > 3:
                 continue
             p0, p2 = (rep.shifted_partition(rep.intersected_fixed_points(t, 3 - k), k, 3) for t in (m, n))
             atoms = commuting_square_check(w, p0, rep.intersected_fixed_points(m + k, 3), p2)
-            ok &= atoms.all_agree and atoms.is_commuting_square == report.heads[k]
+            ok &= atoms.all_agree and atoms.is_commuting_square == lemma
     _line(5, ok, "tower cells + intersections, lemma = four conditions on the atoms", t0)
 
 

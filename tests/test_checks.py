@@ -746,21 +746,33 @@ def test_definetti_suite_decides_each_model_identity_once(monkeypatch, window_de
     assert calls == list(range(6))
     assert window_decisions.counts() == {
         "relation_check": 6,
-        "_tower_cell_on_head": 3,
         "_tower_intersection": 2,
         "_intertwining_failure": 2,
     }
 
 
-@pytest.mark.parametrize(
-    "window, entry", [("_tower_cell_on_head", "triangular-tower"), ("_tower_intersection", "tower-intersections")]
-)
+@pytest.mark.parametrize("window, entry", [("_tower_intersection", "tower-intersections")])
 def test_tower_entries_each_read_their_own_windows(window, entry, monkeypatch):
     """triangular-tower reads the cells and tower-intersections the
     intersections: made to fail on one kind of window, the suite fails
     that entry alone."""
     monkeypatch.setattr(R, window, lambda rep, *args: False)
     assert [e.check for e in C.definetti_suite(PAPER, 4).failures()] == [entry]
+
+
+def test_tower_cells_fail_where_a_generator_beyond_the_level_is_not_the_cylinder():
+    """eta_1 from level 1 onto level 0, a generator beyond its level, with
+    the entries of the first and the last base atom swapped: it is no
+    longer drop_last, so the head lemma's premise fails and
+    triangular-tower fails with it, while the intersections, which read no
+    such table, pass.  The relation window (1, 2, 0) reads the same table,
+    so representation-premise fails too."""
+    model = D.build_markov_dilation(PAPER, 4)
+    table = model.rep.eta(1, 0)
+    table[0], table[-1] = table[-1], table[0]
+    assert not R.tower_head_lemma(model.rep)
+    assert all(R.triangular_tower_check(model.rep).values())
+    assert [e.check for e in C.definetti_checks(model).failures()] == ["representation-premise", "triangular-tower"]
 
 
 def test_suites_on_one_model_share_its_relations_and_tower(window_decisions):
@@ -771,14 +783,11 @@ def test_suites_on_one_model_share_its_relations_and_tower(window_decisions):
     model = D.build_markov_dilation(PAPER, 4)
     suite = C.definetti_checks(model)
     decided = list(window_decisions)
-    assert window_decisions.counts().keys() == {
-        "relation_check", "_tower_cell_on_head", "_tower_intersection", "_intertwining_failure"
-    }
+    assert window_decisions.counts().keys() == {"relation_check", "_tower_intersection", "_intertwining_failure"}
     h = C.hierarchy_check(model)
     assert suite.passed and h.report.passed
     assert {e.check for e in h.report.entries} >= {"partially-spreadable"}
-    tower = R.triangular_tower_check(model.rep)
-    assert all(tower.heads.values()) and all(tower.intersections.values())
+    assert all(R.triangular_tower_check(model.rep).values()) and R.tower_head_lemma(model.rep)
     assert R.monoid_relations_check(model.rep, 4) == (True, None)
     assert window_decisions == decided
 

@@ -202,6 +202,24 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     code, out, err = run(["stationary", str(float_d)], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: bad chain spec {float_d}: field d must be an integer\n"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x7B]))
+    code, out, err = run(["verify", str(binary)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read chain spec {binary}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "argv", [["verify", COIN, "--depth", "3", "--suite", "definetti"], ["derive", "EF+", "0", "2"]], ids=["verify", "derive"]
+)
+def test_unwritable_json_refused_exit_2(argv, where, capsys, tmp_path):
+    """A --json path in a missing directory, or a directory, is refused
+    after the report is printed, with one error line and no traceback."""
+    dest = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    code, out, err = run(["--json", str(dest)] + argv, capsys)
+    assert code == 2 and out
+    assert err.startswith(f"error: cannot write --json {dest}: ") and err.count("\n") == 1
 
 
 def test_bad_lump_map_exit_2(capsys):
@@ -296,16 +314,31 @@ def record_levels(monkeypatch):
 )
 def test_no_level_above_the_depth_is_built(argv, monkeypatch, capsys):
     """verify --suite all, lump and rep-check at depth K build level K and
-    no level above it.  definetti_suite at K = 6 caches no eta table onto a
-    level above 3: the path table and the powers read no eta table, and the
-    tower heads, on levels up to K-2 = 4, pull back onto level 3 at most."""
+    no level above it."""
     levels = record_levels(monkeypatch)
     code, _, _ = run(argv, capsys)
     assert code in (0, 1) and max(levels) == 5, argv
-    levels.clear()
-    model = dilation.build_markov_dilation(dilation.ChainSpec.from_dict(json.loads(Path(COIN).read_text())), 6)
+
+
+@pytest.mark.parametrize(
+    "spec, K",
+    [(COIN, 6), (COIN, 12), ({"d": 2, "T": [[0, 1], [1, 0]]}, 300)],
+    ids=["coin-6", "coin-12", "2-cycle-300"],
+)
+def test_definetti_checks_read_no_level_above_3_at_any_depth(spec, K, monkeypatch):
+    """definetti_checks builds level K and reads nothing above level 3
+    whatever K is: the path table and the powers read no eta table, the
+    relation, intertwining and intersection windows lie on levels up to 4
+    and pull back onto level 3 at most, and the tower cells read the head
+    lemma's premise on level 0.  The representation keeps 10 windows: 6
+    relations, 2 intertwining pairs and 2 intersections."""
+    levels = record_levels(monkeypatch)
+    obj = json.loads(Path(spec).read_text()) if isinstance(spec, str) else spec
+    model = dilation.build_markov_dilation(dilation.ChainSpec.from_dict(obj), K)
     assert checks.definetti_checks(model).passed
-    assert max(levels) == 6 and max(m for _, m in model.rep._eta_cache) == 3
+    assert max(levels) == K and max(m for _, m in model.rep._eta_cache) == 3
+    assert max(model.gspace._weights) == 3
+    assert len(model.rep._window_cache) == 10
 
 
 @pytest.mark.parametrize("suite", ["tower", "hierarchy"])
@@ -474,8 +507,8 @@ def test_shared_decisions_fail_alike_in_verify_and_rep_check(monkeypatch, capsys
 
 def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys, window_decisions):
     """verify --suite all builds one model, and the definetti and tower
-    suites decide each tower window once: the K-2 cell heads and the
-    intersection windows on levels 3 and 2."""
+    suites decide each tower window once: the intersection windows on
+    levels 3 and 2."""
     builds = []
     orig = dilation.build_markov_dilation
     monkeypatch.setattr(dilation, "build_markov_dilation", lambda *a, **kw: builds.append(1) or orig(*a, **kw))
@@ -483,7 +516,7 @@ def test_verify_all_builds_one_model_and_one_tower(monkeypatch, capsys, window_d
     assert code == 0
     assert builds == [1]
     counts = window_decisions.counts()
-    assert (counts["_tower_cell_on_head"], counts["_tower_intersection"]) == (2, 2)
+    assert counts["_tower_intersection"] == 2
 
 
 def test_verify_all_decides_each_window_once(capsys, window_decisions):
@@ -497,7 +530,6 @@ def test_verify_all_decides_each_window_once(capsys, window_decisions):
         assert code == 0
         assert window_decisions.counts() == {
             "relation_check": 6,
-            "_tower_cell_on_head": K - 2,
             "_tower_intersection": 2,
             "_intertwining_failure": 2,
         }, K
@@ -532,12 +564,12 @@ def test_tower_meets_once_per_cell_and_fold_step(monkeypatch, capsys):
 
 
 def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
-    """At depth 9 each of the 84 cells (m, n, k) is decided on its head
-    (a, c_1 … c_k), level k <= 7, by the lemma: no cell reaches
-    commuting_square_check, and the tower relabels heads and intersection
-    windows only, never a full level of 13,122 atoms."""
+    """At depth 9 each of the 84 cells (m, n, k) passes by the head lemma,
+    whose premise is decided on level 0: no cell reaches
+    commuting_square_check, and the tower relabels its intersection
+    windows only, levels 3 and 2, never a full level of 13,122 atoms."""
     calls, canon = [], []
-    orig_tower, orig_check, orig_canon = rep.triangular_tower_check, rep.commuting_square_check, kern.canonicalize
+    orig_tower, orig_check, orig_canon = rep.triangular_tower_check, finprob.commuting_square_check, kern.canonicalize
     deciding = False
 
     def tower(*args):
@@ -556,13 +588,24 @@ def test_tower_cells_read_their_head_coordinates(monkeypatch, capsys):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "finmarkov" and getattr(mod, "triangular_tower_check", None) is orig_tower:
             monkeypatch.setattr(mod, "triangular_tower_check", tower)
-    monkeypatch.setattr(rep, "commuting_square_check", lambda *args: calls.append(args) or orig_check(*args))
+    monkeypatch.setattr(finprob, "commuting_square_check", lambda *args: calls.append(args) or orig_check(*args))
     monkeypatch.setattr(kern, "canonicalize", canonicalize)
     code, out, _ = run(["verify", COIN, "--depth", "9", "--suite", "tower"], capsys)
     assert code == 0
     assert out.count("tower-cell-") == 84
     assert calls == []
-    assert canon and max(canon) <= 2 * 3**7
+    assert canon and max(canon) <= 2 * 3**3
+
+
+def test_tower_cell_lines_carry_the_head_lemma_premise(monkeypatch, capsys):
+    """verify --suite tower prints every cell with tower_head_lemma's
+    verdict: made to fail, each of the 10 cell lines at depth 5 fails and
+    the intersection lines still pass."""
+    monkeypatch.setattr(rep, "tower_head_lemma", lambda r: False)
+    code, out, _ = run(["verify", COIN, "--depth", "5", "--suite", "tower"], capsys)
+    cells = [line for line in out.splitlines() if "tower-cell-" in line]
+    assert code == 1 and len(cells) == 10 and all(line.startswith("FAIL") for line in cells)
+    assert all(line.startswith("PASS") for line in out.splitlines() if "tower-intersection-" in line)
 
 
 @pytest.mark.parametrize(

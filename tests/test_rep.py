@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from finmarkov import _kernels as kern
 from finmarkov import checks as C
 from finmarkov import dilation as D
+from finmarkov import finprob
 from finmarkov import rep as R
 from finmarkov.finprob import (
     FinSpace,
@@ -930,7 +931,8 @@ def test_window_loops_do_work_bounded_by_their_windows(monkeypatch):
     its depth.  At K = 300 the relations make at most 6 window lookups
     (there are 13,499,850 instances), intertwining at most 2
     intertwining_check calls (44,850 pairs), and the tower returns one
-    verdict per head, K - 2, for its 4,455,100 cells."""
+    verdict per intersection, K - 2, from two windows, and reads the head
+    lemma's premise on level 0 for its 4,455,100 cells."""
     K = 300
     rep = D.build_markov_dilation(TWO_CYCLE, K).rep
     lookups, checked = [], []
@@ -942,7 +944,8 @@ def test_window_loops_do_work_bounded_by_their_windows(monkeypatch):
     assert R.intertwining_identities_check(rep) == (True, None)
     assert checked == [(0, 1), (1, 2)]
     report = R.triangular_tower_check(rep)
-    assert sorted(report.heads) == list(range(1, K - 1)) and all(report.heads.values())
+    assert sorted(report) == list(range(K - 2)) and all(report.values()) and R.tower_head_lemma(rep)
+    assert len(rep._window_cache) == 10
 
 
 # -- triangular tower ---------------------------------------------------------------
@@ -950,9 +953,8 @@ def test_window_loops_do_work_bounded_by_their_windows(monkeypatch):
 
 def test_tower_paper_chain():
     rep = paper_rep(5)
-    report = R.triangular_tower_check(rep)
-    assert all(report.heads.values())
-    assert all(report.intersections.values())
+    assert R.tower_head_lemma(rep)
+    assert all(R.triangular_tower_check(rep).values())
 
 
 def test_tower_degenerate_cells_commute():
@@ -970,27 +972,22 @@ def test_tower_random_chains(seed):
     rng = random.Random(seed)
     spec = D.random_irreducible_chain(rng, rng.choice([2, 3]))
     model = D.build_markov_dilation(spec, 4)
-    report = R.triangular_tower_check(model.rep)
-    assert all(report.heads.values()) and all(report.intersections.values())
+    assert R.tower_head_lemma(model.rep) and all(R.triangular_tower_check(model.rep).values())
 
 
-def tower_cells(report):
-    """The cells (m, n, k) of the tower on level L = len(heads) + 1, each
-    with the verdict of its head k, as cmd_verify lists them."""
-    level = len(report.heads) + 1
-    return {
-        (m, n, k): report.heads[k]
+def expanded_tower_check(rep):
+    """The tower as cmd_verify reports it, (cells, intersections): each cell
+    (m, n, k) on level L = K-1 with the verdict of the head lemma's premise,
+    and triangular_tower_check's intersections, for a comparison with the
+    reference."""
+    level, lemma = rep.gspace.K - 1, R.tower_head_lemma(rep)
+    cells = {
+        (m, n, k): lemma
         for m in range(level + 1)
         for n in range(m + 1, level + 1)
         for k in range(1, level - n + 1)
     }
-
-
-def expanded_tower_check(rep):
-    """triangular_tower_check as (cells, intersections), its head verdicts
-    expanded over the cells, for a comparison with the reference."""
-    report = R.triangular_tower_check(rep)
-    return tower_cells(report), report.intersections
+    return cells, R.triangular_tower_check(rep)
 
 
 def reference_triangular_tower_check(rep):
@@ -1026,15 +1023,16 @@ def reference_triangular_tower_check(rep):
 
 
 def record_cell_sizes(monkeypatch):
-    """Record the points each tower cell hands to commuting_square_check."""
+    """Record the points each program call of commuting_square_check
+    reads."""
     sizes = []
-    orig = R.commuting_square_check
+    orig = finprob.commuting_square_check
 
     def recorded(wnum, p0, p1, p2):
         sizes.append(p1.n)
         return orig(wnum, p0, p1, p2)
 
-    monkeypatch.setattr(R, "commuting_square_check", recorded)
+    monkeypatch.setattr(finprob, "commuting_square_check", recorded)
     return sizes
 
 
@@ -1074,7 +1072,7 @@ def test_level_weights_built_from_the_level_below_are_the_outer_products(seed, d
 
 def assert_tower_matches_reference_by_the_lemma(rep):
     """The tower report equals the atom-level reference, and every cell of
-    the built model is decided by the (q0, q1, q0) lemma: none reaches
+    the built model is decided by the head lemma: none reaches
     commuting_square_check."""
     with pytest.MonkeyPatch.context() as mp:
         sizes = record_cell_sizes(mp)
@@ -1131,8 +1129,8 @@ def test_tower_matches_atom_level_reference_on_seeded_eta_swaps(monkeypatch):
     """Forty seeded swaps of two entries of eta_0 from level 2 onto level
     1.  At K = 3 the tower reads level 2, where the intersection n = 0 is
     its own window: its verdict equals the atom-level reference's, and
-    some fail.  The cells read eta_0 on their heads only, so they pass,
-    and none reaches commuting_square_check."""
+    some fail.  The head lemma's premise reads no eta_0 table, so the cells
+    pass, and none reaches commuting_square_check."""
     rng = random.Random(0)
     sizes = record_cell_sizes(monkeypatch)
     failures = 0
@@ -1165,22 +1163,23 @@ def weight_sensitive_triple():
     return rep.gspace.level_weights(3), Partition.trivial(54), Partition(s), Partition(c2 == 2)
 
 
-def test_tower_cell_verdict_reads_the_block_weights(monkeypatch):
-    """This head triple commutes: q1 and q2 are independent under the
-    state.  Under the atom counts of the blocks they would not be.  q2 is
-    not q0, so the triple is decided on the atoms."""
-    sizes = record_cell_sizes(monkeypatch)
+def test_tower_cell_verdict_reads_the_block_weights():
+    """This head triple commutes on the atoms: q1 and q2 are independent
+    under the state.  Under the atom counts of the blocks they are not, so
+    the same triple under uniform weights does not commute."""
     w, q0, q1, q2 = weight_sensitive_triple()
-    assert R._head_triple_commutes(w, q0, q1, q2)
-    assert commuting_square_check(w, q0, q1, q2).all_agree and sizes == [54]
+    report = commuting_square_check(w, q0, q1, q2)
+    assert report.is_commuting_square and report.all_agree
+    counts = commuting_square_check(np.ones_like(w), q0, q1, q2)
+    assert not counts.is_commuting_square and counts.all_agree
 
 
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_tower_matches_atom_level_reference_on_splus(K, monkeypatch):
     """The S+ tower has 4, 10 and 20 cells at K = 4, 5 and 6.  Its M_t reads
     one slot more than the F+ tower's, a slot that is discrete in all three
-    algebras of a cell; every cell is decided on its head by the lemma,
-    with no call of commuting_square_check, and equals the reference."""
+    algebras of a cell; every cell is decided by the head lemma, with no
+    call of commuting_square_check, and equals the reference."""
     rep = splus_rep(K)
     sizes = record_cell_sizes(monkeypatch)
     report = expanded_tower_check(rep)
@@ -1202,22 +1201,16 @@ def scrambled_rep(K):
 
 
 @pytest.mark.parametrize("K", [4, 5, 6])
-def test_tower_falls_back_to_atoms_where_containment_fails(K, monkeypatch):
+def test_tower_falls_back_to_atoms_where_containment_fails(K):
     """The scrambled fixed-point partitions read the atom index mod 6 and
-    are not nested.  Taken as a head triple, they are not (q0, q1, q0) with
-    q0 ⊂ q1, so they go to commuting_square_check on the atoms, which
-    refuses them as the atom-level check alone refuses them."""
+    are not nested.  Taken as a cell triple, they are not (q0, q1, q0) with
+    q0 ⊂ q1, and commuting_square_check refuses them on the atoms."""
     rep = scrambled_rep(K)
     level = K - 1
     w = rep.gspace.level_weights(level)
     q0, q1, q2 = (rep._fix_cache[(t, level)] for t in (1, 2, 3))
-    with pytest.raises(ValueError) as want:
+    with pytest.raises(ValueError, match="p0 coarser than p1"):
         commuting_square_check(w, q0, q1, q2)
-    sizes = record_cell_sizes(monkeypatch)
-    with pytest.raises(ValueError) as got:
-        R._head_triple_commutes(w, q0, q1, q2)
-    assert str(got.value) == str(want.value)
-    assert sizes == [rep.gspace.level_size(level)]
 
 
 IDS = np.arange(54)
@@ -1229,36 +1222,30 @@ HEAD_WEIGHTS = R.GradedSpace(
 ).level_weights(3)
 
 
-def head_triple_verdict(q0, q1, q2, monkeypatch):
-    """The head triple's verdict, and the atom counts it was decided on."""
-    sizes = record_cell_sizes(monkeypatch)
-    ok = R._head_triple_commutes(HEAD_WEIGHTS, Partition(q0), Partition(q1), Partition(q2))
-    return ok, sizes
+def head_triple_verdict(q0, q1, q2, wnum=HEAD_WEIGHTS):
+    """commuting_square_check's report on the head triple's 54 atoms."""
+    return commuting_square_check(wnum, Partition(q0), Partition(q1), Partition(q2))
 
 
-def test_tower_planted_cell_is_decided_on_the_atoms(monkeypatch):
+def test_tower_planted_cell_is_decided_on_the_atoms():
     """q1 = {S, not S} with S = {(a, c1) = (0, 2), (1, 0)} and q2 = {c1 =
     2} × c2 are independent under the state (S holds a third of the mass on
     either side of c1 = 2), but not under the head's point counts.  q2 is
-    not the trivial q0, so the lemma does not decide the triple: it is
-    decided on the 54 atoms, where only the weights make it commute, as
-    the atom-level check finds."""
+    not the trivial q0, so the head lemma does not cover the triple: on the
+    54 atoms only the weights make it commute."""
     s = np.isin(HEAD1, [2, 3]).astype(np.int64)
-    ok, sizes = head_triple_verdict(np.zeros(54), s, B * 3 + C2, monkeypatch)
-    assert ok and sizes == [54]
-    w = HEAD_WEIGHTS
-    assert commuting_square_check(w, Partition.trivial(54), Partition(s), Partition(B * 3 + C2)).all_agree
+    report = head_triple_verdict(np.zeros(54), s, B * 3 + C2)
+    assert report.is_commuting_square and report.all_agree
+    counts = head_triple_verdict(np.zeros(54), s, B * 3 + C2, np.ones(54, dtype=np.int64))
+    assert not counts.is_commuting_square and counts.all_agree
 
 
-def test_tower_refuses_a_non_nested_cell_whose_head_triple_is_q0_q1_q0(monkeypatch):
+def test_tower_refuses_a_non_nested_cell_whose_head_triple_is_q0_q1_q0():
     """q0 = q2 = {a = 1} but q1 trivial: q0 is not coarser than q1, so the
-    lemma does not apply, and the triple is refused as the atom-level check
-    refuses it."""
-    with pytest.raises(ValueError, match="p0 coarser than p1") as got:
-        head_triple_verdict(R1, np.zeros(54), R1, monkeypatch)
-    with pytest.raises(ValueError) as want:
-        commuting_square_check(HEAD_WEIGHTS, Partition(R1), Partition.trivial(54), Partition(R1))
-    assert str(got.value) == str(want.value)
+    head lemma does not apply, and the atom-level check refuses the
+    triple."""
+    with pytest.raises(ValueError, match="p0 coarser than p1"):
+        head_triple_verdict(R1, np.zeros(54), R1)
 
 
 @pytest.mark.parametrize(
@@ -1278,12 +1265,12 @@ def test_tower_refuses_a_non_nested_cell_whose_head_triple_is_q0_q1_q0(monkeypat
     ],
     ids=["p1-reads-the-tail", "p2-reads-beyond-n+k", "p2-not-a-product", "p2-rows-differ"],
 )
-def test_tower_tail_tests_send_what_does_not_factor_to_the_atoms(p1, p2, commutes, monkeypatch):
-    """Four head triples with q0 trivial that are not (q0, q1, q0): each is
-    decided on the atoms, with the verdict of the atom-level check."""
-    ok, sizes = head_triple_verdict(np.zeros(54), p1, p2, monkeypatch)
-    assert ok == commutes and sizes == [54]
-    assert commuting_square_check(HEAD_WEIGHTS, Partition.trivial(54), Partition(p1), Partition(p2)).is_commuting_square == commutes
+def test_tower_tail_tests_send_what_does_not_factor_to_the_atoms(p1, p2, commutes):
+    """Four head triples with q0 trivial that are not (q0, q1, q0), so the
+    head lemma does not cover them: each is decided on the atoms, where the
+    four conditions agree on the verdict."""
+    report = head_triple_verdict(np.zeros(54), p1, p2)
+    assert report.is_commuting_square == commutes and report.all_agree
 
 
 # -- filtrations ---------------------------------------------------------------------
