@@ -7,13 +7,9 @@ from .monoid import (
     NormalForm,
     Word,
     extended_relation_check,
-    gword,
-    hword,
     normal_form_fplus,
-    project_to_splus,
     rewriting_closure,
     shift_mn,
-    splus_apply,
     words_equal_fplus,
     words_equal_splus,
 )
@@ -23,10 +19,7 @@ from .finprob import (
     MarkovKernel,
     Partition,
     commuting_square_check,
-    cond_exp,
-    cond_exp_matrix,
     local_filtration_markov_check,
-    markov_map_adjoint,
 )
 from .dilation import (
     ChainSpec,
@@ -56,12 +49,10 @@ from .checks import (
     ProcessView,
     VerificationReport,
     definetti_suite,
-    find_lumped_fixture,
     hierarchy_check,
     markov_sequence_check,
     maximal_ps_check,
     partial_spreadability_check,
-    qregression_check,
 )
 
 __version__ = "0.1.0"

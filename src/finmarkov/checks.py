@@ -1,7 +1,7 @@
 """Named verifiers for the structural identities of stationary processes:
-partial spreadability, the Markov sequence property, pyramidal correlations,
-the invariance-principle hierarchy, lumped processes, and the end-to-end
-de Finetti suite.
+partial spreadability, the Markov sequence property, the
+invariance-principle hierarchy, lumped processes, and the end-to-end de
+Finetti suite.
 
 Every check reports a named verdict together with an anchor string naming
 the exact identity it decides, and a concrete witness on failure.  All
@@ -30,7 +30,14 @@ from .dilation import (
     path_table,
 )
 from .finprob import FinSpace, Partition, _products_equal, cexp_product_equals
-from .rep import PointRep, intertwining_identities_check, monoid_relations_check, tower_head_lemma, triangular_tower_check
+from .rep import (
+    PointRep,
+    _lift_atom,
+    intertwining_identities_check,
+    monoid_relations_check,
+    tower_head_lemma,
+    triangular_tower_check,
+)
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,7 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
     c_{n+1}) against the drop of c_K, so by the product lemma of rep every
     n is decided on the window eta_1 from level 2 onto level 1.  n = 1 is
     the first to fail, and its window atom (a, c_1, c_2) is lifted to level
-    K with 0 in c_3 … c_K.
+    K with 0 in c_3 … c_K (rep._lift_atom).
 
     The definition quantifies over genuine monoid representations, so the
     represented relations are a premise; a corrupted noise map fails here
@@ -213,7 +220,7 @@ def partial_spreadability_check(view: ProcessView, horizon=None) -> Verification
     moved = x0[rep.eta(1, 1)] != x0[rep.drop_last(1)]
     wit = None
     if moved.any():
-        y = int(np.argmax(moved)) * rep.gspace.nc ** (K - 2)
+        y = _lift_atom(int(np.argmax(moved)), (1, 2), 2, K, rep.gspace.nc)
         wit = f"alpha_1 moves iota_0 at atom {y} of level {K}"
     report.add("localization", "alpha_n iota_0 = iota_0 for all n >= 1", wit is None, wit)
     return report
@@ -320,65 +327,6 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# pyramidal correlations
-# ---------------------------------------------------------------------------
-
-
-def qregression_check(view: ProcessView, transition, ks, a_elems, b_elems, law=None) -> VerificationReport:
-    """Compare the model moment psi(iota_{k1}(a1 b1) ... iota_{kr}(ar br)),
-    summed over the support of its law, with the nested transition-operator
-    expression phi(a1 T^{k2-k1}(a2 ... T^{kr-k_{r-1}}(ar br) ...) b1), and, when a
-    path law is supplied, with the brute-force path expectation."""
-    report = VerificationReport()
-    ks = tuple(ks)
-    if list(ks) != sorted(ks) or len(set(ks)) != len(ks):
-        raise ValueError("time indices must be strictly increasing")
-    d = view.base.n
-    a_elems = [tuple(Fraction(x) for x in a) for a in a_elems]
-    b_elems = [tuple(Fraction(x) for x in b) for b in b_elems]
-
-    def moment(cells, weights, den):
-        total = Fraction(0)
-        for cell, w in zip(cells, weights):
-            factor = Fraction(int(w), den)
-            for t, s in enumerate(cell):
-                factor *= a_elems[t][s] * b_elems[t][s]
-            total += factor
-        return total
-
-    model_law = view.quotient.marginal(ks)
-    model_val = moment(model_law.values.T, model_law.weights, model_law.den)
-
-    # nested pyramid: a1 T^{g1}( a2 T^{g2}( ... (ar br) ... ) b2 ) b1
-    inner = tuple(a_elems[-1][s] * b_elems[-1][s] for s in range(d))
-    for t in range(len(ks) - 2, -1, -1):
-        gap = ks[t + 1] - ks[t]
-        powered = transition.power(gap)
-        moved = tuple(
-            sum(powered.rows[i][j] * inner[j] for j in range(d)) for i in range(d)
-        )
-        inner = tuple(a_elems[t][s] * moved[s] * b_elems[t][s] for s in range(d))
-    pyramid_val = sum(w * v for w, v in zip(view.base.weights, inner))
-
-    report.add(
-        "qregression",
-        "psi(prod iota_{k_i}(a_i b_i)) = phi(a_1 T^{k_2-k_1}(... ) b_1)",
-        model_val == pyramid_val,
-        None if model_val == pyramid_val else f"model {model_val} vs pyramid {pyramid_val}",
-    )
-    if law is not None:
-        num, den = law.marginal(ks)
-        brute = moment(np.argwhere(num), num[num != 0], den)
-        report.add(
-            "qregression-path-law",
-            "model moment equals the brute-force path expectation",
-            model_val == brute,
-            None if model_val == brute else f"model {model_val} vs paths {brute}",
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # invariance-principle hierarchy
 # ---------------------------------------------------------------------------
 
@@ -465,48 +413,6 @@ def hierarchy_check(model: ProcessModel, horizon=None) -> HierarchyReport:
     rep.add("partially-spreadable", "representation premise and localization of iota_0",
             ps, "yes" if ps else "no")
     return HierarchyReport(stationary, spreadable, exchangeable, ps, witnesses, rep)
-
-
-# ---------------------------------------------------------------------------
-# lumped processes
-# ---------------------------------------------------------------------------
-
-
-def find_lumped_fixture(max_den: int = 4, horizon: int = 3):
-    """First 3-state chain (entries with denominator max_den) and 2-block
-    lumping whose image process fails the Markov property.
-
-    Deterministic enumeration order; the first hit is frozen as a fixture.
-    """
-    maps = ([0, 0, 1], [0, 1, 0], [0, 1, 1])
-    rows_choices = [
-        tuple(Fraction(k, max_den) for k in parts)
-        for parts in _compositions(max_den, 3)
-    ]
-    for r0 in rows_choices:
-        for r1 in rows_choices:
-            for r2 in rows_choices:
-                try:
-                    spec = ChainSpec.from_rows([r0, r1, r2])
-                except ValueError:
-                    continue
-                model = build_markov_dilation(spec, horizon)
-                view = ProcessView.from_model(model)
-                for f in maps:
-                    lumped = view.lump(f)
-                    rep = markov_sequence_check(lumped)
-                    if not rep.entries[0].ok:
-                        return spec, list(f)
-    raise RuntimeError("no lumped counterexample in range")
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,6 @@ is a union of atoms, and the coupling sends atom (a, c) to the state
 prescribed by the piece containing c.  Amplifying over fresh noise slots
 gives the graded endomorphism whose compressions are exactly the matrix
 powers, and whose random-variable sequence has the chain's path law.
-
-The state-preserving assignment is all the model consumes.  Where the atom
-masses of the compact noise allow it, the coupling is also realized as a
-measure-preserving bijection of (state x noise) atoms (the map tau, fixing
-the diagonal pieces pointwise); tau is searched on the compact noise only,
-and only when it is asked for.
-A bijective refinement does not exist for every chain: if some state flows
-entirely into a single state of different stationary mass, every candidate
-atom image must shrink by a fixed ratio, which no finite atom set supports.
 """
 
 from __future__ import annotations
@@ -167,22 +158,12 @@ class CouplingMap:
     state it flows to, with lambda(flow-to-j pieces of row a) = T[a][j].
 
     ``target`` is the dual of a state-preserving homomorphism and is what
-    every model construction consumes.  ``tau()`` searches, on demand, for a
-    mass-preserving bijection of the (state x noise) atoms realizing the
-    flow (an automorphism of the product space).
+    every model construction consumes.
     """
 
     base: FinSpace
     noise: NoiseSpace
     target: np.ndarray  # (d, nc) -> state
-
-    def tau(self) -> np.ndarray | None:
-        """The bijection tau, flat (d * nc) -> flat (d * nc), validated, or
-        None where the atom masses do not tie out."""
-        perm = _try_perm(self.base.weights, self.noise.space.weights, self.target)
-        if perm is not None:
-            self.validate_perm(perm)
-        return perm
 
     def compression_rows(self) -> tuple:
         """Raw rows of iota* C iota recovered from the piece masses."""
@@ -195,26 +176,6 @@ class CouplingMap:
                 row[int(self.target[a, c])] += lam[c]
             rows.append(tuple(row))
         return tuple(rows)
-
-    def compression(self) -> MarkovKernel:
-        return MarkovKernel(self.compression_rows(), self.base, self.base)
-
-    def validate_perm(self, perm) -> None:
-        """Raise unless perm is a mass-preserving bijection of the atoms that
-        sends every atom into its own piece."""
-        d, nc = self.target.shape
-        flat = np.asarray(perm, dtype=np.int64)
-        if sorted(flat.tolist()) != list(range(d * nc)):
-            raise ValueError("perm is not a bijection")
-        lam = self.noise.space.weights
-        pi = self.base.weights
-        for i in range(d):
-            for c in range(nc):
-                j, c2 = divmod(int(flat[i * nc + c]), nc)
-                if j != int(self.target[i, c]):
-                    raise ValueError(f"perm sends ({i},{c}) off its piece")
-                if pi[i] * lam[c] != pi[j] * lam[c2]:
-                    raise ValueError(f"perm does not preserve the mass of ({i},{c})")
 
 
 def _row_cut_points(rows):
@@ -246,45 +207,9 @@ def _piece_assignment(rows, noise: NoiseSpace) -> np.ndarray:
     return out
 
 
-def _try_perm(pi, lam, target) -> np.ndarray | None:
-    """Mass-class matching: a bijection exists iff, for every target fiber,
-    the incoming atom masses tie out with the fiber's own atom masses.
-    Diagonal atoms are fixed pointwise first."""
-    d, nc = target.shape
-    receivers: dict[tuple[int, Fraction], list[int]] = {}
-    for j in range(d):
-        for c in range(nc):
-            receivers.setdefault((j, pi[j] * lam[c]), []).append(j * nc + c)
-    sources: dict[tuple[int, Fraction], list[int]] = {}
-    diag = []
-    for i in range(d):
-        for c in range(nc):
-            j = int(target[i, c])
-            if j == i:
-                diag.append(i * nc + c)
-            else:
-                sources.setdefault((j, pi[i] * lam[c]), []).append(i * nc + c)
-    perm = np.full(d * nc, -1, dtype=np.int64)
-    for flat in diag:  # tau is the identity on the diagonal pieces
-        perm[flat] = flat
-        i, c = divmod(flat, nc)
-        receivers[(i, pi[i] * lam[c])].remove(flat)
-    for key, srcs in sources.items():
-        rec = receivers.get(key, [])
-        if len(rec) < len(srcs):
-            return None
-        for s, t in zip(srcs, rec[: len(srcs)]):
-            perm[s] = t
-        del rec[: len(srcs)]
-    if any(rest for rest in receivers.values()):
-        return None
-    return perm
-
-
 def build_first_order_dilation(spec: ChainSpec) -> tuple[NoiseSpace, CouplingMap]:
     """Cut the noise interval at the row cut points (the compact noise: the
-    smallest atom count and weight denominators) and assemble the coupling.
-    The bijection tau is searched only when CouplingMap.tau is called."""
+    smallest atom count and weight denominators) and assemble the coupling."""
     rows = spec.rows
     nspace = NoiseSpace.from_cuts(_row_cut_points(rows))
     target = _piece_assignment(rows, nspace)
@@ -463,9 +388,6 @@ class PathLaw:
 
     num: np.ndarray  # shape (d,)*(K+1)
     den: int
-
-    def prob(self, path) -> Fraction:
-        return Fraction(int(self.num[tuple(path)]), self.den)
 
     def marginal(self, ks):
         """Sum out all coordinates except those in ks (kept in given order)."""

@@ -68,12 +68,6 @@ class FinSpace:
     def element(self, values) -> "AlgebraElement":
         return AlgebraElement(self, tuple(parse_rational(v) for v in values))
 
-    def indicator(self, atoms) -> "AlgebraElement":
-        atoms = set(atoms)
-        return AlgebraElement(
-            self, tuple(Fraction(int(i in atoms)) for i in range(self.n))
-        )
-
     def state(self, f: "AlgebraElement") -> Fraction:
         return sum(w * v for w, v in zip(self.weights, f.values))
 
@@ -113,9 +107,6 @@ class AlgebraElement:
 
     def state(self) -> Fraction:
         return self.space.state(self)
-
-    def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
 
 
 class Partition:
@@ -385,43 +376,6 @@ def cexps_commute(p: Partition, q: Partition, wnum):
     return cexp_product_equals(p, q, p.meet(q), wnum)
 
 
-# ---------------------------------------------------------------------------
-# conditional expectations on FinSpace
-# ---------------------------------------------------------------------------
-
-
-def cond_exp(space: FinSpace, part: Partition, f: AlgebraElement) -> AlgebraElement:
-    """Weighted block average: the state-preserving projection onto the
-    subalgebra of block-constant functions."""
-    if part.n != space.n:
-        raise ValueError("partition does not match space")
-    sums = [Fraction(0)] * part.nblocks
-    masses = [Fraction(0)] * part.nblocks
-    for i, lab in enumerate(part.labels):
-        sums[lab] += space.weights[i] * f.values[i]
-        masses[lab] += space.weights[i]
-    vals = tuple(sums[lab] / masses[lab] for lab in part.labels)
-    return AlgebraElement(space, vals)
-
-
-def cond_exp_matrix(space: FinSpace, part: Partition):
-    """The projection as an exact n x n rational matrix (desk-scale only)."""
-    if space.n > 4096:
-        raise ValueError("dense conditional-expectation matrix is desk-scale only")
-    masses = [Fraction(0)] * part.nblocks
-    for i, lab in enumerate(part.labels):
-        masses[lab] += space.weights[i]
-    return tuple(
-        tuple(
-            space.weights[j] / masses[part.labels[i]]
-            if part.labels[i] == part.labels[j]
-            else Fraction(0)
-            for j in range(space.n)
-        )
-        for i in range(space.n)
-    )
-
-
 @dataclass(frozen=True)
 class CommutingSquareReport:
     factorization: bool
@@ -527,53 +481,6 @@ class MarkovKernel:
         )
         return AlgebraElement(self.target, vals)
 
-    def compose(self, other: "MarkovKernel") -> "MarkovKernel":
-        """self ∘ other (apply other first)."""
-        if other.target != self.source:
-            raise ValueError("kernels not composable")
-        rows = tuple(
-            tuple(
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(self.source.n))
-                for j in range(other.source.n)
-            )
-            for i in range(self.target.n)
-        )
-        return MarkovKernel(rows, other.source, self.target)
-
-    def power(self, n: int) -> "MarkovKernel":
-        if self.source != self.target:
-            raise ValueError("powers need a square kernel")
-        acc = MarkovKernel.square(
-            [[int(i == j) for j in range(self.d)] for i in range(self.d)], self.source
-        )
-        for _ in range(n):
-            acc = self.compose(acc)
-        return acc
-
-
-def markov_map_adjoint(T: MarkovKernel) -> MarkovKernel:
-    """The unique adjoint with psi(T*(y)·x) = phi(y·T(x)); faithfulness of the
-    source state makes the division well defined."""
-    phi = T.target.weights
-    psi = T.source.weights
-    rows = tuple(
-        tuple(phi[i] * T.rows[i][j] / psi[j] for i in range(T.target.n))
-        for j in range(T.source.n)
-    )
-    return MarkovKernel(rows, T.target, T.source)
-
-
-def adjoint_pairing_holds(T: MarkovKernel) -> bool:
-    """Check psi(T*(1_i)·1_j) == phi(1_i·T(1_j)) on all basis pairs."""
-    S = markov_map_adjoint(T)
-    for i in range(T.target.n):
-        for j in range(T.source.n):
-            lhs = T.source.weights[j] * S.rows[j][i]
-            rhs = T.target.weights[i] * T.rows[i][j]
-            if lhs != rhs:
-                return False
-    return True
-
 
 # ---------------------------------------------------------------------------
 # local filtrations
@@ -661,25 +568,3 @@ def local_filtration_markov_check(family, horizon: int, wnum, atoms=None) -> Fil
         if not minimal:
             break
     return FiltrationReport(isotone, markov_m, markov_mp, minimal, tuple(witnesses))
-
-
-# ---------------------------------------------------------------------------
-# config-file loading
-# ---------------------------------------------------------------------------
-
-
-def load_finspace(obj) -> FinSpace:
-    """Weights given as a list of "num/den" strings or integers."""
-    return FinSpace.from_rationals(obj)
-
-
-def load_partition(blocks, n: int) -> Partition:
-    return Partition.from_blocks(blocks, n)
-
-
-def load_kernel(obj) -> MarkovKernel:
-    """{"T": [["num/den", ...]], "psi": [...], "phi": optional [...]}."""
-    src = load_finspace(obj["psi"])
-    tgt = load_finspace(obj["phi"]) if "phi" in obj else src
-    rows = tuple(tuple(parse_rational(x) for x in row) for row in obj["T"])
-    return MarkovKernel(rows, src, tgt)

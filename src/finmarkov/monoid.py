@@ -72,14 +72,6 @@ class Word:
         return tuple(i for _, i in self.letters)
 
 
-def gword(*indices: int) -> Word:
-    return Word(tuple(("g", i) for i in indices))
-
-
-def hword(*indices: int) -> Word:
-    return Word(tuple(("h", i) for i in indices))
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Normal form g_k^{a_k} g_{k-1}^{a_{k-1}} ... g_0^{a_0} of an F+ class.
@@ -165,41 +157,27 @@ def theta(k: int, x: int) -> int:
     return x + 1 if x >= k else x
 
 
-def splus_apply(w: Word, x: int) -> int:
-    """Evaluate the composite of partial shifts named by an h-word at x.
-
-    The leftmost letter applies last (operator composition order).
-    """
-    _require_family(w, "h", "splus_apply")
-    return _splus_eval(w, x)
-
-
-def _splus_eval(w: Word, x: int) -> int:
-    """splus_apply on a word already checked to hold only h-letters."""
+def _omitted_values(w: Word) -> set[int]:
+    """The values of N_0 that the composite of partial shifts named by an
+    h-word omits, built right to left: theta_k ∘ f omits k and the theta_k
+    images of what f omits."""
+    missing: set[int] = set()
     for _, k in reversed(w.letters):
-        x = theta(k, x)
-    return x
+        missing = {k} | {theta(k, m) for m in missing}
+    return missing
 
 
 def words_equal_splus(w1: Word, w2: Word) -> bool:
     """Decide S+ equality through the induced injections of N_0.
 
-    A composite of partial shifts is determined by its values on the finite
-    segment [0, L] with L = 1 + max index + max word length: beyond the max
-    index every letter acts as +1, so the segment also separates composites
-    of different lengths.
+    A composite of partial shifts is an increasing injection of N_0, so it
+    is determined by the values it omits; it omits one value per letter,
+    so the sets also separate composites of different lengths.  The sets
+    cost O(len^2) whatever the indices.
     """
     _require_family(w1, "h", "words_equal_splus")
     _require_family(w2, "h", "words_equal_splus")
-    hi = max(w1.max_index(), w2.max_index())
-    bound = 1 + hi + max(len(w1), len(w2))
-    return all(_splus_eval(w1, x) == _splus_eval(w2, x) for x in range(bound + 1))
-
-
-def project_to_splus(w: Word) -> Word:
-    """Canonical epimorphism F+ ->> S+, letterwise g_n -> h_n."""
-    _require_family(w, "g", "project_to_splus")
-    return Word(tuple(("h", i) for _, i in w.letters))
+    return _omitted_values(w1) == _omitted_values(w2)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +338,8 @@ def rewriting_closure(w: Word, kind: str = "F+", index_cap=None, node_budget=2_0
     """The full bidirectional-rewriting class of w (a finite set).
 
     Exploration caps generator indices at max index + word length + 1 unless
-    index_cap is given; each forward rewrite raises one index by exactly 1
-    and words keep their length, so the class stays within the cap.  The
+    index_cap is given; by the crossing argument of derive_words the class
+    stays within max index + word length - 1, so that cap never binds.  The
     start word itself may exceed the cap; every other word of the returned
     set has all its indices at most the cap.  RuntimeError if the class
     holds more than node_budget words.
@@ -466,14 +444,35 @@ class DerivationNotFound(RuntimeError):
 def derive_words(kind: str, start: Word, target: Word, node_budget=200_000) -> DerivationTrace:
     """Breadth-first derivation of target from start inside the given monoid.
 
-    All relations are length-preserving, so the search space is finite once
-    indices are capped; the budget bounds explored nodes.  The search runs on
-    tuples of letters and applies every rule of monoid_rules(kind) to each
-    adjacent pair, by position and then rule order.
+    The search runs on tuples of letters and applies every rule of
+    monoid_rules(kind) to each adjacent pair, by position and then rule
+    order; the budget bounds explored nodes.  It needs no index cap:
+    every word of the class of start has its indices at most M + n - 1,
+    M the largest index of start and n its length, so the class is finite.
+
+    The crossing argument.  Every rule swaps an adjacent pair of letters
+    and changes at most one index, by one.  Follow each letter through a
+    derivation and give it the value theta_{j_1} … theta_{j_r}(i), i its
+    index and j_1 … j_r the indices, left to right, of the letters to its
+    left of the families that shift it: every letter in F+ and S+, the g-
+    or h-letters in EF+ and ES+, the letters of its own family in FF+.
+    With theta_k(l) = l + 1 for k <= l and theta_l(k) = k for k < l, every
+    rule keeps every value:
+
+    * x_k x_l = x_{l+1} x_k (k < l; k <= l in S+ and ES+; also x = c in
+      FF+): x_l passes x_k leftward, theta_k(l) = l + 1, and x_k passes
+      x_{l+1} rightward, theta_{l+1}(k) = k;
+    * x_k c_l = c_{l+1} x_k (k < l, EF+ and ES+): c_l passes x_k leftward,
+      theta_k(l) = l + 1, and x_k passes a c, which shifts nothing;
+    * c_k x_{l+1} = x_{l+1} c_k (k < l, EF+ and ES+): c_k passes x_{l+1}
+      rightward, theta_{l+1}(k) = k, and x_{l+1} passes a c;
+    * c_k c_l = c_l c_k (|k - l| >= 2, EF+ and ES+), and in FF+ each swap
+      of a c with a g: neither letter passes one that shifts it.
+
+    theta_j(x) is x or x + 1, so a letter's index is at most its value,
+    and in start its value is at most M plus the number of letters to its
+    left, at most M + n - 1.
     """
-    # start lies within the cap, so checking each new pair keeps every
-    # explored word within it
-    cap = max(start.max_index(), target.max_index()) + len(start) + 1
     rules = monoid_rules(kind)
     goal = target.letters
     prev: dict[tuple[Letter, ...], tuple[tuple[Letter, ...], str, int] | None] = {start.letters: None}
@@ -492,7 +491,7 @@ def derive_words(kind: str, start: Word, target: Word, node_budget=200_000) -> D
         for pos in range(len(cur) - 1):
             for name, rule in rules:
                 new = rule(cur[pos : pos + 2])
-                if new is None or max(new[0][1], new[1][1]) > cap:
+                if new is None:
                     continue
                 nxt = cur[:pos] + new + cur[pos + 2 :]
                 if nxt in prev:

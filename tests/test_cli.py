@@ -43,6 +43,14 @@ def test_word_eq_splus(capsys):
     assert code == 1 and out.strip() == "not equal"
 
 
+def test_word_eq_splus_answers_on_a_huge_index():
+    # S+ equality reads the values each word omits, one per letter, so an
+    # index of 10^12 costs nothing; the timeout fails the test, not the run
+    argv = ["word-eq", "h1000000000000", "h1000000000000", "--monoid", "splus"]
+    r = subprocess.run([sys.executable, "-m", "finmarkov.cli"] + argv, capture_output=True, text=True, timeout=20)
+    assert r.returncode == 0 and r.stdout == "equal\n"
+
+
 def test_shift(capsys):
     code, out, _ = run(["shift", "1", "2", "g0 g1"], capsys)
     assert code == 0 and out.strip() == "g1 g3 = g4^1 g1^1"

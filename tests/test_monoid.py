@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import sys
 from collections import deque
 from pathlib import Path
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmarkov import monoid as M
-from finmarkov.monoid import Word, gword, hword
+from finmarkov.monoid import Word
+
+from oracles import gword, hword, project_to_splus, splus_apply
 
 
 # -- normal forms -----------------------------------------------------------
@@ -151,10 +154,10 @@ def test_shift_injective_on_small_normal_forms():
 
 
 def test_theta_values():
-    assert [M.splus_apply(hword(0), x) for x in range(4)] == [1, 2, 3, 4]
-    assert M.splus_apply(hword(2), 1) == 1
-    assert M.splus_apply(hword(2), 2) == 3
-    assert M.splus_apply(Word(), 9) == 9
+    assert [splus_apply(hword(0), x) for x in range(4)] == [1, 2, 3, 4]
+    assert splus_apply(hword(2), 1) == 1
+    assert splus_apply(hword(2), 2) == 3
+    assert splus_apply(Word(), 9) == 9
 
 
 def test_theta_relation():
@@ -168,15 +171,15 @@ def test_splus_equalities():
     assert M.words_equal_splus(hword(0, 0), hword(1, 0))
     assert not M.words_equal_splus(hword(1), hword(2))
     for x in range(11):
-        assert M.splus_apply(hword(0, 0), x) == x + 2
-        assert M.splus_apply(hword(1, 0), x) == x + 2
+        assert splus_apply(hword(0, 0), x) == x + 2
+        assert splus_apply(hword(1, 0), x) == x + 2
 
 
 @given(st.lists(st.integers(0, 4), max_size=4), st.lists(st.integers(0, 4), max_size=4))
 def test_splus_apply_composes(a, b):
     w1, w2 = hword(*a), hword(*b)
     for x in range(8):
-        assert M.splus_apply(w1 * w2, x) == M.splus_apply(w1, M.splus_apply(w2, x))
+        assert splus_apply(w1 * w2, x) == splus_apply(w1, splus_apply(w2, x))
 
 
 def test_splus_function_model_matches_rewriting_closure():
@@ -195,10 +198,27 @@ def test_splus_function_model_matches_rewriting_closure():
     # group by the function model's fingerprint on a separating segment
     by_model = {}
     for w in pool:
-        key = tuple(M.splus_apply(w, x) for x in range(10))
+        key = tuple(splus_apply(w, x) for x in range(10))
         by_model.setdefault(key, set()).add(class_of[w])
     assert all(len(cids) == 1 for cids in by_model.values())
     assert len(by_model) == next_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_splus_equality_matches_the_segment_evaluation(data):
+    """The omitted-value sets decide S+ equality as the evaluation on the
+    segment [0, 1 + max index + max length] does, on random pairs and on
+    pairs from one rewriting class."""
+    indices = st.lists(st.integers(0, 4), max_size=5)
+    w1 = hword(*data.draw(indices))
+    if data.draw(st.booleans()):
+        w2 = data.draw(st.sampled_from(sorted(M.rewriting_closure(w1, "S+"), key=str)))
+    else:
+        w2 = hword(*data.draw(indices))
+    bound = 1 + max(w1.max_index(), w2.max_index()) + max(len(w1), len(w2))
+    want = all(splus_apply(w1, x) == splus_apply(w2, x) for x in range(bound + 1))
+    assert M.words_equal_splus(w1, w2) is want
 
 
 def _tuples(max_len, max_idx):
@@ -214,9 +234,9 @@ def _tuples(max_len, max_idx):
 
 
 def test_projection_examples():
-    assert M.project_to_splus(gword(0, 1)) == hword(0, 1)
+    assert project_to_splus(gword(0, 1)) == hword(0, 1)
     assert M.words_equal_splus(hword(0, 1), hword(2, 0))
-    assert M.project_to_splus(Word()) == Word()
+    assert project_to_splus(Word()) == Word()
 
 
 def test_projection_is_well_defined():
@@ -224,14 +244,14 @@ def test_projection_is_well_defined():
     pool = [gword(*t) for t in _tuples(4, 4)]
     for w in pool:
         nf = M.normal_form_fplus(w).to_word()
-        assert M.words_equal_splus(M.project_to_splus(w), M.project_to_splus(nf))
+        assert M.words_equal_splus(project_to_splus(w), project_to_splus(nf))
 
 
 def test_projection_not_injective_on_classes():
     # h_0 h_0 = h_1 h_0 in S+ although g_0 g_0 != g_1 g_0 in F+
     w1, w2 = gword(0, 0), gword(1, 0)
     assert not M.words_equal_fplus(w1, w2)
-    assert M.words_equal_splus(M.project_to_splus(w1), M.project_to_splus(w2))
+    assert M.words_equal_splus(project_to_splus(w1), project_to_splus(w2))
 
 
 # -- extended monoids -------------------------------------------------------
@@ -288,7 +308,7 @@ def test_bad_words_rejected():
     with pytest.raises(ValueError):
         M.normal_form_fplus(hword(0))
     with pytest.raises(ValueError):
-        M.splus_apply(gword(0), 1)
+        splus_apply(gword(0), 1)
     with pytest.raises(ValueError):
         Word.parse("g0 x1")
     with pytest.raises(ValueError):
@@ -446,6 +466,26 @@ def test_derivation_equals_word_reference(data):
     for t in (Word(w.letters[1:]), Word(((absent, 0),) + w.letters[1:])):
         with pytest.raises(M.DerivationNotFound, match="search space exhausted"):
             M.derive_words(kind, w, t)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FAMILIES))
+def test_rewriting_classes_stay_within_max_index_plus_length_minus_1(kind):
+    """The crossing argument of derive_words, on every start word of length
+    1 to 5 with indices at most 3 (at most 2 at length 5): its class holds
+    no index above M + n - 1, and some classes reach it.  A class that
+    passed the bound would pass it by one first, so the search capped at
+    M + n finds any such word."""
+    top, reached = {}, 0
+    for n in range(1, 6):
+        letters = [(f, i) for f in KIND_FAMILIES[kind] for i in range(4 if n < 5 else 3)]
+        for w in map(Word, itertools.product(letters, repeat=n)):
+            bound = w.max_index() + n - 1
+            if w not in top:
+                cls = _ref_closure(w, kind, index_cap=bound + 1)
+                top.update(dict.fromkeys(cls, max(u.max_index() for u in cls)))
+            assert top[w] <= bound, w
+            reached += top[w] == bound
+    assert reached > 0
 
 
 def test_derivation_node_budget_boundary():
