@@ -272,8 +272,23 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
     Both properties are decided on the quotient by A_[0,K].  Every tested
     quantity is constant on its blocks, which are numbered in first-atom
     order, so the first atom of the first failing block is the first failing
-    atom."""
-    K = view.K
+    atom.
+
+    The sequence property takes a fixed number of array passes per depth n,
+    whatever the number d of values.  One keyed sum per side, keyed by
+    (block, X_{n+1}), gives the mass of every block of A[0,n], and of
+    A[n,n], on every next value; its row sums are the block masses.  A[n,n] is
+    coarser than A[0,n], so each past block b lies in the one now-block
+    now_of[b], and the identity at (j, b) is
+    S_past[b, j] · W_now[now_of[b]] = S_now[now_of[b], j] · W_past[b].
+    The (d, nb) array of these is compared in one call; its C-order first
+    failure is the least value j, then the least block b, the order of a
+    loop over values, and block b's first point is past.first[b].
+
+    Each cell is handed its join: the quotient's points are distinct paths,
+    so A[0,n] ∨ A[n,K] = A[0,K] is the discrete partition by the local
+    minimality above, built once for all cells."""
+    K, d = view.K, view.base.n
     report = VerificationReport()  # first, so the path table's build is charged to markov-sequence
     q = view.quotient
     w = q.weights
@@ -283,30 +298,24 @@ def markov_sequence_check(view: ProcessView) -> VerificationReport:
         past = view.block_partition(0, n)
         now = view.block_partition(n, n)
         nxt = q.values[n + 1]
-        w_past = kern.group_sum(past.labels, w, past.nblocks)
-        w_now = kern.group_sum(now.labels, w, now.nblocks)
-        for j in range(view.base.n):
-            hit = np.where(nxt == j, w, 0).astype(np.int64)
-            s_past = kern.group_sum(past.labels, hit, past.nblocks)
-            s_now = kern.group_sum(now.labels, hit, now.nblocks)
-            bad = _products_equal(
-                s_past[past.labels], w_now[now.labels], s_now[now.labels], w_past[past.labels]
-            )
-            if bad is not None:
-                seq_ok = False
-                x = int(q.first[bad])
-                wit = f"n={n}, value {j}: prediction from the past differs at atom {x}"
-                break
-        if not seq_ok:
+        s_past = kern.group_sum(past.labels * d + nxt, w, past.nblocks * d).reshape(past.nblocks, d)
+        s_now = kern.group_sum(now.labels * d + nxt, w, now.nblocks * d).reshape(now.nblocks, d)
+        now_of = now.labels[past.first]
+        bad = _products_equal(s_past.T, s_now.sum(axis=1)[now_of], s_now[now_of].T, s_past.sum(axis=1))
+        if bad is not None:
+            seq_ok = False
+            j, b = divmod(bad, past.nblocks)
+            x = int(q.first[past.first[b]])
+            wit = f"n={n}, value {j}: prediction from the past differs at atom {x}"
             break
     report.add(
         "markov-sequence", "E[0,n] iota_{n+1} = E[n,n] iota_{n+1}", seq_ok, wit
     )
 
-    part = view.block_partition
+    part, joined = view.block_partition, Partition.discrete(len(w))
     filt_ok, wits = True, []
     for n in range(1, K):
-        ok, cell_wit = cexp_product_equals(part(0, n), part(n, K), part(n, n), w, q.first)
+        ok, cell_wit = cexp_product_equals(part(0, n), part(n, K), part(n, n), w, q.first, pq=joined)
         if not ok:
             filt_ok = False
             wits.append(f"(M) n={n}: {cell_wit}")

@@ -195,10 +195,16 @@ class Partition:
 
 def _first_occurrence(labels, nblocks):
     """Index of the first atom of each block of canonical labels: block b
-    first appears where the running maximum rises to b."""
+    first appears where the running maximum rises to b.  The rises are read
+    off one comparison of the running maximum with itself shifted by one,
+    written into a mask whose first entry is set, since atom 0 always opens
+    a block."""
     labels = np.asarray(labels)
     runmax = np.maximum.accumulate(labels)
-    first = np.flatnonzero(np.diff(runmax, prepend=-1))
+    rises = np.empty(len(runmax), dtype=bool)
+    rises[0] = True
+    np.greater(runmax[1:], runmax[:-1], out=rises[1:])
+    first = np.flatnonzero(rises)
     # canonical iff no label is negative and the maximum climbs from -1 to
     # nblocks - 1 in nblocks rises, i.e. in steps of one
     if len(first) != nblocks or runmax[-1] != nblocks - 1 or labels.min() < 0:
@@ -231,8 +237,11 @@ def _max_abs(x) -> int:
 def _products_equal(a, b, c, d):
     """Exact test a[i]*b[i] == c[i]*d[i]; returns index of first failure.
 
-    The products are formed in int64 when max|a|·max|b| and max|c|·max|d|
-    provably fit, else on object (big-int) arrays."""
+    The operands broadcast: for a (d, nb) array against (nb,) vectors the
+    index returned is the C-order flat index of the first failure, so
+    divmod(index, nb) is (row, column), the least row first.  The products
+    are formed in int64 when max|a|·max|b| and max|c|·max|d| provably fit,
+    taken over the whole arrays, else on object (big-int) arrays."""
     a, b, c, d = (np.asarray(x) for x in (a, b, c, d))
     if kern.fits_int64(_max_abs(a) * _max_abs(b)) and kern.fits_int64(_max_abs(c) * _max_abs(d)):
         dtype = np.int64

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import itertools
 import json
@@ -257,6 +258,47 @@ def test_markov_sequence_witness_atom_is_mapped_back():
     assert first == ("markov-sequence", False, "n=1, value 0: prediction from the past differs at atom 64")
 
 
+def test_markov_sequence_witness_names_the_least_value_before_the_least_block():
+    """At n = 1 this lump fails for value 0 only in a later block than
+    value 1 fails in, so a scan block by block would name value 1; the
+    witness is the least failing value, then its least failing block."""
+    spec = D.ChainSpec.from_rows(
+        [
+            [0, F(1, 3), F(1, 3), 0, F(1, 3)],
+            [0, F(1, 3), 0, F(2, 3), 0],
+            [1, 0, 0, 0, 0],
+            [F(1, 2), F(1, 2), 0, 0, 0],
+            [F(2, 3), 0, F(1, 3), 0, 0],
+        ]
+    )
+    view = C.ProcessView.from_model(D.build_markov_dilation(spec, 3)).lump([0, 0, 1, 2, 1])
+    assert view.rep.gspace.level_size(3) == 320
+    first, *_ = assert_matches_reference(view)
+    assert first == ("markov-sequence", False, "n=1, value 0: prediction from the past differs at atom 16")
+    # the value-1 failure lies in a block of A_[0,1] before value 0's first
+    past, now, q = view.block_partition(0, 1), view.block_partition(1, 1), view.quotient
+    hit = q.values[2] == np.arange(3)[:, None]
+    s_past = np.array([kern.group_sum(past.labels, np.where(h, q.weights, 0), past.nblocks) for h in hit])
+    s_now = np.array([kern.group_sum(now.labels, np.where(h, q.weights, 0), now.nblocks) for h in hit])
+    w_past, w_now = s_past.sum(axis=0), s_now.sum(axis=0)
+    now_of = now.labels[past.first]
+    fails = s_past * w_now[now_of] != s_now[:, now_of] * w_past
+    assert np.flatnonzero(fails[0])[0] > np.flatnonzero(fails[1])[0]
+
+
+@given(st.integers(0, 10_000), st.integers(4, 5), st.integers(3, 4), st.sampled_from([3, 4]))
+@settings(max_examples=25, deadline=None)
+def test_markov_checks_match_reference_on_three_and_four_block_lumps(seed, d, K, nblocks):
+    """With three or more values a failing block can fail for a later value
+    only, so the (value, block) order of the witness is tested here."""
+    rng = random.Random(seed)
+    spec = D.random_irreducible_chain(rng, d, max_den=4)
+    view = C.ProcessView.from_model(D.build_markov_dilation(spec, K, budget=20_000))
+    f = list(range(nblocks)) + [rng.randrange(nblocks) for _ in range(d - nblocks)]
+    rng.shuffle(f)
+    assert_matches_reference(view.lump(f))
+
+
 @pytest.mark.parametrize("key", [(0, 2), (2, 2), (1, 4), (3, 4)])
 def test_a_scrambled_block_partition_is_caught(key):
     """A wrong implementation fails: after a first run fills the cache, one
@@ -377,6 +419,51 @@ def test_markov_checks_canonicalize_level_k_at_most_k_plus_1_times(monkeypatch):
     monkeypatch.setattr(kern, "canonicalize", counting)
     assert C.markov_sequence_check(view).passed
     assert calls <= K + 1
+
+
+# the 4-state chain of the benchmark's suite-deep workload
+D4 = D.ChainSpec.from_rows(
+    [
+        [F(1, 6), F(1, 3), F(1, 3), F(1, 6)],
+        [F(1, 2), 0, F(1, 4), F(1, 4)],
+        [F(1, 4), F(1, 4), F(1, 4), F(1, 4)],
+        [0, F(1, 2), F(1, 6), F(1, 3)],
+    ]
+)
+
+
+def markov_kernel_calls(monkeypatch, view):
+    """The kernel and product-compare calls markov_sequence_check makes on
+    a view whose path table is already built."""
+    view.quotient
+    calls = collections.Counter()
+
+    def counted(name, orig):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for owner, name in ((kern, "pair_canon"), (kern, "group_sum"), (C, "_products_equal"), (finprob, "_products_equal")):
+            m.setattr(owner, name, counted(name, getattr(owner, name)))
+        assert C.markov_sequence_check(view).passed
+    return calls
+
+
+def test_markov_sequence_check_makes_a_fixed_number_of_passes_per_depth(monkeypatch):
+    """The filtration cells are handed their join and the sequence property
+    takes one keyed sum per side and depth: on the coin at K = 8 no
+    pair_canon call and K + (K - 1) product compares, and at K = 4 as many
+    group_sum calls for the coin's 2 values as for D4's 4 values."""
+    K = 8
+    calls = markov_kernel_calls(monkeypatch, paper_view(K))
+    assert calls["pair_canon"] == 0
+    assert calls["_products_equal"] == K + (K - 1)
+    coin = markov_kernel_calls(monkeypatch, paper_view(4))
+    d4 = markov_kernel_calls(monkeypatch, C.ProcessView.from_model(D.build_markov_dilation(D4, 4)))
+    assert coin["group_sum"] == d4["group_sum"] > 0
 
 
 # -- pyramidal correlations -------------------------------------------------------

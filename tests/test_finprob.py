@@ -364,6 +364,40 @@ def test_products_equal_sends_overflowing_products_to_big_ints():
     assert _products_equal(a[2:], b[2:], c[2:], d[2:]) == 0
 
 
+def test_products_equal_on_broadcast_operands_returns_the_c_order_first_failure(monkeypatch):
+    """A (d, nb) array against (nb,) vectors, as markov_sequence_check
+    compares them: the index is the C-order flat index of the first
+    failure, the same as an elementwise big-int reference gives, on both
+    the int64 and the big-int path."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        d, nb = (int(x) for x in rng.integers(1, 6, 2))
+        a = rng.integers(-5, 6, (nb, d)).T  # transposed, as the check passes it
+        b = rng.integers(-5, 6, nb)
+        c, e = a.copy(), b.copy()
+        for _ in range(int(rng.integers(0, 3))):
+            c[rng.integers(d), rng.integers(nb)] += 1
+        lhs = a.astype(object) * b.astype(object)
+        rhs = c.astype(object) * e.astype(object)
+        want = next((j * nb + k for j in range(d) for k in range(nb) if lhs[j, k] != rhs[j, k]), None)
+        assert _products_equal(a, b, c, e) == want
+        with monkeypatch.context() as m:
+            m.setattr(kern, "fits_int64", lambda *args, **kwargs: False)
+            assert _products_equal(a, b, c, e) == want
+    # failures at (0, 2) and (1, 0): C order names row 0 first
+    a, c, ones = np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64), np.ones(3, dtype=np.int64)
+    c[0, 2] = c[1, 0] = 2
+    assert divmod(_products_equal(a, ones, c, ones), 3) == (0, 2)
+    # the values of the overflow test above, broadcast: 2**64 wraps to 0
+    a = np.array([[1, 3, 1], [1, 3, 2**32]], dtype=np.int64)
+    b = np.array([1, 3, 2**32], dtype=np.int64)
+    c = np.array([[1, 9, 2**32], [1, 9, 0]], dtype=np.int64)
+    e = np.ones(3, dtype=np.int64)
+    assert not kern.fits_int64(2**32 * 2**32)
+    assert ((a * b) == (c * e)).all()
+    assert _products_equal(a, b, c, e) == 5
+
+
 def test_block_weight_sums_refuse_only_an_overflowing_total():
     # max * len * 4 exceeds int64 here, but the total fits: summed exactly
     w = np.array([2**61, 1, 2, 3], dtype=np.int64)
@@ -553,7 +587,7 @@ def test_isotone_family_that_is_not_minimal():
 # -- canonical labels ---------------------------------------------------------
 
 
-@given(st.lists(st.integers(0, 9), min_size=1, max_size=80))
+@given(st.lists(st.integers(0, 9) | st.integers(-(2**40), 2**40), min_size=1, max_size=300))
 def test_first_occurrence_matches_unique(vals):
     labels, k = kern.canonicalize(vals)
     assert np.array_equal(_first_occurrence(labels, k), np.unique(labels, return_index=True)[1])
@@ -561,7 +595,21 @@ def test_first_occurrence_matches_unique(vals):
 
 @pytest.mark.parametrize(
     "labels, nblocks",
-    [([1, 0], 2), ([0, 2, 1], 3), ([0, 0, 2], 3), ([0, 2, 1], 2), ([-1, 0], 1), ([0, -1], 1)],
+    [
+        ([1, 0], 2),
+        ([0, 2, 1], 3),  # skips block 1
+        ([0, 0, 2], 3),
+        ([0, 2, 1], 2),
+        ([-1, 0], 1),  # negative
+        ([0, -1], 1),
+        ([1, 1], 1),  # starts at 1
+        ([1, 2, 0], 3),
+        ([0, 1, -1, 2], 3),
+        ([0, 1, 1], 3),  # nblocks one too large
+        ([0, 1, 1], 1),  # nblocks one too small
+        ([0], 0),
+        ([0], 2),
+    ],
 )
 def test_first_occurrence_rejects_non_canonical(labels, nblocks):
     with pytest.raises(ValueError, match="not canonical"):
